@@ -11,6 +11,7 @@ ENTMAC_BACKEND=pure (or =compiled) to force one, or call use_backend().
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 from ..rng import derive_seed
 from . import pure
@@ -70,6 +71,23 @@ def chunk_plan(base_seed: int, n_slots: int) -> list[tuple[int, int]]:
         offset += count
         index += 1
     return plan
+
+
+def pool_size(workers: int, n_chunks: int) -> int:
+    """Threads worth starting for n_chunks chunks: never more than the chunks or CPUs."""
+    return min(workers, n_chunks, os.cpu_count() or 1)
+
+
+def map_chunks(fn, plan: list[tuple[int, int]], workers: int) -> list:
+    """[fn(slot_count, seed) for each chunk of plan], on a pool when it helps.
+
+    Results come back in plan order whatever the pool size.
+    """
+    size = pool_size(workers, len(plan))
+    if size > 1:
+        with ThreadPoolExecutor(max_workers=size) as pool:
+            return list(pool.map(lambda sc: fn(sc[1], sc[0]), plan))
+    return [fn(count, seed) for seed, count in plan]
 
 
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:

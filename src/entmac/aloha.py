@@ -12,7 +12,6 @@ slots, packets per slot and bits per slot coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 from .rng import RandomSource
 from .stats import RunStats
@@ -91,11 +90,7 @@ def simulate(params: AlohaParams, n_slots: int, rng: RandomSource, workers: int 
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     plan = _kernels.chunk_plan(rng.next_u64(), n_slots)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(lambda sc: _kernels.aloha_tally(params.m, params.p, sc[1], sc[0]), plan)
-            )
-    else:
-        counts = [_kernels.aloha_tally(params.m, params.p, count, seed) for seed, count in plan]
+    counts = _kernels.map_chunks(
+        lambda count, seed: _kernels.aloha_tally(params.m, params.p, count, seed), plan, workers
+    )
     return RunStats.from_two_valued(n_slots, sum(counts), lo=0.0, hi=1.0)

@@ -33,6 +33,11 @@ C_SOURCES = ("qubit", "coin")
 _MAX_SEED = (1 << 64) - 1
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ConfigError(ValueError):
     """Invalid campaign configuration; carries the offending field name."""
 
@@ -54,14 +59,15 @@ class CampaignConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError("protocol", f"must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if not isinstance(self.n_slots, int) or self.n_slots < 1:
+        if not _is_int(self.n_slots) or self.n_slots < 1:
             raise ConfigError("n_slots", f"must be an integer >= 1, got {self.n_slots!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MAX_SEED:
+        if not _is_int(self.seed) or not 0 <= self.seed <= _MAX_SEED:
             raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ConfigError("m", f"must be an integer >= 1, got {self.m!r}")
         if self.p is not None and not (
-            isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0
+            isinstance(self.p, (int, float)) and not isinstance(self.p, bool)
+            and 0.0 <= self.p <= 1.0
         ):
             raise ConfigError("p", f"must be in [0, 1], got {self.p!r}")
         if self.c_source not in C_SOURCES:
@@ -114,6 +120,8 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1, keep_slots: bool = False
     ``workers`` and ``keep_slots`` affect scheduling and logging only, never
     the reported numbers.
     """
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
     cfg.validate()
     if cfg.protocol == "compare":
         return compare(cfg.n_slots, cfg.seed, workers=workers)

@@ -88,10 +88,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "table":
             out = enumerate_table(args.format)
         else:
-            cfg = _config_from_args(args)
-            if args.workers < 1:
-                raise ConfigError("workers", f"must be >= 1, got {args.workers}")
-            result = run_campaign(cfg, workers=args.workers)
+            result = run_campaign(_config_from_args(args), workers=args.workers)
             out = result.render(args.format)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

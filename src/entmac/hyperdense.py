@@ -25,11 +25,10 @@ transmitter detecting that its own transmission collided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from typing import Optional, Protocol
 
-from .qubit import BellIndex, QubitId, bell_state, measure_qubit
+from .qubit import BETA_00, QubitId, measure_qubit
 from .rng import RandomSource
 from .stats import RunStats
 
@@ -60,7 +59,7 @@ class PairCorrelationError(RuntimeError):
     """The two halves of a shared pair measured to different bits."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartyBits:
     """The two classical bits one party wants to deliver this slot."""
 
@@ -72,7 +71,7 @@ class PartyBits:
             raise ValueError(f"party bits must be 0 or 1, got ({self.first}, {self.second})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedOutcome:
     """The common measurement result c (identical at both parties)."""
 
@@ -83,7 +82,7 @@ class SharedOutcome:
             raise ValueError(f"shared outcome must be 0 or 1, got {self.c}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelObservation:
     """Slot-end channel state; Single carries the payload bit and its sender."""
 
@@ -100,18 +99,23 @@ class ChannelObservation:
 
     @classmethod
     def idle(cls) -> "ChannelObservation":
-        return cls(ChannelState.IDLE)
+        return _IDLE
 
     @classmethod
     def collision(cls) -> "ChannelObservation":
-        return cls(ChannelState.COLLISION)
+        return _COLLISION
 
     @classmethod
     def single(cls, payload: int, sender: Party) -> "ChannelObservation":
         return cls(ChannelState.SINGLE, payload=payload, sender=sender)
 
 
-@dataclass(frozen=True)
+# payload-free observations are all alike, so one instance each serves every slot
+_IDLE = ChannelObservation(ChannelState.IDLE)
+_COLLISION = ChannelObservation(ChannelState.COLLISION)
+
+
+@dataclass(frozen=True, slots=True)
 class DecodedView:
     """What one party learns about the peer's bits at slot end."""
 
@@ -119,7 +123,7 @@ class DecodedView:
     peer_second: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotOutcome:
     """Full record of one protocol slot."""
 
@@ -263,8 +267,7 @@ class QubitPairSource:
     kind = "qubit"
 
     def draw_pair(self, rng: RandomSource) -> tuple[int, int]:
-        state = bell_state(BellIndex(0, 0))
-        c_a, collapsed = measure_qubit(state, QubitId.A, rng)
+        c_a, collapsed = measure_qubit(BETA_00, QubitId.A, rng)
         c_b, _ = measure_qubit(collapsed, QubitId.B, rng)
         return c_a, c_b
 
@@ -288,7 +291,7 @@ class CoinPairSource:
         return rng.next_bit()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HyperdenseStats:
     """Monte Carlo result: total delivered bits per slot and the two directions."""
 
@@ -319,13 +322,9 @@ def simulate(
     if source is None:
         source = QubitPairSource()
     plan = _kernels.chunk_plan(rng.next_u64(), n_slots)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(
-                pool.map(lambda sc: _kernels.hyperdense_tally(sc[1], sc[0], source), plan)
-            )
-    else:
-        tallies = [_kernels.hyperdense_tally(count, seed, source) for seed, count in plan]
+    tallies = _kernels.map_chunks(
+        lambda count, seed: _kernels.hyperdense_tally(count, seed, source), plan, workers
+    )
 
     collision = sum(t[0] for t in tallies)
     idle = sum(t[1] for t in tallies)

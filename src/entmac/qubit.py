@@ -10,6 +10,14 @@ from the supplied RandomSource, then takes outcome 0 iff u < P(0). Outcome
 probabilities below ``PROB_CLAMP`` are clamped to zero first, so outcomes
 that are impossible up to rounding are never sampled. The fixed draw count
 keeps the pure and compiled simulation backends on identical streams.
+
+Finiteness invariant: the engine operations produce only states with four
+finite ``complex`` amplitudes, and only the public ``TwoQubitState(...)``
+constructor re-validates. The operations wrap their results with the private
+``TwoQubitState._trusted`` instead. A collapse divides each kept amplitude by
+the square root of a positive mass that includes it, so its result stays
+finite; ``apply_single_qubit``, whose PauliOp may hold any matrix, checks its
+products itself.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ class QubitId(Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BellIndex:
     """Index (k, l) of the Bell state |beta_kl>."""
 
@@ -53,7 +61,7 @@ class BellIndex:
             raise ValueError(f"Bell index bits must be 0 or 1, got ({self.k}, {self.l})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoQubitState:
     """Four complex amplitudes over |00>, |01>, |10>, |11>.
 
@@ -73,6 +81,13 @@ class TwoQubitState:
                 raise ValueError(f"non-finite amplitude {a!r}")
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _trusted(cls, amps: tuple[complex, complex, complex, complex]) -> "TwoQubitState":
+        """Wrap amplitudes already known to be four finite complex numbers."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amps", amps)
+        return state
+
     def norm_sq(self) -> float:
         return sum(a.real * a.real + a.imag * a.imag for a in self.amps)
 
@@ -80,7 +95,7 @@ class TwoQubitState:
         return abs(self.norm_sq() - 1.0) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliOp:
     """Single-qubit unitary used by the superdense encoder alphabet."""
 
@@ -103,17 +118,22 @@ _BELL_AMPS = {
     (1, 1): (0.0, RSQRT2, -RSQRT2, 0.0),  # (|01> - |10>)/sqrt(2)
 }
 
-# index pairs (outcome 0, outcome 1) for each measured qubit
-_TARGET_INDICES = {
-    QubitId.A: ((0, 1), (2, 3)),
-    QubitId.B: ((0, 2), (1, 3)),
+#: the four Bell states, built once; states are immutable, so sharing is safe
+_BELL_STATES = {
+    kl: TwoQubitState(tuple(complex(a) for a in amps)) for kl, amps in _BELL_AMPS.items()
 }
+
+#: |beta_00>, the pair every protocol slot starts from
+BETA_00 = _BELL_STATES[(0, 0)]
+
+# index pairs (outcome 0, outcome 1) for each measured qubit
+_A_INDICES = ((0, 1), (2, 3))
+_B_INDICES = ((0, 2), (1, 3))
 
 
 def bell_state(idx: BellIndex) -> TwoQubitState:
     """The canonical Bell state |beta_kl>."""
-    amps = _BELL_AMPS[(idx.k, idx.l)]
-    return TwoQubitState(tuple(complex(a) for a in amps))
+    return _BELL_STATES[(idx.k, idx.l)]
 
 
 def apply_single_qubit(state: TwoQubitState, op: PauliOp, target: QubitId) -> TwoQubitState:
@@ -134,7 +154,11 @@ def apply_single_qubit(state: TwoQubitState, op: PauliOp, target: QubitId) -> Tw
             m00 * a2 + m01 * a3,
             m10 * a2 + m11 * a3,
         )
-    return TwoQubitState(new)
+    # a public PauliOp may hold any matrix, so the products can overflow
+    for a in new:
+        if not cmath.isfinite(a):
+            raise ValueError(f"non-finite amplitude {a!r}")
+    return TwoQubitState._trusted(new)
 
 
 def _mass(a: complex) -> float:
@@ -143,7 +167,7 @@ def _mass(a: complex) -> float:
 
 def measure_probabilities(state: TwoQubitState, target: QubitId) -> tuple[float, float]:
     """Born-rule probabilities (P(0), P(1)) for measuring one qubit."""
-    (z0, z1), (o0, o1) = _TARGET_INDICES[target]
+    (z0, z1), (o0, o1) = _A_INDICES if target is QubitId.A else _B_INDICES
     amps = state.amps
     p0 = _mass(amps[z0]) + _mass(amps[z1])
     p1 = _mass(amps[o0]) + _mass(amps[o1])
@@ -169,14 +193,14 @@ def measure_qubit(
     else:
         outcome = 0 if u < p0 else 1
 
-    keep = _TARGET_INDICES[target][outcome]
+    keep = (_A_INDICES if target is QubitId.A else _B_INDICES)[outcome]
     norm = math.sqrt(p0 if outcome == 0 else p1)
     amps = state.amps
     new = [complex(0.0, 0.0)] * 4
     for i in keep:
         a = amps[i]
         new[i] = complex(a.real / norm, a.imag / norm)
-    return outcome, TwoQubitState(tuple(new))
+    return outcome, TwoQubitState._trusted(tuple(new))
 
 
 def bell_probabilities(state: TwoQubitState) -> tuple[float, float, float, float]:
@@ -186,13 +210,12 @@ def bell_probabilities(state: TwoQubitState) -> tuple[float, float, float, float
     enters.
     """
     a0, a1, a2, a3 = state.amps
-    inner = (
-        RSQRT2 * (a0 + a3),
-        RSQRT2 * (a0 - a3),
-        RSQRT2 * (a1 + a2),
-        RSQRT2 * (a1 - a2),
+    return (
+        _mass(RSQRT2 * (a0 + a3)),
+        _mass(RSQRT2 * (a0 - a3)),
+        _mass(RSQRT2 * (a1 + a2)),
+        _mass(RSQRT2 * (a1 - a2)),
     )
-    return tuple(_mass(z) for z in inner)
 
 
 _BELL_OUTCOMES = (BellIndex(0, 0), BellIndex(0, 1), BellIndex(1, 0), BellIndex(1, 1))
@@ -204,11 +227,11 @@ def measure_bell(state: TwoQubitState, rng: RandomSource) -> BellIndex:
     if sum(probs) < DEGENERATE_MASS:
         raise DegenerateStateError(f"total outcome mass {sum(probs)} is below {DEGENERATE_MASS}")
     u = rng.next_float()
-    clamped = tuple(0.0 if p < PROB_CLAMP else p for p in probs)
     cum = 0.0
     pick = None
-    for idx, p in zip(_BELL_OUTCOMES, clamped):
-        if p == 0.0:
+    for idx, p in zip(_BELL_OUTCOMES, probs):
+        if p < PROB_CLAMP:
+            # impossible up to rounding: never sampled
             continue
         pick = idx
         cum += p

@@ -12,19 +12,17 @@ encode -> joint state -> measure pipeline is simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 from .qubit import (
     PAULI_I,
     PAULI_IY,
     PAULI_X,
     PAULI_Z,
-    BellIndex,
+    BETA_00,
     PauliOp,
     QubitId,
     TwoQubitState,
     apply_single_qubit,
-    bell_state,
     measure_bell,
 )
 from .rng import RandomSource
@@ -34,7 +32,7 @@ from .stats import RunStats
 BITS_PER_USE = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dibit:
     """The classical bitpair (A1, A2) Alice wants to send."""
 
@@ -61,7 +59,7 @@ def encode(d: Dibit) -> PauliOp:
 
 def channel_state_after_encoding(d: Dibit) -> TwoQubitState:
     """Joint state at Bob once Alice's encoded qubit arrives: |beta_{a1 a2}>."""
-    return apply_single_qubit(bell_state(BellIndex(0, 0)), encode(d), QubitId.A)
+    return apply_single_qubit(BETA_00, encode(d), QubitId.A)
 
 
 def roundtrip(d: Dibit, rng: RandomSource) -> Dibit:
@@ -95,12 +93,7 @@ def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     plan = _kernels.chunk_plan(rng.next_u64(), n_trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda sc: _trial_chunk(sc[1], sc[0]), plan))
-    else:
-        counts = [_trial_chunk(count, seed) for seed, count in plan]
-    return sum(counts)
+    return sum(_kernels.map_chunks(_trial_chunk, plan, workers))
 
 
 def simulate(n_trials: int, rng: RandomSource, workers: int = 1) -> RunStats:

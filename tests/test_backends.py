@@ -44,12 +44,9 @@ def test_hyperdense_tally_parity(seed, source_cls, kind):
 
 
 def test_golden_tallies():
-    # frozen from the pure composition kernels; both backends must stay on them
-    assert pure.aloha_tally(2, 0.5, 10_000, 12345) == 5009
+    # frozen from the pure composition kernels, which test_golden.py pins
     assert compiled.aloha_tally(2, 0.5, 10_000, 12345) == 5009
-    assert pure.hyperdense_tally(10_000, 999, QubitPairSource()) == (2441, 2568, 2518, 2473)
     assert compiled.hyperdense_tally(10_000, 999, "qubit") == (2441, 2568, 2518, 2473)
-    assert pure.hyperdense_tally(10_000, 999, CoinPairSource()) == (2356, 2521, 2562, 2561)
     assert compiled.hyperdense_tally(10_000, 999, "coin") == (2356, 2521, 2562, 2561)
 
 
@@ -98,12 +95,3 @@ def test_custom_pair_source_falls_back_to_pure(force_backend):
 def test_compiled_rejects_unknown_source_kind():
     with pytest.raises(ValueError):
         compiled.hyperdense_tally(10, 1, "dice")
-
-
-def test_chunk_plan_covers_exactly():
-    plan = _kernels.chunk_plan(123, 200_000)
-    assert sum(count for _, count in plan) == 200_000
-    assert all(count >= 1 for _, count in plan)
-    seeds = [seed for seed, _ in plan]
-    assert len(set(seeds)) == len(seeds)
-    assert _kernels.chunk_plan(123, 200_000) == plan

@@ -37,6 +37,13 @@ def parse_csv(text):
         (dict(protocol="aloha", p=1.5), "p"),
         (dict(protocol="hyperdense", c_source="dice"), "c_source"),
         (dict(protocol="aloha", output_format="xml"), "output_format"),
+        # bool subclasses int, so the type checks must exclude it explicitly
+        (dict(protocol="aloha", n_slots=True), "n_slots"),
+        (dict(protocol="aloha", seed=False), "seed"),
+        (dict(protocol="aloha", seed=True), "seed"),
+        (dict(protocol="aloha", m=True), "m"),
+        (dict(protocol="aloha", p=True), "p"),
+        (dict(protocol="aloha", p=False), "p"),
     ],
 )
 def test_config_validation_reports_field(kwargs, field):
@@ -289,3 +296,11 @@ def test_table_text_mentions_every_row():
 def test_table_rejects_unknown_format():
     with pytest.raises(ConfigError):
         enumerate_table("yaml")
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True, False, None])
+def test_run_campaign_validates_workers(workers):
+    cfg = CampaignConfig(protocol="aloha", n_slots=10)
+    with pytest.raises(ConfigError) as err:
+        run_campaign(cfg, workers=workers)
+    assert err.value.field == "workers"

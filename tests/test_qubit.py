@@ -74,6 +74,30 @@ def test_bell_orthonormality():
             assert abs(ip - expected) <= 1e-12
 
 
+def test_bell_state_matches_freshly_built_amplitudes():
+    # bell_state hands out shared prebuilt states; they must equal what the
+    # public constructor builds from the same literals, sign of zero included
+    literals = {
+        (0, 0): (R, 0.0, 0.0, R),
+        (0, 1): (R, 0.0, 0.0, -R),
+        (1, 0): (0.0, R, R, 0.0),
+        (1, 1): (0.0, R, -R, 0.0),
+    }
+    for (k, l), amps in literals.items():
+        fresh = TwoQubitState(tuple(complex(a) for a in amps))
+        got = bell_state(BellIndex(k, l))
+        assert got == fresh
+        for a, b in zip(got.amps, fresh.amps):
+            assert type(a) is complex
+            assert (math.copysign(1.0, a.real), math.copysign(1.0, a.imag)) == (
+                math.copysign(1.0, b.real), math.copysign(1.0, b.imag))
+
+
+def test_shared_bell_state_is_immutable():
+    with pytest.raises(AttributeError):
+        bell_state(BellIndex(0, 0)).amps = (0j, 0j, 0j, 0j)
+
+
 def test_bell_index_validation():
     with pytest.raises(ValueError):
         BellIndex(2, 0)
@@ -97,6 +121,15 @@ def test_state_rejects_wrong_arity():
 
 
 # --- Pauli application --------------------------------------------------
+
+
+@pytest.mark.parametrize("target", [QubitId.A, QubitId.B])
+def test_apply_rejects_overflowing_matrix(target):
+    # a PauliOp may hold any matrix, so the engine re-checks its products
+    huge = PauliOp("huge", ((1e308, -1e308), (-1e308, 1e308)))
+    state = TwoQubitState((1e10, -1e10j, 2e10, 1e10))
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        apply_single_qubit(state, huge, target)
 
 
 def test_pauli_matrices_are_unitary():
@@ -190,12 +223,24 @@ def test_born_probabilities_sum_to_one(state, target):
     assert abs(p0 + p1 - 1.0) <= 1e-9
 
 
-@settings(max_examples=100)
-@given(state=normalized_states(), target=st.sampled_from([QubitId.A, QubitId.B]),
-       seed=st.integers(0, 2**32))
-def test_post_measurement_state_is_normalized(state, target, seed):
-    _, post = measure_qubit(state, target, RandomSource(seed))
+@settings(max_examples=200)
+@given(state=normalized_states(), scale=st.integers(-4, 100),
+       target=st.sampled_from([QubitId.A, QubitId.B]), seed=st.integers(0, 2**64 - 1))
+def test_post_measurement_state_is_normalized(state, scale, target, seed):
+    # measure_qubit skips the constructor's checks, so its output must hold
+    # four finite complex amplitudes by construction, at any input scale
+    scaled = TwoQubitState(tuple(a * 10.0**scale for a in state.amps))
+    _, post = measure_qubit(scaled, target, RandomSource(seed))
+    assert len(post.amps) == 4
+    assert all(type(a) is complex and cmath.isfinite(a) for a in post.amps)
     assert abs(post.norm_sq() - 1.0) <= 1e-9
+
+
+def test_measure_overflowing_mass_stays_finite():
+    # the outcome mass overflows to inf; the collapse still yields finite amplitudes
+    state = TwoQubitState((1e200, 0, 0, 1e200))
+    _, post = measure_qubit(state, QubitId.A, RandomSource(3))
+    assert all(cmath.isfinite(a) for a in post.amps)
 
 
 def test_measure_degenerate_state_raises():

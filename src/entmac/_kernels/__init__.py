@@ -1,7 +1,7 @@
-"""Simulation kernel backends.
+"""Simulation kernel backends and the one runner of chunked Monte Carlo runs.
 
-The hot per-slot loops exist twice: ``pure`` composes the public protocol
-operations in Python and is always available; ``_fast`` is a Cython
+The hot per-slot loops exist twice: ``pure`` is plain Python over the
+protocol operations and is always available; ``_fast`` is a Cython
 extension that replays the identical arithmetic on the identical random
 streams, so both backends produce the same integer tallies bit for bit.
 The compiled backend is preferred when it imported successfully; set
@@ -78,12 +78,32 @@ def pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, n_chunks, os.cpu_count() or 1)
 
 
-def map_chunks(fn, plan: list[tuple[int, int]], workers: int) -> list:
-    """[fn(slot_count, seed) for each chunk of plan], on a pool when it helps.
+def runs_compiled(kernel: str, source=None) -> bool:
+    """True when chunks of ``kernel`` run on the compiled module.
 
-    Results come back in plan order whatever the pool size.
+    Its loops release the GIL; the pure ones hold it. The compiled module has
+    an aloha tally and a hyperdense tally for the two canonical pair sources;
+    superdense and custom pair sources always run pure.
     """
-    size = pool_size(workers, len(plan))
+    if backend_name() != "compiled":
+        return False
+    if kernel == "hyperdense":
+        return getattr(source, "kind", None) in ("qubit", "coin")
+    return kernel == "aloha"
+
+
+def map_chunks(kernel: str, fn, n_slots: int, rng, workers: int, source=None) -> list:
+    """[fn(slot_count, seed) for each chunk of an n_slots run], in plan order.
+
+    The chunk seeds derive from one draw off ``rng``. Only chunks that
+    runs_compiled(kernel, source) sends to the compiled module get a thread
+    pool: a pure kernel holds the GIL, so its threads would add switching
+    and no speed.
+    """
+    if n_slots < 1:
+        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    plan = chunk_plan(rng.next_u64(), n_slots)
+    size = pool_size(workers, len(plan)) if runs_compiled(kernel, source) else 1
     if size > 1:
         with ThreadPoolExecutor(max_workers=size) as pool:
             return list(pool.map(lambda sc: fn(sc[1], sc[0]), plan))
@@ -92,7 +112,7 @@ def map_chunks(fn, plan: list[tuple[int, int]], workers: int) -> list:
 
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Count of successful slots over one contiguous chunk."""
-    if backend_name() == "compiled":
+    if runs_compiled("aloha"):
         return _fast.aloha_tally(m, p, n_slots, seed)
     return pure.aloha_tally(m, p, n_slots, seed)
 
@@ -103,6 +123,6 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     The compiled path only knows the two canonical pair sources; custom
     sources always run through the pure composition.
     """
-    if backend_name() == "compiled" and getattr(source, "kind", None) in ("qubit", "coin"):
+    if runs_compiled("hyperdense", source):
         return _fast.hyperdense_tally(n_slots, seed, source.kind)
     return pure.hyperdense_tally(n_slots, seed, source)

@@ -87,10 +87,8 @@ def simulate(params: AlohaParams, n_slots: int, rng: RandomSource, workers: int 
     """
     from . import _kernels
 
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    plan = _kernels.chunk_plan(rng.next_u64(), n_slots)
     counts = _kernels.map_chunks(
-        lambda count, seed: _kernels.aloha_tally(params.m, params.p, count, seed), plan, workers
+        "aloha", lambda count, seed: _kernels.aloha_tally(params.m, params.p, count, seed),
+        n_slots, rng, workers,
     )
     return RunStats.from_two_valued(n_slots, sum(counts), lo=0.0, hi=1.0)

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import aloha as aloha_mod
@@ -44,6 +44,11 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+
+
+def _check_workers(workers) -> None:
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
 
 
 @dataclass
@@ -93,7 +98,6 @@ class CampaignResult:
     empirical: RunStats
     directions: Optional[dict] = None  # hyperdense: direction RunStats
     channel_counts: Optional[dict] = None
-    slots: Optional[list] = field(default=None, repr=False)  # raw per-slot log
 
     def to_json_dict(self) -> dict:
         out = {
@@ -114,20 +118,17 @@ class CampaignResult:
         return _render(self.to_json_dict(), output_format, _campaign_text)
 
 
-def run_campaign(cfg: CampaignConfig, workers: int = 1, keep_slots: bool = False):
+def run_campaign(cfg: CampaignConfig, workers: int = 1):
     """Run one campaign; returns a CampaignResult (or ComparisonReport).
 
-    ``workers`` and ``keep_slots`` affect scheduling and logging only, never
-    the reported numbers.
+    ``workers`` affects scheduling only, never the reported numbers.
     """
-    if not _is_int(workers) or workers < 1:
-        raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
+    _check_workers(workers)
     cfg.validate()
     if cfg.protocol == "compare":
         return compare(cfg.n_slots, cfg.seed, workers=workers)
 
     stream = _protocol_stream(cfg.seed, cfg.protocol)
-    slots = _collect_slots(cfg, stream) if keep_slots else None
 
     if cfg.protocol == "aloha":
         params = aloha_mod.AlohaParams(cfg.m, cfg.resolved_p())
@@ -142,7 +143,6 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1, keep_slots: bool = False
                 "max_throughput": aloha_mod.max_throughput(cfg.m),
             },
             empirical=empirical,
-            slots=slots,
         )
 
     if cfg.protocol == "superdense":
@@ -152,7 +152,6 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1, keep_slots: bool = False
             config={"n_slots": cfg.n_slots, "seed": cfg.seed},
             analytic={"success_rate": 1.0, "bits_per_slot": float(sd.BITS_PER_USE)},
             empirical=empirical,
-            slots=slots,
         )
 
     # hyperdense
@@ -173,28 +172,7 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1, keep_slots: bool = False
             "bob_to_alice": result.bob_to_alice,
         },
         channel_counts=result.channel_counts,
-        slots=slots,
     )
-
-
-def _collect_slots(cfg: CampaignConfig, stream: RandomSource) -> list:
-    """Raw per-slot log, replayed from the same streams the tallies use."""
-    from . import _kernels
-    from ._kernels import pure
-
-    plan = _kernels.chunk_plan(RandomSource(stream.seed).next_u64(), cfg.n_slots)
-    slots: list = []
-    if cfg.protocol == "aloha":
-        for seed, count in plan:
-            slots.extend(pure.aloha_slot_values(cfg.m, cfg.resolved_p(), count, seed))
-    elif cfg.protocol == "superdense":
-        for seed, count in plan:
-            slots.extend(sd.trial_successes(count, seed))
-    else:
-        source = hd.QubitPairSource() if cfg.c_source == "qubit" else hd.CoinPairSource()
-        for seed, count in plan:
-            slots.extend(pure.hyperdense_outcomes(count, seed, source))
-    return slots
 
 
 @dataclass
@@ -233,8 +211,8 @@ def compare(n_slots: int, seed: int, workers: int = 1) -> ComparisonReport:
     campaign with the same master seed, so the numbers agree between
     ``compare`` and individual runs.
     """
-    if n_slots < 1:
-        raise ConfigError("n_slots", f"must be an integer >= 1, got {n_slots!r}")
+    _check_workers(workers)
+    CampaignConfig("compare", n_slots=n_slots, seed=seed).validate()
 
     hyper = hd.simulate(
         n_slots, _protocol_stream(seed, "hyperdense"), source=hd.QubitPairSource(),

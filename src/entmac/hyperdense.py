@@ -317,13 +317,11 @@ def simulate(
     """
     from . import _kernels
 
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     if source is None:
         source = QubitPairSource()
-    plan = _kernels.chunk_plan(rng.next_u64(), n_slots)
     tallies = _kernels.map_chunks(
-        lambda count, seed: _kernels.hyperdense_tally(count, seed, source), plan, workers
+        "hyperdense", lambda count, seed: _kernels.hyperdense_tally(count, seed, source),
+        n_slots, rng, workers, source,
     )
 
     collision = sum(t[0] for t in tallies)

@@ -72,28 +72,26 @@ def roundtrip(d: Dibit, rng: RandomSource) -> Dibit:
     return Dibit(idx.k, idx.l)
 
 
-def trial_successes(n_trials: int, seed: int) -> list[int]:
-    """Per-trial success indicators for one contiguous seeded chunk."""
+def trial_successes(n_trials: int, seed: int) -> int:
+    """Roundtrip successes over one contiguous seeded chunk of trials."""
     rng = RandomSource(seed)
-    values = []
+    successes = 0
     for _ in range(n_trials):
         d = Dibit(rng.next_bit(), rng.next_bit())
-        values.append(1 if roundtrip(d, rng) == d else 0)
-    return values
-
-
-def _trial_chunk(n_trials: int, seed: int) -> int:
-    return sum(trial_successes(n_trials, seed))
+        if roundtrip(d, rng) == d:
+            successes += 1
+    return successes
 
 
 def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:
-    """Total roundtrip successes over n_trials uniformly random dibits."""
+    """Total roundtrip successes over n_trials uniformly random dibits.
+
+    There is no compiled superdense kernel, so the chunks always run in this
+    thread, whatever ``workers`` says.
+    """
     from . import _kernels
 
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    plan = _kernels.chunk_plan(rng.next_u64(), n_trials)
-    return sum(_kernels.map_chunks(_trial_chunk, plan, workers))
+    return sum(_kernels.map_chunks("superdense", trial_successes, n_trials, rng, workers))
 
 
 def simulate(n_trials: int, rng: RandomSource, workers: int = 1) -> RunStats:

@@ -1,4 +1,5 @@
-"""Shared test helpers: scripted random sources and independent oracles.
+"""Shared test helpers: scripted random sources, a recording thread pool, a
+per-slot hyperdense replay and independent oracles.
 
 The oracles here recompute expected values by brute force (pattern
 enumeration, explicit tensor products, two-pass statistics) on purpose;
@@ -9,6 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
+
+from entmac.hyperdense import PartyBits, SharedOutcome, run_slot
+from entmac.rng import RandomSource
 
 
 class ScriptedRng:
@@ -27,6 +32,16 @@ class ScriptedRng:
 
     def next_u64(self) -> int:
         return self._u64s.pop(0)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A real thread pool that records the size of every pool started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
 
 
 class CountingRng:
@@ -124,3 +139,18 @@ def two_pass_stats(samples: list[float]) -> tuple[float, float]:
         return mean, 0.0
     variance = math.fsum((x - mean) ** 2 for x in samples) / (n - 1)
     return mean, variance
+
+
+def replay_hyperdense_slots(n_slots: int, seed: int, source) -> list:
+    """Per-slot SlotOutcome records of one hyperdense chunk.
+
+    Draws as the tally kernels do: A1, A2, B1, B2 from the chunk stream, then
+    c from ``source``, and runs each slot through the public run_slot.
+    """
+    rng = RandomSource(seed)
+    outcomes = []
+    for _ in range(n_slots):
+        a1, a2, b1, b2 = rng.next_bit(), rng.next_bit(), rng.next_bit(), rng.next_bit()
+        c = source.draw(rng)
+        outcomes.append(run_slot(PartyBits(a1, a2), PartyBits(b1, b2), SharedOutcome(c)))
+    return outcomes

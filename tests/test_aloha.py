@@ -145,14 +145,15 @@ def test_simulate_rejects_empty_run():
 
 
 def test_run_slot_composition_matches_kernel():
-    # running the public single-slot op over one chunk stream must reproduce
-    # the kernel tally exactly (same draws, same decisions)
-    params = AlohaParams(3, 0.4)
-    seed = 2718
+    # pure.aloha_tally replays run_slot's draws inline: running the public
+    # single-slot op over one chunk stream must reproduce the kernel tally
+    # exactly (same draws, same decisions), the edge probabilities included
     n = 2000
-    rng = RandomSource(seed)
-    successes = sum(1 for _ in range(n) if run_slot(params, rng).success)
-    assert successes == pure.aloha_tally(params.m, params.p, n, seed)
+    for m, p, seed in [(3, 0.4, 2718), (1, 1.0, 1), (2, 0.5, 12345), (5, 0.0, 7), (8, 0.125, 99)]:
+        params = AlohaParams(m, p)
+        rng = RandomSource(seed)
+        successes = sum(1 for _ in range(n) if run_slot(params, rng).success)
+        assert successes == pure.aloha_tally(m, p, n, seed), (m, p, seed)
 
 
 def test_run_slot_counts_transmitters():

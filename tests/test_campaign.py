@@ -15,7 +15,9 @@ from entmac.campaign import (
     enumerate_table,
     run_campaign,
 )
-from entmac.rng import derive_seed
+from entmac._kernels import CHUNK_SLOTS, chunk_plan
+from entmac.aloha import AlohaParams, run_slot
+from entmac.rng import RandomSource, derive_seed
 
 
 def parse_csv(text):
@@ -120,38 +122,33 @@ def test_worker_count_does_not_change_output():
 
 
 def test_prefix_stability_when_extending_slot_count():
-    # chunked labeled seeding: a longer campaign replays the shorter one's
-    # slot stream as a prefix
-    short = run_campaign(
-        CampaignConfig(protocol="aloha", n_slots=100, seed=77, m=2), keep_slots=True
-    )
-    long = run_campaign(
-        CampaignConfig(protocol="aloha", n_slots=200, seed=77, m=2), keep_slots=True
-    )
-    assert long.slots[:100] == short.slots
+    # chunked labeled seeding: a longer run's chunk plan extends a shorter
+    # one's, so the longer campaign replays the shorter one's slot stream as
+    # a prefix
+    base = RandomSource(derive_seed(77, "aloha")).next_u64()
+    short_plan = chunk_plan(base, 100_000)
+    long_plan = chunk_plan(base, 200_000)
+    assert [seed for seed, _ in long_plan[: len(short_plan)]] == [seed for seed, _ in short_plan]
+    assert long_plan[0] == short_plan[0] == (short_plan[0][0], CHUNK_SLOTS)
+    assert short_plan[-1][1] < long_plan[len(short_plan) - 1][1] == CHUNK_SLOTS
+
+    params = AlohaParams(2, 0.5)
+
+    def replay(n):
+        rng = RandomSource(short_plan[0][0])
+        return [run_slot(params, rng).success for _ in range(n)]
+
+    short = run_campaign(CampaignConfig(protocol="aloha", n_slots=100, seed=77, m=2))
+    long = run_campaign(CampaignConfig(protocol="aloha", n_slots=200, seed=77, m=2))
+    short_slots, long_slots = replay(100), replay(200)
+    assert long_slots[:100] == short_slots
+    assert short.empirical.mean == sum(short_slots) / 100
+    assert long.empirical.mean == sum(long_slots) / 200
 
 
 def test_protocol_streams_are_independent_labels():
     seeds = {derive_seed(123, name) for name in ("aloha", "superdense", "hyperdense")}
     assert len(seeds) == 3
-
-
-def test_keep_slots_matches_empirical_stats():
-    cfg = CampaignConfig(protocol="aloha", n_slots=5000, seed=13, m=3, p=0.2)
-    result = run_campaign(cfg, keep_slots=True)
-    assert len(result.slots) == 5000
-    assert sum(result.slots) == round(result.empirical.mean * result.empirical.n)
-
-    cfg = CampaignConfig(protocol="hyperdense", n_slots=3000, seed=13)
-    result = run_campaign(cfg, keep_slots=True)
-    assert len(result.slots) == 3000
-    k3 = sum(1 for o in result.slots if o.k == 3)
-    n_single = result.channel_counts["single_alice"] + result.channel_counts["single_bob"]
-    assert k3 == n_single
-
-    cfg = CampaignConfig(protocol="superdense", n_slots=2000, seed=13)
-    result = run_campaign(cfg, keep_slots=True)
-    assert sum(result.slots) == 2000
 
 
 # --- serialization fidelity ------------------------------------------------
@@ -258,6 +255,23 @@ def test_compare_rejects_bad_slot_count():
         compare(n_slots=0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        (dict(n_slots=True, seed=1), "n_slots"),
+        (dict(n_slots=10, seed=-1), "seed"),
+        (dict(n_slots=10, seed=2**64), "seed"),
+        (dict(n_slots=10, seed=True), "seed"),
+        (dict(n_slots=10, seed=False), "seed"),
+        (dict(n_slots=10, seed=-1, workers=True), "workers"),
+    ],
+)
+def test_compare_validation_reports_field(kwargs, field):
+    with pytest.raises(ConfigError) as err:
+        compare(**kwargs)
+    assert err.value.field == field
+
+
 # --- scenario table ---------------------------------------------------------
 
 
@@ -303,4 +317,7 @@ def test_run_campaign_validates_workers(workers):
     cfg = CampaignConfig(protocol="aloha", n_slots=10)
     with pytest.raises(ConfigError) as err:
         run_campaign(cfg, workers=workers)
+    assert err.value.field == "workers"
+    with pytest.raises(ConfigError) as err:
+        compare(10, 1, workers=workers)
     assert err.value.field == "workers"

@@ -29,7 +29,7 @@ from entmac.hyperdense import (
 )
 from entmac.rng import RandomSource, derive_seed
 
-from _support import CountingRng
+from _support import CountingRng, replay_hyperdense_slots
 
 ALL_BITS = (0, 1)
 
@@ -301,7 +301,7 @@ def test_coin_pair_source_is_fair():
 def _first_chunk_outcome(seed):
     base = RandomSource(seed).next_u64()
     chunk_seed = derive_seed(base, "chunk:0")
-    return _kernels.pure.hyperdense_outcomes(1, chunk_seed, QubitPairSource())[0], chunk_seed
+    return replay_hyperdense_slots(1, chunk_seed, QubitPairSource())[0], chunk_seed
 
 
 def test_single_slot_forced_collision_scores_two_bits():
@@ -364,10 +364,12 @@ def test_simulate_rejects_empty_run():
 
 
 def test_tally_matches_slot_outcome_log():
-    source = CoinPairSource()
-    tally = _kernels.pure.hyperdense_tally(3000, 424242, source)
-    outcomes = _kernels.pure.hyperdense_outcomes(3000, 424242, source)
-    assert tally[0] == sum(1 for o in outcomes if o.channel.state is ChannelState.COLLISION)
-    assert tally[1] == sum(1 for o in outcomes if o.channel.state is ChannelState.IDLE)
-    assert tally[2] == sum(1 for o in outcomes if o.channel.sender is Party.ALICE)
-    assert tally[3] == sum(1 for o in outcomes if o.channel.sender is Party.BOB)
+    for source in (CoinPairSource(), QubitPairSource()):
+        tally = _kernels.pure.hyperdense_tally(3000, 424242, source)
+        outcomes = replay_hyperdense_slots(3000, 424242, source)
+        assert tally == (
+            sum(1 for o in outcomes if o.channel.state is ChannelState.COLLISION),
+            sum(1 for o in outcomes if o.channel.state is ChannelState.IDLE),
+            sum(1 for o in outcomes if o.channel.sender is Party.ALICE),
+            sum(1 for o in outcomes if o.channel.sender is Party.BOB),
+        ), source.kind

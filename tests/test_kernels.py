@@ -1,8 +1,13 @@
-"""Kernel dispatch helpers: the chunk plan and the chunk thread pool."""
+"""Kernel dispatch helpers: the chunk plan and the chunk runner, map_chunks."""
 
 import os
 
-from entmac import _kernels
+import pytest
+
+from entmac import _kernels, aloha, hyperdense, superdense
+from entmac.rng import RandomSource
+
+from _support import RecordingPool
 
 
 def test_chunk_plan_covers_exactly():
@@ -14,28 +19,103 @@ def test_chunk_plan_covers_exactly():
     assert _kernels.chunk_plan(123, 200_000) == plan
 
 
-def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """Sizes of the pools map_chunks starts, with every kernel counted as compiled."""
+    RecordingPool.sizes = []
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_kernels, "runs_compiled", lambda kernel, source=None: True)
+    return RecordingPool.sizes
+
+
+def chunk_echo(n_chunks, workers):
+    """Drive an n_chunks run whose chunks return (slot_count, seed)."""
+    n_slots = (n_chunks - 1) * _kernels.CHUNK_SLOTS + 1
+    return _kernels.map_chunks("aloha", lambda count, seed: (count, seed), n_slots,
+                               RandomSource(5), workers)
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert _kernels.pool_size(1, 10) == 1
     assert _kernels.pool_size(2, 2) == 2
     assert _kernels.pool_size(3, 10) == 3
     assert _kernels.pool_size(1_000_000, 3) == 3
     assert _kernels.pool_size(1_000_000, 1_000_000) == 4
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    for n_chunks, workers in ((10, 1), (2, 2), (10, 3), (3, 1_000_000), (10, 1_000_000)):
+        chunk_echo(n_chunks, workers)
+    # one chunk per thread at most, and no pool at all for a single thread
+    assert pools == [2, 3, 3, 4]
 
 
-def test_pool_size_without_a_cpu_count(monkeypatch):
+def test_pool_size_without_a_cpu_count(monkeypatch, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _kernels.pool_size(8, 8) == 1
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    chunk_echo(8, 8)
+    assert pools == []
 
 
-def test_pool_size_keeps_two_threads_for_two_chunks_on_two_cpus(monkeypatch):
+def test_pool_size_keeps_two_threads_for_two_chunks_on_two_cpus(monkeypatch, pools):
     # `hyperdense --workers 2` over two 65536-slot chunks
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert _kernels.pool_size(2, 2) == 2
+    chunk_echo(2, 2)
+    assert pools == [2]
 
 
-def test_map_chunks_keeps_plan_order():
-    plan = [(seed, count) for seed, count in zip((11, 12, 13, 14, 15), (5, 4, 3, 2, 1))]
+def test_map_chunks_keeps_plan_order(monkeypatch, pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    plan = _kernels.chunk_plan(RandomSource(5).next_u64(), 33)
     expected = [(count, seed) for seed, count in plan]
+    assert [count for count, _ in expected] == [8, 8, 8, 8, 1]
     for workers in (1, 2):
-        assert _kernels.map_chunks(lambda count, seed: (count, seed), plan, workers) == expected
+        assert chunk_echo(5, workers) == expected
+    assert pools == [2]
+
+
+def test_map_chunks_rejects_an_empty_run():
+    rng = RandomSource(1)
+    with pytest.raises(ValueError, match="n_slots must be >= 1, got 0"):
+        _kernels.map_chunks("aloha", lambda count, seed: 0, 0, rng, 1)
+    # the check comes before the run's one draw
+    assert rng.next_u64() == RandomSource(1).next_u64()
+
+
+def test_runs_compiled_is_false_on_the_pure_backend(force_backend):
+    force_backend("pure")
+    for kernel, source in (("aloha", None), ("superdense", None),
+                           ("hyperdense", hyperdense.QubitPairSource()),
+                           ("hyperdense", hyperdense.CoinPairSource())):
+        assert not _kernels.runs_compiled(kernel, source)
+
+
+@pytest.fixture
+def no_pool(monkeypatch, force_backend):
+    """Pure backend, 16-slot chunks, and a thread pool that fails if started."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started for GIL-bound chunks")
+
+    force_backend("pure")
+    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
+
+
+def test_pure_aloha_starts_no_pool(no_pool):
+    params = aloha.AlohaParams(2, 0.5)
+    assert (aloha.simulate(params, 100, RandomSource(3), workers=2)
+            == aloha.simulate(params, 100, RandomSource(3)))
+
+
+def test_pure_superdense_starts_no_pool(no_pool):
+    assert superdense.count_successes(100, RandomSource(3), workers=2) == 100
+
+
+@pytest.mark.parametrize("source_cls", [hyperdense.QubitPairSource, hyperdense.CoinPairSource])
+def test_pure_hyperdense_starts_no_pool(no_pool, source_cls):
+    two = hyperdense.simulate(100, RandomSource(3), source=source_cls(), workers=2)
+    one = hyperdense.simulate(100, RandomSource(3), source=source_cls())
+    assert two.channel_counts == one.channel_counts

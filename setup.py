@@ -1,18 +1,13 @@
 """Build the optional compiled kernel.
 
-The extension is a speedup only: if Cython is unavailable (or ENTMAC_NO_EXT=1
-is set) the package installs pure-Python and selects the fallback kernels at
-import time.
+The extension is a speedup only: if Cython is unavailable the package
+installs pure-Python and selects the fallback kernels at import time.
 """
-
-import os
 
 from setuptools import Extension, setup
 
 
 def extensions():
-    if os.environ.get("ENTMAC_NO_EXT") == "1":
-        return []
     try:
         from Cython.Build import cythonize
     except ImportError:

@@ -4,8 +4,10 @@ The hot per-slot loops exist twice: ``pure`` is plain Python over the
 protocol operations and is always available; ``_fast`` is a Cython
 extension that replays the identical arithmetic on the identical random
 streams, so both backends produce the same integer tallies bit for bit.
-The compiled backend is preferred when it imported successfully; set
-ENTMAC_BACKEND=pure (or =compiled) to force one, or call use_backend().
+The compiled backend runs exactly when ``_fast`` imported. Only the two
+built-in pair sources have a compiled hyperdense loop: a custom or
+subclassed source always runs the pure composition, which calls its
+``draw``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from ..hyperdense import CoinPairSource, QubitPairSource
 from ..rng import derive_seed
 from . import pure
 
@@ -25,39 +28,10 @@ except ImportError:
 #: worker count
 CHUNK_SLOTS = 1 << 16
 
-_forced: str | None = None
-
-_env = os.environ.get("ENTMAC_BACKEND", "").strip().lower()
-if _env in ("pure", "compiled"):
-    _forced = _env
-    if _env == "compiled" and _fast is None:
-        raise ImportError("ENTMAC_BACKEND=compiled but the compiled kernel is not built")
-elif _env:
-    raise ValueError(f"ENTMAC_BACKEND must be 'pure' or 'compiled', got {_env!r}")
-
-
-def has_compiled() -> bool:
-    return _fast is not None
-
 
 def backend_name() -> str:
-    """Name of the backend the dispatchers currently route to."""
-    if _forced is not None:
-        return _forced
+    """Name of the backend the dispatchers route to."""
     return "compiled" if _fast is not None else "pure"
-
-
-def use_backend(name: str | None) -> None:
-    """Force a backend ('pure' or 'compiled'); None restores auto-selection."""
-    global _forced
-    if name is None:
-        _forced = None
-        return
-    if name not in ("pure", "compiled"):
-        raise ValueError(f"backend must be 'pure' or 'compiled', got {name!r}")
-    if name == "compiled" and _fast is None:
-        raise RuntimeError("compiled kernel is not available")
-    _forced = name
 
 
 def chunk_plan(base_seed: int, n_slots: int) -> list[tuple[int, int]]:
@@ -82,13 +56,14 @@ def runs_compiled(kernel: str, source=None) -> bool:
     """True when chunks of ``kernel`` run on the compiled module.
 
     Its loops release the GIL; the pure ones hold it. The compiled module has
-    an aloha tally and a hyperdense tally for the two canonical pair sources;
-    superdense and custom pair sources always run pure.
+    an aloha tally and a hyperdense tally for the two built-in pair sources,
+    matched by exact type, so a subclass that overrides ``draw`` is honoured;
+    superdense and every other pair source run pure.
     """
-    if backend_name() != "compiled":
+    if _fast is None:
         return False
     if kernel == "hyperdense":
-        return getattr(source, "kind", None) in ("qubit", "coin")
+        return type(source) in (QubitPairSource, CoinPairSource)
     return kernel == "aloha"
 
 
@@ -120,8 +95,8 @@ def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
     """(collision, idle, single_alice, single_bob) counts over one chunk.
 
-    The compiled path only knows the two canonical pair sources; custom
-    sources always run through the pure composition.
+    The compiled path only knows the two built-in pair sources; any other
+    source, subclasses included, runs through the pure composition.
     """
     if runs_compiled("hyperdense", source):
         return _fast.hyperdense_tally(n_slots, seed, source.kind)

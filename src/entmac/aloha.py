@@ -17,6 +17,12 @@ from .rng import RandomSource
 from .stats import RunStats
 
 
+def _check_users(m) -> None:
+    """Reject a user count that is not an int >= 1 (bools included)."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"user count must be an integer >= 1, got {m!r}")
+
+
 @dataclass(frozen=True)
 class AlohaParams:
     """User count M and per-user, per-slot transmit probability p."""
@@ -25,9 +31,8 @@ class AlohaParams:
     p: float
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"user count must be an integer >= 1, got {self.m!r}")
-        if not 0.0 <= self.p <= 1.0:
+        _check_users(self.m)
+        if isinstance(self.p, bool) or not 0.0 <= self.p <= 1.0:
             raise ValueError(f"transmit probability must be in [0, 1], got {self.p!r}")
 
 
@@ -55,15 +60,13 @@ def total_throughput(params: AlohaParams) -> float:
 
 def optimal_p(m: int) -> float:
     """Throughput-maximizing common transmit probability, 1/M."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"user count must be an integer >= 1, got {m!r}")
+    _check_users(m)
     return 1.0 / m
 
 
 def max_throughput(m: int) -> float:
     """Throughput at p = 1/M: (1 - 1/M)^(M - 1); equals 1 for a lone user."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"user count must be an integer >= 1, got {m!r}")
+    _check_users(m)
     if m == 1:
         return 1.0
     return (1.0 - 1.0 / m) ** (m - 1)

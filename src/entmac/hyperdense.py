@@ -249,9 +249,12 @@ def expected_bits_per_direction() -> dict[str, float]:
 
 
 class PairSource(Protocol):
-    """Supplier of the shared per-slot bit c."""
+    """Supplier of the shared per-slot bit c.
 
-    kind: str
+    Only the built-in sources below have a compiled loop, which they name by
+    their ``kind``; any other source, subclasses included, runs the pure
+    kernel, which calls its ``draw`` once per slot.
+    """
 
     def draw(self, rng: RandomSource) -> int: ...
 

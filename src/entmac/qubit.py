@@ -91,9 +91,6 @@ class TwoQubitState:
     def norm_sq(self) -> float:
         return sum(a.real * a.real + a.imag * a.imag for a in self.amps)
 
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
 
 @dataclass(frozen=True, slots=True)
 class PauliOp:

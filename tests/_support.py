@@ -73,6 +73,15 @@ MAX_UNIFORM = (2**53 - 1) / 2**53
 ADVERSARIAL_UNIFORMS = (0.0, 1e-300, 0.25, 0.5, 0.75, 1.0 - 1e-12, MAX_UNIFORM)
 
 
+#: chi-square critical values at alpha = 0.001, by degrees of freedom
+CHI2_CRITICAL_0_001 = {1: 10.828, 3: 16.266}
+
+
+def chi_square(observed, expected) -> float:
+    """Pearson's statistic: sum of (observed - expected)^2 / expected."""
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected, strict=True))
+
+
 def enum_user_success_probability(m: int, p: float) -> float:
     """Brute force over all 2^m transmit patterns: P(user 0 alone transmits)."""
     total = 0.0

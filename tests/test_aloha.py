@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmac import _kernels
 from entmac.aloha import (
     AlohaParams,
     AlohaSlotResult,
@@ -19,7 +20,13 @@ from entmac.aloha import (
 from entmac.rng import RandomSource
 from entmac._kernels import pure
 
-from _support import enum_total_throughput, enum_user_success_probability, grid_argmax_throughput
+from _support import (
+    CHI2_CRITICAL_0_001,
+    chi_square,
+    enum_total_throughput,
+    enum_user_success_probability,
+    grid_argmax_throughput,
+)
 
 E_INV = math.exp(-1.0)
 
@@ -33,6 +40,12 @@ def test_params_validation():
         AlohaParams(2, 1.5)
     with pytest.raises(ValueError):
         AlohaParams(2.0, 0.5)  # not an integer
+    with pytest.raises(ValueError):
+        AlohaParams(True, 0.5)  # bool is an int subclass, not a user count
+    with pytest.raises(ValueError):
+        AlohaParams(2, True)
+    with pytest.raises(ValueError):
+        AlohaParams(2, False)
 
 
 def test_slot_result_invariant():
@@ -77,6 +90,8 @@ def test_optimal_p_values():
     assert optimal_p(5) == 0.2
     with pytest.raises(ValueError):
         optimal_p(0)
+    with pytest.raises(ValueError):
+        optimal_p(True)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 17, 64])
@@ -91,6 +106,8 @@ def test_max_throughput_values():
     assert abs(max_throughput(10**6) - E_INV) <= 1e-6
     with pytest.raises(ValueError):
         max_throughput(0)
+    with pytest.raises(ValueError):
+        max_throughput(True)
 
 
 def test_max_throughput_monotone_and_bounded():
@@ -137,6 +154,19 @@ def test_simulate_tracks_analytic_value(seed, m, p):
     sigma = math.sqrt(q * (1.0 - q))
     stats = simulate(params, n, RandomSource(seed))
     assert abs(stats.mean - q) <= 5 * sigma / math.sqrt(n)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_success_counts_fit_total_throughput(monkeypatch, m):
+    # chi-square of success/failure counts against M p (1 - p)^(M - 1), the
+    # per-slot success probability, on the pure kernels (df = 1, alpha = 0.001)
+    monkeypatch.setattr(_kernels, "_fast", None)
+    n = 1 << 17
+    params = AlohaParams(m, optimal_p(m))
+    successes = round(simulate(params, n, RandomSource(20120 + m)).mean * n)
+    q = total_throughput(params)
+    statistic = chi_square((successes, n - successes), (n * q, n * (1.0 - q)))
+    assert statistic < CHI2_CRITICAL_0_001[1], (successes, statistic)
 
 
 def test_simulate_rejects_empty_run():

@@ -88,11 +88,11 @@ def test_golden_tallies(compiled):
     assert compiled.hyperdense_tally(10_000, 999, "coin") == (2356, 2521, 2562, 2561)
 
 
-def test_simulate_results_identical_across_backends(force_backend):
-    force_backend("pure")
+def test_simulate_results_identical_across_backends(monkeypatch, compiled):
+    monkeypatch.setattr(_kernels, "_fast", None)
     pure_aloha = aloha_simulate(AlohaParams(2, 0.5), 100_000, RandomSource(5))
     pure_hd = hd_simulate(50_000, RandomSource(6), source=QubitPairSource())
-    force_backend("compiled")
+    monkeypatch.setattr(_kernels, "_fast", compiled)
     fast_aloha = aloha_simulate(AlohaParams(2, 0.5), 100_000, RandomSource(5))
     fast_hd = hd_simulate(50_000, RandomSource(6), source=QubitPairSource())
     assert pure_aloha == fast_aloha
@@ -100,34 +100,36 @@ def test_simulate_results_identical_across_backends(force_backend):
     assert pure_hd.channel_counts == fast_hd.channel_counts
 
 
-def test_backend_forcing_and_restore(force_backend):
-    assert _kernels.backend_name() in ("pure", "compiled")
-    force_backend("pure")
-    assert _kernels.backend_name() == "pure"
-    force_backend("compiled")
-    assert _kernels.backend_name() == "compiled"
-    with pytest.raises(ValueError):
-        force_backend("turbo")
+class StubSource:
+    """A custom pair source: nothing but ``draw``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def draw(self, rng):
+        self.calls += 1
+        return 0
 
 
-def test_custom_pair_source_falls_back_to_pure(force_backend):
-    class StubSource:
-        kind = "stub"
+class FlippedCoin(CoinPairSource):
+    """A subclass of a built-in source whose ``draw`` differs from its parent's."""
 
-        def __init__(self):
-            self.calls = 0
+    def __init__(self):
+        self.calls = 0
 
-        def draw(self, rng):
-            self.calls += 1
-            return 0
+    def draw(self, rng):
+        self.calls += 1
+        return 1 - super().draw(rng)
 
-    force_backend("compiled")
-    source = StubSource()
-    tally = _kernels.hyperdense_tally(500, 99, source)
-    # the compiled path cannot drive a custom source, so it must have been
-    # consulted 500 times through the pure composition
-    assert source.calls == 500
-    assert tally == pure.hyperdense_tally(500, 99, StubSource())
+
+def test_custom_pair_source_falls_back_to_pure():
+    for source_cls in (StubSource, FlippedCoin):
+        source = source_cls()
+        tally = _kernels.hyperdense_tally(500, 99, source)
+        # the compiled path cannot drive a custom source, so it must have been
+        # consulted 500 times through the pure composition
+        assert source.calls == 500, source_cls
+        assert tally == pure.hyperdense_tally(500, 99, source_cls()), source_cls
 
 
 def test_compiled_rejects_unknown_source_kind(compiled):
@@ -136,21 +138,24 @@ def test_compiled_rejects_unknown_source_kind(compiled):
 
 
 @pytest.fixture
-def pools(monkeypatch, force_backend):
+def pools(monkeypatch):
     """Compiled backend, two CPUs, and the sizes of the pools map_chunks starts."""
-    force_backend("compiled")
     RecordingPool.sizes = []
     monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return RecordingPool.sizes
 
 
-def test_runs_compiled_routes_only_the_compiled_kernels(force_backend):
-    force_backend("compiled")
+def test_runs_compiled_routes_only_the_compiled_kernels():
+    assert _kernels.backend_name() == "compiled"
     assert _kernels.runs_compiled("aloha")
     assert _kernels.runs_compiled("hyperdense", QubitPairSource())
     assert _kernels.runs_compiled("hyperdense", CoinPairSource())
-    assert not _kernels.runs_compiled("hyperdense", type("Stub", (), {"kind": "stub"})())
+    assert not _kernels.runs_compiled("hyperdense", StubSource())
+    # a source is routed by its type, not by the kind it declares
+    assert not _kernels.runs_compiled("hyperdense", type("Stub", (), {"kind": "coin"})())
+    assert not _kernels.runs_compiled("hyperdense", FlippedCoin())
+    assert not _kernels.runs_compiled("hyperdense", type("Qubits", (QubitPairSource,), {})())
     assert not _kernels.runs_compiled("superdense")
 
 
@@ -164,13 +169,8 @@ def test_compiled_hyperdense_runs_on_a_two_thread_pool(pools):
 
 
 def test_gil_bound_chunks_get_no_pool_on_the_compiled_backend(pools, monkeypatch):
-    class StubSource:
-        kind = "stub"
-
-        def draw(self, rng):
-            return rng.next_bit()
-
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
     assert superdense.count_successes(100, RandomSource(3), workers=2) == 100
     hd_simulate(100, RandomSource(3), source=StubSource(), workers=2)
+    hd_simulate(100, RandomSource(3), source=FlippedCoin(), workers=2)
     assert pools == []

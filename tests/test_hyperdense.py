@@ -29,7 +29,7 @@ from entmac.hyperdense import (
 )
 from entmac.rng import RandomSource, derive_seed
 
-from _support import CountingRng, replay_hyperdense_slots
+from _support import CHI2_CRITICAL_0_001, CountingRng, chi_square, replay_hyperdense_slots
 
 ALL_BITS = (0, 1)
 
@@ -335,6 +335,16 @@ def test_qubit_and_coin_paths_statistically_indistinguishable():
     assert abs(qubit_stats.total.mean - coin_stats.total.mean) <= tolerance
 
 
+@pytest.mark.parametrize("source_cls,n", [(CoinPairSource, 1 << 17), (QubitPairSource, 1 << 16)])
+def test_channel_counts_fit_uniform_quarters(monkeypatch, source_cls, n):
+    # chi-square of collision / idle / single_alice / single_bob against 1/4
+    # each, on the pure kernels (df = 3, alpha = 0.001)
+    monkeypatch.setattr(_kernels, "_fast", None)
+    counts = simulate(n, RandomSource(2012), source=source_cls()).channel_counts
+    statistic = chi_square(counts.values(), [n / 4] * 4)
+    assert statistic < CHI2_CRITICAL_0_001[3], (counts, statistic)
+
+
 def test_channel_counts_sum_to_slots():
     n = 50_000
     stats = simulate(n, RandomSource(88))
@@ -345,8 +355,6 @@ def test_channel_counts_sum_to_slots():
 
 def test_simulate_with_custom_pair_source():
     class AlwaysZero:
-        kind = "custom-zero"
-
         def draw(self, rng):
             return 0
 

@@ -84,8 +84,9 @@ def test_map_chunks_rejects_an_empty_run():
     assert rng.next_u64() == RandomSource(1).next_u64()
 
 
-def test_runs_compiled_is_false_on_the_pure_backend(force_backend):
-    force_backend("pure")
+def test_runs_compiled_is_false_on_the_pure_backend(monkeypatch):
+    monkeypatch.setattr(_kernels, "_fast", None)
+    assert _kernels.backend_name() == "pure"
     for kernel, source in (("aloha", None), ("superdense", None),
                            ("hyperdense", hyperdense.QubitPairSource()),
                            ("hyperdense", hyperdense.CoinPairSource())):
@@ -93,13 +94,13 @@ def test_runs_compiled_is_false_on_the_pure_backend(force_backend):
 
 
 @pytest.fixture
-def no_pool(monkeypatch, force_backend):
+def no_pool(monkeypatch):
     """Pure backend, 16-slot chunks, and a thread pool that fails if started."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was started for GIL-bound chunks")
 
-    force_backend("pure")
+    monkeypatch.setattr(_kernels, "_fast", None)
     monkeypatch.setattr(_kernels, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
 

@@ -32,7 +32,10 @@ class AlohaParams:
 
     def __post_init__(self):
         _check_users(self.m)
-        if isinstance(self.p, bool) or not 0.0 <= self.p <= 1.0:
+        if not (
+            isinstance(self.p, (int, float)) and not isinstance(self.p, bool)
+            and 0.0 <= self.p <= 1.0
+        ):
             raise ValueError(f"transmit probability must be in [0, 1], got {self.p!r}")
 
 

@@ -73,12 +73,20 @@ def roundtrip(d: Dibit, rng: RandomSource) -> Dibit:
 
 
 def trial_successes(n_trials: int, seed: int) -> int:
-    """Roundtrip successes over one contiguous seeded chunk of trials."""
+    """Roundtrip successes over one contiguous seeded chunk of trials.
+
+    Each trial runs ``roundtrip`` on the dibit (A1, A2) drawn as two top bits
+    from the chunk stream, with the same engine calls and draws, but keeps
+    the bits as plain ints rather than building Dibits.
+    """
     rng = RandomSource(seed)
+    next_u64 = rng.next_u64
     successes = 0
     for _ in range(n_trials):
-        d = Dibit(rng.next_bit(), rng.next_bit())
-        if roundtrip(d, rng) == d:
+        a1 = next_u64() >> 63
+        a2 = next_u64() >> 63
+        idx = measure_bell(apply_single_qubit(BETA_00, _ENCODING[a1, a2], QubitId.A), rng)
+        if idx.k == a1 and idx.l == a2:
             successes += 1
     return successes
 

@@ -46,6 +46,10 @@ def test_params_validation():
         AlohaParams(2, True)
     with pytest.raises(ValueError):
         AlohaParams(2, False)
+    with pytest.raises(ValueError):
+        AlohaParams(2, "0.5")
+    with pytest.raises(ValueError):
+        AlohaParams(2, None)
 
 
 def test_slot_result_invariant():
@@ -179,11 +183,27 @@ def test_run_slot_composition_matches_kernel():
     # single-slot op over one chunk stream must reproduce the kernel tally
     # exactly (same draws, same decisions), the edge probabilities included
     n = 2000
-    for m, p, seed in [(3, 0.4, 2718), (1, 1.0, 1), (2, 0.5, 12345), (5, 0.0, 7), (8, 0.125, 99)]:
+    for m, p, seed in [(3, 0.4, 2718), (1, 1.0, 1), (2, 0.5, 12345), (5, 0.0, 7), (8, 0.125, 99),
+                         (2, 1, 3)]:
         params = AlohaParams(m, p)
         rng = RandomSource(seed)
         successes = sum(1 for _ in range(n) if run_slot(params, rng).success)
         assert successes == pure.aloha_tally(m, p, n, seed), (m, p, seed)
+
+
+def test_transmit_threshold_agrees_with_next_float():
+    # pure.aloha_tally tests a raw word w against the threshold in place of
+    # next_float() < p, so the two must agree at, just below and just above
+    # each threshold, and one float step of next_float() either side of it
+    ps = [0.0, 5e-324, math.nextafter(2**-53, 0), 2**-53, math.nextafter(2**-53, 1),
+          math.nextafter(0.5, 0), 0.5, 1 - 2**-53, 1.0, 1]
+    for p in ps:
+        threshold = pure._transmit_threshold(p)
+        for w in (threshold - 2048, threshold - 1, threshold, threshold + 1, threshold + 2047):
+            if 0 <= w < 2**64:
+                assert (w < threshold) == ((w >> 11) * 2**-53 < p), (p, w)
+    assert pure._transmit_threshold(0.0) == 0
+    assert pure._transmit_threshold(1.0) == pure._transmit_threshold(1) == 2**64
 
 
 def test_run_slot_counts_transmitters():

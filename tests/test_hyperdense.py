@@ -354,10 +354,6 @@ def test_channel_counts_sum_to_slots():
 
 
 def test_simulate_with_custom_pair_source():
-    class AlwaysZero:
-        def draw(self, rng):
-            return 0
-
     # with c pinned to 0 the four c=0 rows are equally likely, and the
     # expected bits per slot stays 2.5
     n = 40_000
@@ -366,13 +362,38 @@ def test_simulate_with_custom_pair_source():
     assert stats.channel_counts["idle"] > 0 and stats.channel_counts["collision"] > 0
 
 
+def test_pure_tally_rejects_a_shared_outcome_that_is_not_a_bit():
+    class Two:
+        def draw(self, rng):
+            return 2
+
+    with pytest.raises(ValueError, match="shared outcome must be 0 or 1, got 2"):
+        _kernels.pure.hyperdense_tally(10, 1, Two())
+
+
 def test_simulate_rejects_empty_run():
     with pytest.raises(ValueError):
         simulate(0, RandomSource(1))
 
 
+class LowBitSource:
+    """A custom pair source that draws c from the slot's stream."""
+
+    def draw(self, rng):
+        return rng.next_u64() & 1
+
+
+class AlwaysZero:
+    """A custom pair source that draws nothing."""
+
+    def draw(self, rng):
+        return 0
+
+
 def test_tally_matches_slot_outcome_log():
-    for source in (CoinPairSource(), QubitPairSource()):
+    # a source that draws and one that does not pin the order of the party
+    # bit draws and the source draw
+    for source in (CoinPairSource(), QubitPairSource(), LowBitSource(), AlwaysZero()):
         tally = _kernels.pure.hyperdense_tally(3000, 424242, source)
         outcomes = replay_hyperdense_slots(3000, 424242, source)
         assert tally == (
@@ -380,4 +401,4 @@ def test_tally_matches_slot_outcome_log():
             sum(1 for o in outcomes if o.channel.state is ChannelState.IDLE),
             sum(1 for o in outcomes if o.channel.sender is Party.ALICE),
             sum(1 for o in outcomes if o.channel.sender is Party.BOB),
-        ), source.kind
+        ), type(source).__name__

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from entmac import superdense
 from entmac.qubit import BellIndex, bell_state
 from entmac.rng import RandomSource
 from entmac.superdense import (
@@ -75,6 +76,29 @@ def test_roundtrip_consumes_exactly_one_uniform():
     stub = ScriptedRng(floats=[0.3])
     roundtrip(Dibit(1, 0), stub)
     assert stub._floats == []
+
+
+def test_trial_successes_replays_roundtrip(monkeypatch):
+    # the chunk kernel runs each trial as roundtrip does on a dibit of two
+    # next_bit draws: the same Bell measurements of the same states on the
+    # same uniforms, in the same order
+    calls = []
+    measure_bell = superdense.measure_bell
+
+    def recording(state, rng):
+        u = rng.next_float()
+        calls.append((state.amps, u))
+        return measure_bell(state, ScriptedRng(floats=[u]))
+
+    monkeypatch.setattr(superdense, "measure_bell", recording)
+    assert superdense.trial_successes(200, 31) == 200
+    kernel_calls = calls[:]
+    calls.clear()
+    rng = RandomSource(31)
+    for _ in range(200):
+        d = Dibit(rng.next_bit(), rng.next_bit())
+        assert roundtrip(d, rng) == d
+    assert calls == kernel_calls
 
 
 def test_throughput_constant():

@@ -1,15 +1,33 @@
 """Pure-Python kernels: the reference the compiled backend must match.
 
-The hyperdense loop builds no object per slot. At import, ``_OUTCOME`` is
-filled by running the public ``run_slot`` once for each of the 32 inputs
-(A1, A2, B1, B2, c) and recording which tally its channel outcome counts
-toward (collision, idle, single_alice, single_bob). A slot then draws its
-four party bits as the top bits of four words from the chunk stream, asks
-the pair source for c (so qubit and custom sources consume the stream as
-they would one slot at a time), and adds 1 to the tally the table names.
-The table is the composition of the protocol operations, which keeps this
-loop the oracle in backend-parity tests; tests/test_hyperdense.py pins it
-to a slot-by-slot replay through ``run_slot``.
+No loop here calls the statevector engine or builds an object per slot.
+Each replays the draws of the public protocol operations word by word and
+reads every result that does not depend on a draw from a table built at
+import by those same operations:
+
+* ``_OUTCOME`` holds, for each of the 32 inputs (A1, A2, B1, B2, c), the
+  tally its slot counts toward (collision, idle, single_alice,
+  single_bob), from one call of the public ``run_slot`` each.
+* ``_QUBIT_C_THRESHOLD`` stands in for ``QubitPairSource.draw``: measuring
+  qubit A of |beta_00> gives c = 0 exactly when its word is below the
+  threshold, and measuring B then gives c again while consuming one more
+  word.
+* ``superdense._SD_OK`` says whether Bob's Bell measurement decodes each
+  encoded dibit.
+
+An engine measurement takes its outcome from one uniform u by cumulative
+sampling, which is monotone in u. So ``superdense._independent_of_u``
+proves a measurement's result the same for every u by running it at the
+least and the greatest u that ``next_float`` returns, and raises at import
+when the two differ. Tests pin each loop to a slot-by-slot replay through
+the engine (``tests/test_hyperdense.py``, ``tests/test_superdense.py``),
+which keeps these loops the oracle in backend-parity tests.
+
+A hyperdense slot draws its four party bits as the top bits of four words
+from the chunk stream, then c: from the threshold for a source of exact
+type ``QubitPairSource`` (the rule ``runs_compiled`` uses), and from
+``source.draw(rng)`` for any other source, which then consumes the stream
+as it would one slot at a time.
 
 The Aloha loop replays ``aloha.run_slot``'s draws and decision inline: a
 user transmits when ``next_float() < p``, which it tests as one integer
@@ -22,8 +40,17 @@ from __future__ import annotations
 
 import math
 
-from ..hyperdense import ChannelState, Party, PartyBits, SharedOutcome, run_slot
+from ..hyperdense import (
+    ChannelState,
+    Party,
+    PartyBits,
+    QubitPairSource,
+    SharedOutcome,
+    run_slot,
+)
+from ..qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
 from ..rng import RandomSource
+from ..superdense import _U_ENDS, _independent_of_u, _OneUniform
 
 
 def _tally_index(a1: int, a2: int, b1: int, b2: int, c: int) -> int:
@@ -64,6 +91,26 @@ def _transmit_threshold(p: float) -> int:
     return math.ceil(p * 2**53) << 11
 
 
+def _qubit_c_threshold() -> int:
+    """T such that QubitPairSource().draw(rng) is 0 exactly when its first word is below T.
+
+    The first word is A's measurement of |beta_00>, which gives 0 exactly when
+    next_float() < P(0). Raises RuntimeError unless A gives 0 at u = 0 and 1
+    at the greatest u (so no clamp makes either outcome impossible), and B's
+    measurement of each state A's collapses to gives A's outcome for every u:
+    draw then never raises and consumes one more word.
+    """
+    for c, u in enumerate(_U_ENDS):
+        c_a, collapsed = measure_qubit(BETA_00, QubitId.A, _OneUniform(u))
+        c_b, _ = _independent_of_u(measure_qubit, collapsed, QubitId.B)
+        if c_a != c or c_b != c:
+            raise RuntimeError(f"qubit pair measured ({c_a}, {c_b}) where ({c}, {c}) was due")
+    return _transmit_threshold(measure_probabilities(BETA_00, QubitId.A)[0])
+
+
+_QUBIT_C_THRESHOLD = _qubit_c_threshold()
+
+
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Successful-slot count for one contiguous chunk of an Aloha run."""
     next_u64 = RandomSource(seed).next_u64
@@ -83,17 +130,27 @@ def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
     """(collision, idle, single_alice, single_bob) counts for one chunk.
 
-    Per slot: A1, A2, B1, B2 from the chunk stream, then c from ``source``.
+    Per slot: A1, A2, B1, B2 from the chunk stream, then c from ``source``
+    (from its two measurement words, for a ``QubitPairSource``).
     """
     rng = RandomSource(seed)
     next_u64 = rng.next_u64
-    draw = source.draw
     outcome = _OUTCOME
-    c_bit = _C_BIT
     counts = [0, 0, 0, 0]
+    # the top bit of each word, shifted to its place in the table index;
+    # operands evaluate left to right, so c is drawn after the four bits
+    if type(source) is QubitPairSource:
+        c_threshold = _QUBIT_C_THRESHOLD
+        for _ in range(n_slots):
+            counts[outcome[
+                next_u64() >> 59 & 16 | next_u64() >> 60 & 8 | next_u64() >> 61 & 4
+                | next_u64() >> 62 & 2 | (next_u64() >= c_threshold)
+            ]] += 1
+            next_u64()  # B's measurement, which gives c again
+        return tuple(counts)
+    draw = source.draw
+    c_bit = _C_BIT
     for _ in range(n_slots):
-        # the top bit of each word, shifted to its place in the table index;
-        # operands evaluate left to right, so c is drawn after the four bits
         counts[outcome[
             next_u64() >> 59 & 16 | next_u64() >> 60 & 8 | next_u64() >> 61 & 4
             | next_u64() >> 62 & 2 | c_bit[draw(rng)]

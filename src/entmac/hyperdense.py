@@ -251,9 +251,11 @@ def expected_bits_per_direction() -> dict[str, float]:
 class PairSource(Protocol):
     """Supplier of the shared per-slot bit c.
 
-    Only the built-in sources below have a compiled loop, which they name by
-    their ``kind``; any other source, subclasses included, runs the pure
-    kernel, which calls its ``draw`` once per slot.
+    The kernels route a source by its exact type. Only the two built-in
+    sources below have a compiled loop, which their ``kind`` names, and the
+    pure kernel reads a ``QubitPairSource``'s c off its two measurement words
+    rather than calling it. Any other source, subclasses included,
+    runs the pure kernel, which calls its ``draw`` once per slot.
     """
 
     def draw(self, rng: RandomSource) -> int: ...

@@ -21,6 +21,14 @@ def test_golden_pure_tallies():
     assert pure.hyperdense_tally(10_000, 999, CoinPairSource()) == (2356, 2521, 2562, 2561)
 
 
+def test_golden_pure_qubit_chunks():
+    # full chunks of the qubit-sourced loop, whose c comes from the two
+    # measurement words of QubitPairSource.draw
+    assert pure.hyperdense_tally(65_536, 999, QubitPairSource()) == (16335, 16460, 16282, 16459)
+    assert pure.hyperdense_tally(65_536, 12345, QubitPairSource()) == (16475, 16209, 16404, 16448)
+    assert pure.hyperdense_tally(65_536, 7, QubitPairSource()) == (16444, 16246, 16340, 16506)
+
+
 def test_golden_superdense_successes():
     assert superdense.count_successes(10_000, RandomSource(999)) == 10_000
 

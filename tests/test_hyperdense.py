@@ -27,9 +27,17 @@ from entmac.hyperdense import (
     run_slot,
     simulate,
 )
+from entmac.qubit import BETA_00, QubitId, measure_probabilities
 from entmac.rng import RandomSource, derive_seed
 
-from _support import CHI2_CRITICAL_0_001, CountingRng, chi_square, replay_hyperdense_slots
+from _support import (
+    CHI2_CRITICAL_0_001,
+    MAX_UNIFORM,
+    CountingRng,
+    ScriptedRng,
+    chi_square,
+    replay_hyperdense_slots,
+)
 
 ALL_BITS = (0, 1)
 
@@ -285,6 +293,28 @@ def test_qubit_pair_source_uses_two_single_qubit_measurements(monkeypatch):
     # one uniform per single-qubit measurement, nothing else
     assert counter.float_calls == 2
     assert counter.bit_calls == 0
+
+
+def test_qubit_c_threshold_is_the_measurement_boundary():
+    threshold = _kernels.pure._QUBIT_C_THRESHOLD
+    p0 = measure_probabilities(BETA_00, QubitId.A)[0]
+    assert threshold == 2**63 - 2048 == _kernels.pure._transmit_threshold(p0)
+    # A's word just below and at the threshold, B's uniform at either end
+    for word, c in ((threshold - 1, 0), (threshold, 1)):
+        for u_b in (0.0, MAX_UNIFORM):
+            rng = ScriptedRng(floats=[(word >> 11) * 2**-53, u_b])
+            assert QubitPairSource().draw(rng) == c, (word, u_b)
+
+
+def test_qubit_tally_reads_c_at_the_threshold(monkeypatch):
+    # A1 = B1 = 0 in both slots: c = 0 collides, c = 1 leaves the slot idle;
+    # a slot that skipped B's word would read the next slot's bits off by one
+    threshold = _kernels.pure._QUBIT_C_THRESHOLD
+    rng = ScriptedRng(u64s=[0, 0, 0, 0, threshold - 1, 2**64 - 1,
+                            0, 0, 0, 0, threshold, 2**64 - 1])
+    monkeypatch.setattr(_kernels.pure, "RandomSource", lambda seed: rng)
+    assert _kernels.pure.hyperdense_tally(2, 0, QubitPairSource()) == (1, 1, 0, 0)
+    assert rng._u64s == []
 
 
 def test_coin_pair_source_is_fair():

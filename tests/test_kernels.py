@@ -1,10 +1,12 @@
-"""Kernel dispatch helpers: the chunk plan and the chunk runner, map_chunks."""
+"""Kernel helpers: the chunk plan, the chunk runner map_chunks, and the proof
+the pure kernels' tables rest on."""
 
 import os
 
 import pytest
 
 from entmac import _kernels, aloha, hyperdense, superdense
+from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
 from entmac.rng import RandomSource
 
 from _support import RecordingPool
@@ -120,3 +122,16 @@ def test_pure_hyperdense_starts_no_pool(no_pool, source_cls):
     two = hyperdense.simulate(100, RandomSource(3), source=source_cls(), workers=2)
     one = hyperdense.simulate(100, RandomSource(3), source=source_cls())
     assert two.channel_counts == one.channel_counts
+
+
+def test_independent_of_u_returns_a_result_that_holds_for_every_uniform():
+    assert superdense._independent_of_u(measure_bell, BETA_00) == BellIndex(0, 0)
+    c, collapsed = measure_qubit(BETA_00, QubitId.A, RandomSource(1))
+    assert superdense._independent_of_u(measure_qubit, collapsed, QubitId.B)[0] == c
+
+
+def test_independent_of_u_rejects_a_measurement_that_depends_on_u():
+    with pytest.raises(RuntimeError, match="measure_qubit depends on the uniform"):
+        superdense._independent_of_u(measure_qubit, BETA_00, QubitId.A)
+    with pytest.raises(RuntimeError, match="measure_bell depends on the uniform"):
+        superdense._independent_of_u(measure_bell, TwoQubitState((1, 0, 0, 0)))

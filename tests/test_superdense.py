@@ -79,26 +79,45 @@ def test_roundtrip_consumes_exactly_one_uniform():
 
 
 def test_trial_successes_replays_roundtrip(monkeypatch):
-    # the chunk kernel runs each trial as roundtrip does on a dibit of two
-    # next_bit draws: the same Bell measurements of the same states on the
-    # same uniforms, in the same order
-    calls = []
-    measure_bell = superdense.measure_bell
+    # per trial the chunk kernel consumes the words roundtrip consumes on a
+    # dibit of two next_bit draws: the two bits, then the Bell uniform
+    class CountingSource(RandomSource):
+        words = 0
 
-    def recording(state, rng):
-        u = rng.next_float()
-        calls.append((state.amps, u))
-        return measure_bell(state, ScriptedRng(floats=[u]))
+        def next_u64(self):
+            CountingSource.words += 1
+            return super().next_u64()
 
-    monkeypatch.setattr(superdense, "measure_bell", recording)
-    assert superdense.trial_successes(200, 31) == 200
-    kernel_calls = calls[:]
-    calls.clear()
-    rng = RandomSource(31)
+    monkeypatch.setattr(superdense, "RandomSource", CountingSource)
+    successes = superdense.trial_successes(200, 31)
+    kernel_words = CountingSource.words
+    CountingSource.words = 0
+    rng = CountingSource(31)
+    replayed = 0
     for _ in range(200):
         d = Dibit(rng.next_bit(), rng.next_bit())
-        assert roundtrip(d, rng) == d
-    assert calls == kernel_calls
+        replayed += roundtrip(d, rng) == d
+    assert successes == replayed == 200
+    assert kernel_words == CountingSource.words == 3 * 200
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_trial_successes_reads_each_trials_dibit(monkeypatch, k):
+    # with only the dibit A1 A2 = k marked decodable, the kernel counts the
+    # trials whose replayed dibit is k
+    monkeypatch.setattr(superdense, "_SD_OK", tuple(int(i == k) for i in range(4)))
+    rng = RandomSource(77)
+    hits = 0
+    for _ in range(400):
+        d = Dibit(rng.next_bit(), rng.next_bit())
+        roundtrip(d, rng)
+        hits += 2 * d.a1 + d.a2 == k
+    assert superdense.trial_successes(400, 77) == hits
+    assert 0 < hits < 400
+
+
+def test_every_encoded_dibit_decodes_in_the_table():
+    assert superdense._SD_OK == (1, 1, 1, 1)
 
 
 def test_throughput_constant():

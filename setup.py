@@ -1,25 +1,9 @@
-"""Build the optional compiled kernel.
+"""``python setup.py build`` entry point; the configuration is in pyproject.toml.
 
-The extension is a speedup only: if Cython is unavailable the package
-installs pure-Python and selects the fallback kernels at import time.
+The build is pure Python. The compiled kernel is a separate step:
+``python -m entmac._kernels.build``.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "entmac._kernels._fast",
-        ["src/entmac/_kernels/_fast.pyx"],
-        # no fast-math, no fp contraction: the compiled kernels must match the
-        # pure backend bit for bit
-        extra_compile_args=["-O2", "-ffp-contract=off"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(ext_modules=extensions())
+setup()

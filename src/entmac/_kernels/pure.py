@@ -15,6 +15,9 @@ import by those same operations:
 * ``superdense._SD_OK`` says whether Bob's Bell measurement decodes each
   encoded dibit.
 
+The compiled kernel knows none of these: the dispatchers in
+``entmac._kernels`` pass it the same tables and thresholds.
+
 An engine measurement takes its outcome from one uniform u by cumulative
 sampling, which is monotone in u. So ``superdense._independent_of_u``
 proves a measurement's result the same for every u by running it at the

@@ -252,10 +252,10 @@ class PairSource(Protocol):
     """Supplier of the shared per-slot bit c.
 
     The kernels route a source by its exact type. Only the two built-in
-    sources below have a compiled loop, which their ``kind`` names, and the
-    pure kernel reads a ``QubitPairSource``'s c off its two measurement words
-    rather than calling it. Any other source, subclasses included,
-    runs the pure kernel, which calls its ``draw`` once per slot.
+    sources below have a compiled loop, and both backends read a
+    ``QubitPairSource``'s c off its two measurement words rather than
+    calling it. Any other source, subclasses included, runs the pure
+    kernel, which calls its ``draw`` once per slot.
     """
 
     def draw(self, rng: RandomSource) -> int: ...
@@ -268,8 +268,6 @@ class QubitPairSource:
     keeping with the protocol's distributed operation; their agreement is
     checked every draw.
     """
-
-    kind = "qubit"
 
     def draw_pair(self, rng: RandomSource) -> tuple[int, int]:
         c_a, collapsed = measure_qubit(BETA_00, QubitId.A, rng)
@@ -289,8 +287,6 @@ class CoinPairSource:
     Statistically indistinguishable from the qubit path; useful to separate
     protocol-logic faults from quantum-engine faults.
     """
-
-    kind = "coin"
 
     def draw(self, rng: RandomSource) -> int:
         return rng.next_bit()

@@ -138,12 +138,13 @@ def trial_successes(n_trials: int, seed: int) -> int:
 def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:
     """Total roundtrip successes over n_trials uniformly random dibits.
 
-    There is no compiled superdense kernel, so the chunks always run in this
-    thread, whatever ``workers`` says.
+    The chunks run on up to ``workers`` threads on the compiled backend and
+    in this thread on the pure one.
     """
     from . import _kernels
 
-    return sum(_kernels.map_chunks("superdense", trial_successes, n_trials, rng, workers))
+    return sum(_kernels.map_chunks("superdense", _kernels.superdense_tally, n_trials, rng,
+                                   workers))
 
 
 def simulate(n_trials: int, rng: RandomSource, workers: int = 1) -> RunStats:

@@ -2,28 +2,30 @@
 
 The pure kernels are the reference semantics, so equality here pins the
 compiled shortcuts to them exactly. When the package was installed without
-its compiled kernel, the committed ``_fast.c`` is built into a temporary
-directory with the C compiler; the module skips only when there is none.
+its compiled kernel, ``_fast.c`` is built into a temporary directory by
+``entmac._kernels.build``, with every warning an error; the module skips
+only when there is no C compiler with the Python headers.
 """
 
+import hashlib
 import importlib.util
 import os
-import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
 
 import pytest
 
 from entmac import _kernels, superdense
-from entmac._kernels import pure
+from entmac._kernels import build, pure
 from entmac.aloha import AlohaParams, simulate as aloha_simulate
+from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
 from entmac.rng import RandomSource
 
 from _support import RecordingPool
 
-FAST_C = Path(_kernels.__file__).with_name("_fast.c")
+CHUNK = _kernels.CHUNK_SLOTS
+
+#: the compiled hyperdense kernel's c argument for each built-in source
+C_T53 = {"qubit": pure._QUBIT_C_THRESHOLD >> 11, "coin": None}
 
 
 @pytest.fixture(scope="session")
@@ -31,14 +33,11 @@ def compiled_module(tmp_path_factory):
     """The compiled kernel: the installed one, else one built from _fast.c."""
     if _kernels._fast is not None:
         return _kernels._fast
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    include = sysconfig.get_paths()["include"]
-    if compiler is None or not os.path.exists(os.path.join(include, "Python.h")):
-        pytest.skip("no C compiler (gcc or cc) with the Python headers to build _fast.c")
-    target = tmp_path_factory.mktemp("fast") / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
-    # the same floating-point flags as setup.py: no contraction into fused multiply-adds
-    subprocess.run([compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-I{include}",
-                    str(FAST_C), "-o", str(target)], check=True)
+    target = tmp_path_factory.mktemp("fast") / "_fast.so"
+    try:
+        build.build(target, flags=("-Wall", "-Wextra", "-Werror"))
+    except FileNotFoundError as err:
+        pytest.skip(str(err))
     spec = importlib.util.spec_from_file_location("entmac._kernels._fast", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -52,52 +51,91 @@ def compiled(compiled_module, monkeypatch):
     return compiled_module
 
 
+def aloha_t53(p):
+    """The compiled Aloha kernel's threshold argument for transmit probability p."""
+    return pure._transmit_threshold(p) >> 11
+
+
 SEEDS = [0, 1, 42, 999, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_u64_stream_parity(compiled, seed):
     rng = RandomSource(seed)
-    assert [rng.next_u64() for _ in range(2000)] == compiled.splitmix_stream(seed, 2000)
+    assert [rng.next_u64() for _ in range(2000)] == compiled.words(seed, 2000)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_float_stream_parity(compiled, seed):
+    # the compiled kernels draw no floats: they compare w >> 11 with an integer
+    # threshold, which must decide every draw as next_float() < p does
     rng = RandomSource(seed)
-    assert [rng.next_float() for _ in range(2000)] == compiled.float_stream(seed, 2000)
+    floats = [rng.next_float() for _ in range(2000)]
+    draws = [w >> 11 for w in compiled.words(seed, 2000)]
+    assert floats == [d * 2.0**-53 for d in draws]
+    for p in (0.0, 1 / 3, 0.5, 0.999, 1.0, floats[0], floats[-1]):
+        assert [f < p for f in floats] == [d < aloha_t53(p) for d in draws], p
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
-@pytest.mark.parametrize("m,p", [(1, 1.0), (2, 0.5), (3, 1 / 3), (5, 0.0), (4, 0.999)])
+@pytest.mark.parametrize("m,p", [(1, 1.0), (2, 0.5), (3, 1 / 3), (5, 0.0), (4, 0.999),
+                                 (8, 0.125)])
 def test_aloha_tally_parity(compiled, seed, m, p):
-    assert pure.aloha_tally(m, p, 30_000, seed) == compiled.aloha_tally(m, p, 30_000, seed)
+    assert pure.aloha_tally(m, p, CHUNK, seed) == compiled.aloha_tally(m, aloha_t53(p), CHUNK,
+                                                                       seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 31337])
-@pytest.mark.parametrize("source_cls,kind", [(QubitPairSource, "qubit"), (CoinPairSource, "coin")])
-def test_hyperdense_tally_parity(compiled, seed, source_cls, kind):
-    assert pure.hyperdense_tally(30_000, seed, source_cls()) == compiled.hyperdense_tally(
-        30_000, seed, kind
+@pytest.mark.parametrize("source_cls,c_source", [(QubitPairSource, "qubit"),
+                                                 (CoinPairSource, "coin")])
+def test_hyperdense_tally_parity(compiled, seed, source_cls, c_source):
+    assert pure.hyperdense_tally(CHUNK, seed, source_cls()) == compiled.hyperdense_tally(
+        CHUNK, seed, pure._OUTCOME, C_T53[c_source]
     )
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 31337])
+def test_superdense_tally_parity(compiled, monkeypatch, seed):
+    assert compiled.superdense_tally(CHUNK, seed, superdense._SD_OK) == CHUNK
+    # _SD_OK is all ones, so a one-hot table counts the trials of each dibit
+    for k in range(4):
+        table = tuple(int(i == k) for i in range(4))
+        monkeypatch.setattr(superdense, "_SD_OK", table)
+        assert superdense.trial_successes(CHUNK, seed) == compiled.superdense_tally(
+            CHUNK, seed, table), k
+
+
 def test_golden_tallies(compiled):
-    # frozen from the pure composition kernels, which test_golden.py pins
-    assert compiled.aloha_tally(2, 0.5, 10_000, 12345) == 5009
-    assert compiled.hyperdense_tally(10_000, 999, "qubit") == (2441, 2568, 2518, 2473)
-    assert compiled.hyperdense_tally(10_000, 999, "coin") == (2356, 2521, 2562, 2561)
+    # the pure pins of test_golden.py
+    assert compiled.aloha_tally(2, aloha_t53(0.5), 10_000, 12345) == 5009
+    assert compiled.hyperdense_tally(10_000, 999, pure._OUTCOME, C_T53["qubit"]) == (
+        2441, 2568, 2518, 2473)
+    assert compiled.hyperdense_tally(10_000, 999, pure._OUTCOME, None) == (
+        2356, 2521, 2562, 2561)
+    for seed, tally in ((999, (16335, 16460, 16282, 16459)), (12345, (16475, 16209, 16404, 16448)),
+                        (7, (16444, 16246, 16340, 16506))):
+        assert compiled.hyperdense_tally(CHUNK, seed, pure._OUTCOME, C_T53["qubit"]) == tally
+    assert superdense.count_successes(10_000, RandomSource(999)) == 10_000
+    text = compare(16_384, 42).render("text")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "d15f34ed33ac59dc777ea6dd9ed6bdab79d78ff09172011809b15765c06bd728"
+    )
 
 
 def test_simulate_results_identical_across_backends(monkeypatch, compiled):
+    def run_all():
+        return (aloha_simulate(AlohaParams(2, 0.5), 100_000, RandomSource(5)),
+                hd_simulate(50_000, RandomSource(6), source=QubitPairSource()),
+                superdense.count_successes(100_000, RandomSource(7)))
+
     monkeypatch.setattr(_kernels, "_fast", None)
-    pure_aloha = aloha_simulate(AlohaParams(2, 0.5), 100_000, RandomSource(5))
-    pure_hd = hd_simulate(50_000, RandomSource(6), source=QubitPairSource())
+    pure_aloha, pure_hd, pure_sd = run_all()
     monkeypatch.setattr(_kernels, "_fast", compiled)
-    fast_aloha = aloha_simulate(AlohaParams(2, 0.5), 100_000, RandomSource(5))
-    fast_hd = hd_simulate(50_000, RandomSource(6), source=QubitPairSource())
+    fast_aloha, fast_hd, fast_sd = run_all()
     assert pure_aloha == fast_aloha
     assert pure_hd.total == fast_hd.total
     assert pure_hd.channel_counts == fast_hd.channel_counts
+    assert pure_sd == fast_sd
 
 
 class StubSource:
@@ -132,9 +170,40 @@ def test_custom_pair_source_falls_back_to_pure():
         assert tally == pure.hyperdense_tally(500, 99, source_cls()), source_cls
 
 
-def test_compiled_rejects_unknown_source_kind(compiled):
-    with pytest.raises(ValueError):
-        compiled.hyperdense_tally(10, 1, "dice")
+BAD_CALLS = {
+    "outcome-table-short": ("hyperdense_tally", (10, 1, pure._OUTCOME[:31], None), ValueError),
+    "outcome-table-long": ("hyperdense_tally", (10, 1, pure._OUTCOME + (0,), None), ValueError),
+    "outcome-entry-4": ("hyperdense_tally", (10, 1, (4,) * 32, None), ValueError),
+    "outcome-entry-negative": ("hyperdense_tally", (10, 1, (-1,) * 32, None), ValueError),
+    "outcome-not-a-sequence": ("hyperdense_tally", (10, 1, None, None), TypeError),
+    "ok-table-short": ("superdense_tally", (10, 1, (1, 1, 1)), ValueError),
+    "ok-entry-2": ("superdense_tally", (10, 1, (1, 1, 1, 2)), ValueError),
+    "ok-entry-negative": ("superdense_tally", (10, 1, (1, -1, 1, 1)), ValueError),
+    "aloha-threshold-above-2**53": ("aloha_tally", (2, 2**53 + 1, 10, 1), ValueError),
+    "aloha-threshold-negative": ("aloha_tally", (2, -1, 10, 1), OverflowError),
+    "c-threshold-above-2**53": ("hyperdense_tally", (10, 1, pure._OUTCOME, 2**53 + 1),
+                                ValueError),
+    "aloha-negative-n": ("aloha_tally", (2, 2**52, -1, 1), ValueError),
+    "hyperdense-negative-n": ("hyperdense_tally", (-1, 1, pure._OUTCOME, None), ValueError),
+    "superdense-negative-n": ("superdense_tally", (-1, 1, superdense._SD_OK), ValueError),
+    "words-negative-n": ("words", (1, -1), ValueError),
+    "seed-negative": ("words", (-1, 3), OverflowError),
+    "seed-above-64-bits": ("words", (2**64, 3), OverflowError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_compiled_rejects_out_of_range_input(compiled, case):
+    name, args, error = BAD_CALLS[case]
+    with pytest.raises(error):
+        getattr(compiled, name)(*args)
+
+
+def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
+    assert compiled.aloha_tally(1, aloha_t53(1.0), 100, 3) == 100
+    assert compiled.aloha_tally(3, aloha_t53(0.0), 100, 3) == 0
+    assert compiled.hyperdense_tally(0, 1, pure._OUTCOME, 2**53) == (0, 0, 0, 0)
+    assert compiled.words(3, 0) == []
 
 
 @pytest.fixture
@@ -149,18 +218,16 @@ def pools(monkeypatch):
 def test_runs_compiled_routes_only_the_compiled_kernels():
     assert _kernels.backend_name() == "compiled"
     assert _kernels.runs_compiled("aloha")
+    assert _kernels.runs_compiled("superdense")
     assert _kernels.runs_compiled("hyperdense", QubitPairSource())
     assert _kernels.runs_compiled("hyperdense", CoinPairSource())
     assert not _kernels.runs_compiled("hyperdense", StubSource())
-    # a source is routed by its type, not by the kind it declares
-    assert not _kernels.runs_compiled("hyperdense", type("Stub", (), {"kind": "coin"})())
     assert not _kernels.runs_compiled("hyperdense", FlippedCoin())
     assert not _kernels.runs_compiled("hyperdense", type("Qubits", (QubitPairSource,), {})())
-    assert not _kernels.runs_compiled("superdense")
 
 
 def test_compiled_hyperdense_runs_on_a_two_thread_pool(pools):
-    n = 2 * _kernels.CHUNK_SLOTS
+    n = 2 * CHUNK
     two = hd_simulate(n, RandomSource(4), source=CoinPairSource(), workers=2)
     assert pools == [2]
     one = hd_simulate(n, RandomSource(4), source=CoinPairSource())
@@ -168,9 +235,14 @@ def test_compiled_hyperdense_runs_on_a_two_thread_pool(pools):
     assert two.channel_counts == one.channel_counts
 
 
-def test_gil_bound_chunks_get_no_pool_on_the_compiled_backend(pools, monkeypatch):
+def test_compiled_superdense_runs_on_a_two_thread_pool(pools, monkeypatch):
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
     assert superdense.count_successes(100, RandomSource(3), workers=2) == 100
+    assert pools == [2]
+
+
+def test_gil_bound_chunks_get_no_pool_on_the_compiled_backend(pools, monkeypatch):
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
     hd_simulate(100, RandomSource(3), source=StubSource(), workers=2)
     hd_simulate(100, RandomSource(3), source=FlippedCoin(), workers=2)
     assert pools == []

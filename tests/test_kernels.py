@@ -86,6 +86,27 @@ def test_map_chunks_rejects_an_empty_run():
     assert rng.next_u64() == RandomSource(1).next_u64()
 
 
+ENTRY_POINTS = {
+    "aloha": lambda rng, workers: aloha.simulate(aloha.AlohaParams(2, 0.5), 10, rng, workers),
+    "hyperdense": lambda rng, workers: hyperdense.simulate(
+        10, rng, hyperdense.CoinPairSource(), workers),
+    "superdense": lambda rng, workers: superdense.count_successes(10, rng, workers),
+}
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("workers", [0, -3, "2", 2.5, True])
+def test_map_chunks_rejects_a_bad_worker_count(monkeypatch, backend, entry, workers):
+    # a stand-in for the compiled module: the check must fire before any kernel runs
+    monkeypatch.setattr(_kernels, "_fast", None if backend == "pure" else object())
+    rng = RandomSource(1)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        ENTRY_POINTS[entry](rng, workers)
+    # the check comes before the run's one draw
+    assert rng.next_u64() == RandomSource(1).next_u64()
+
+
 def test_runs_compiled_is_false_on_the_pure_backend(monkeypatch):
     monkeypatch.setattr(_kernels, "_fast", None)
     assert _kernels.backend_name() == "pure"

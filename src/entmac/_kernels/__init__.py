@@ -5,11 +5,11 @@ The hot per-slot loops exist twice: ``pure`` (with
 ``_fast`` is a small hand-written C extension, built from ``_fast.c`` by
 ``python -m entmac._kernels.build``. It draws the identical words and
 reads the same tables and thresholds, which the dispatchers below pass in,
-so both backends produce the same integer tallies bit for bit. The
-compiled backend runs exactly when ``_fast`` imported. Only the two
-built-in pair sources have a compiled hyperdense loop: a custom or
-subclassed source always runs the pure composition, which calls its
-``draw``.
+so both backends produce the same integer tallies bit for bit. One fact
+routes every kernel: the compiled backend runs exactly when ``_fast``
+imported. Hyperdense accepts only the two built-in pair sources, a
+``QubitPairSource`` or a ``CoinPairSource`` matched by exact type, on
+either backend.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 from .. import superdense
-from ..hyperdense import CoinPairSource, QubitPairSource
 from ..rng import derive_seed
 from . import pure
 
@@ -55,36 +54,20 @@ def pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, n_chunks, os.cpu_count() or 1)
 
 
-def runs_compiled(kernel: str, source=None) -> bool:
-    """True when chunks of ``kernel`` run on the compiled module.
-
-    Its loops release the GIL; the pure ones hold it. The compiled module has
-    an aloha tally, a superdense tally and a hyperdense tally for the two
-    built-in pair sources, matched by exact type, so a subclass that
-    overrides ``draw`` is honoured; every other pair source runs pure.
-    """
-    if _fast is None:
-        return False
-    if kernel == "hyperdense":
-        return type(source) in (QubitPairSource, CoinPairSource)
-    return kernel in ("aloha", "superdense")
-
-
-def map_chunks(kernel: str, fn, n_slots: int, rng, workers: int, source=None) -> list:
+def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     """[fn(slot_count, seed) for each chunk of an n_slots run], in plan order.
 
-    The chunk seeds derive from one draw off ``rng``. Only chunks that
-    runs_compiled(kernel, source) sends to the compiled module get a thread
-    pool: a pure kernel holds the GIL, so its threads would add switching
-    and no speed. ``workers`` must be an int >= 1 (not a bool) on either
-    backend; both checks come before the draw.
+    The chunk seeds derive from one draw off ``rng``. Chunks get a thread
+    pool only on the compiled backend, whose loops release the GIL: a pure
+    kernel holds it, so its threads would add switching and no speed.
+    ``n_slots`` and ``workers`` must each be an int >= 1 (not a bool) on
+    either backend; both checks come before the draw.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    for name, value in (("n_slots", n_slots), ("workers", workers)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     plan = chunk_plan(rng.next_u64(), n_slots)
-    size = pool_size(workers, len(plan)) if runs_compiled(kernel, source) else 1
+    size = pool_size(workers, len(plan)) if _fast is not None else 1
     if size > 1:
         with ThreadPoolExecutor(max_workers=size) as pool:
             return list(pool.map(lambda sc: fn(sc[1], sc[0]), plan))
@@ -93,25 +76,25 @@ def map_chunks(kernel: str, fn, n_slots: int, rng, workers: int, source=None) ->
 
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Count of successful slots over one contiguous chunk."""
-    if runs_compiled("aloha"):
-        return _fast.aloha_tally(m, pure._transmit_threshold(p) >> 11, n_slots, seed)
-    return pure.aloha_tally(m, p, n_slots, seed)
+    if _fast is None:
+        return pure.aloha_tally(m, p, n_slots, seed)
+    return _fast.aloha_tally(m, pure._transmit_threshold(p) >> 11, n_slots, seed)
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
     """(collision, idle, single_alice, single_bob) counts over one chunk.
 
-    The compiled path only knows the two built-in pair sources; any other
-    source, subclasses included, runs through the pure composition.
+    ``source`` is a ``QubitPairSource`` or a ``CoinPairSource``; any other,
+    subclasses included, raises TypeError on either backend.
     """
-    if runs_compiled("hyperdense", source):
-        c_t53 = pure._QUBIT_C_THRESHOLD >> 11 if type(source) is QubitPairSource else None
-        return _fast.hyperdense_tally(n_slots, seed, pure._OUTCOME, c_t53)
-    return pure.hyperdense_tally(n_slots, seed, source)
+    if _fast is None:
+        return pure.hyperdense_tally(n_slots, seed, source)
+    c_t53 = pure._QUBIT_C_THRESHOLD >> 11 if pure._is_qubit(source) else None
+    return _fast.hyperdense_tally(n_slots, seed, pure._OUTCOME, c_t53)
 
 
 def superdense_tally(n_trials: int, seed: int) -> int:
     """Roundtrip successes over one chunk of superdense trials."""
-    if runs_compiled("superdense"):
-        return _fast.superdense_tally(n_trials, seed, superdense._SD_OK)
-    return superdense.trial_successes(n_trials, seed)
+    if _fast is None:
+        return superdense.trial_successes(n_trials, seed)
+    return _fast.superdense_tally(n_trials, seed, superdense._SD_OK)

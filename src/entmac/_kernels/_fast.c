@@ -108,6 +108,10 @@ static PyObject *aloha_tally(PyObject *Py_UNUSED(self), PyObject *args)
     if (!PyArg_ParseTuple(args, "nO&O&O&:aloha_tally", &m, t53_arg, &t53, count_arg, &n,
                           u64_arg, &s))
         return NULL;
+    if (m < 1) {
+        PyErr_Format(PyExc_ValueError, "m must be >= 1, got %zd", m);
+        return NULL;
+    }
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < n; i++) {
         Py_ssize_t transmitters = 0;

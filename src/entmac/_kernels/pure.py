@@ -27,10 +27,11 @@ the engine (``tests/test_hyperdense.py``, ``tests/test_superdense.py``),
 which keeps these loops the oracle in backend-parity tests.
 
 A hyperdense slot draws its four party bits as the top bits of four words
-from the chunk stream, then c: from the threshold for a source of exact
-type ``QubitPairSource`` (the rule ``runs_compiled`` uses), and from
-``source.draw(rng)`` for any other source, which then consumes the stream
-as it would one slot at a time.
+from the chunk stream, then c as one word against a threshold:
+``_QUBIT_C_THRESHOLD`` for a ``QubitPairSource``, which then draws B's word,
+and 2**63 for a ``CoinPairSource``, whose ``draw`` is that word's top bit.
+These two are the only pair sources, matched by exact type: ``_is_qubit``
+rejects any other, subclasses included, for every caller.
 
 The Aloha loop replays ``aloha.run_slot``'s draws and decision inline: a
 user transmits when ``next_float() < p``, which it tests as one integer
@@ -45,6 +46,7 @@ import math
 
 from ..hyperdense import (
     ChannelState,
+    CoinPairSource,
     Party,
     PartyBits,
     QubitPairSource,
@@ -74,14 +76,18 @@ _OUTCOME = tuple(
 )
 
 
-class _SharedBit(dict):
-    """c -> c for the two valid outcomes; any other c raises as SharedOutcome does."""
+def _is_qubit(source) -> bool:
+    """True for a ``QubitPairSource``, False for a ``CoinPairSource``.
 
-    def __missing__(self, c):
-        raise ValueError(f"shared outcome must be 0 or 1, got {c}")
-
-
-_C_BIT = _SharedBit({0: 0, 1: 1})
+    Raises TypeError for any other source, a subclass of either included:
+    the kernels read c off a threshold and never call ``draw``.
+    """
+    if type(source) is QubitPairSource:
+        return True
+    if type(source) is CoinPairSource:
+        return False
+    raise TypeError(f"source must be a QubitPairSource or a CoinPairSource, "
+                    f"got {type(source).__name__}")
 
 
 def _transmit_threshold(p: float) -> int:
@@ -133,29 +139,22 @@ def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
     """(collision, idle, single_alice, single_bob) counts for one chunk.
 
-    Per slot: A1, A2, B1, B2 from the chunk stream, then c from ``source``
-    (from its two measurement words, for a ``QubitPairSource``).
+    Per slot: A1, A2, B1, B2 from the chunk stream, then c = 1 exactly when
+    the next word reaches the source's threshold; a ``QubitPairSource`` then
+    draws B's word, which gives c again.
     """
-    rng = RandomSource(seed)
-    next_u64 = rng.next_u64
+    qubit = _is_qubit(source)
+    c_threshold = _QUBIT_C_THRESHOLD if qubit else 1 << 63
+    next_u64 = RandomSource(seed).next_u64
     outcome = _OUTCOME
     counts = [0, 0, 0, 0]
-    # the top bit of each word, shifted to its place in the table index;
-    # operands evaluate left to right, so c is drawn after the four bits
-    if type(source) is QubitPairSource:
-        c_threshold = _QUBIT_C_THRESHOLD
-        for _ in range(n_slots):
-            counts[outcome[
-                next_u64() >> 59 & 16 | next_u64() >> 60 & 8 | next_u64() >> 61 & 4
-                | next_u64() >> 62 & 2 | (next_u64() >= c_threshold)
-            ]] += 1
-            next_u64()  # B's measurement, which gives c again
-        return tuple(counts)
-    draw = source.draw
-    c_bit = _C_BIT
     for _ in range(n_slots):
+        # the top bit of each word, shifted to its place in the table index;
+        # operands evaluate left to right, so c is drawn after the four bits
         counts[outcome[
             next_u64() >> 59 & 16 | next_u64() >> 60 & 8 | next_u64() >> 61 & 4
-            | next_u64() >> 62 & 2 | c_bit[draw(rng)]
+            | next_u64() >> 62 & 2 | (next_u64() >= c_threshold)
         ]] += 1
+        if qubit:
+            next_u64()
     return tuple(counts)

@@ -94,7 +94,7 @@ def simulate(params: AlohaParams, n_slots: int, rng: RandomSource, workers: int 
     from . import _kernels
 
     counts = _kernels.map_chunks(
-        "aloha", lambda count, seed: _kernels.aloha_tally(params.m, params.p, count, seed),
+        lambda count, seed: _kernels.aloha_tally(params.m, params.p, count, seed),
         n_slots, rng, workers,
     )
     return RunStats.from_two_valued(n_slots, sum(counts), lo=0.0, hi=1.0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Protocol
+from typing import Optional
 
 from .qubit import BETA_00, QubitId, measure_qubit
 from .rng import RandomSource
@@ -99,20 +99,15 @@ class ChannelObservation:
 
     @classmethod
     def idle(cls) -> "ChannelObservation":
-        return _IDLE
+        return cls(ChannelState.IDLE)
 
     @classmethod
     def collision(cls) -> "ChannelObservation":
-        return _COLLISION
+        return cls(ChannelState.COLLISION)
 
     @classmethod
     def single(cls, payload: int, sender: Party) -> "ChannelObservation":
         return cls(ChannelState.SINGLE, payload=payload, sender=sender)
-
-
-# payload-free observations are all alike, so one instance each serves every slot
-_IDLE = ChannelObservation(ChannelState.IDLE)
-_COLLISION = ChannelObservation(ChannelState.COLLISION)
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,19 +243,6 @@ def expected_bits_per_direction() -> dict[str, float]:
     }
 
 
-class PairSource(Protocol):
-    """Supplier of the shared per-slot bit c.
-
-    The kernels route a source by its exact type. Only the two built-in
-    sources below have a compiled loop, and both backends read a
-    ``QubitPairSource``'s c off its two measurement words rather than
-    calling it. Any other source, subclasses included, runs the pure
-    kernel, which calls its ``draw`` once per slot.
-    """
-
-    def draw(self, rng: RandomSource) -> int: ...
-
-
 class QubitPairSource:
     """Draw c by preparing |beta_00> and measuring the two halves.
 
@@ -305,7 +287,7 @@ class HyperdenseStats:
 def simulate(
     n_slots: int,
     rng: RandomSource,
-    source: Optional[PairSource] = None,
+    source: Optional[QubitPairSource | CoinPairSource] = None,
     workers: int = 1,
 ) -> HyperdenseStats:
     """Seeded Monte Carlo over protocol slots with uniform source bits.
@@ -315,14 +297,17 @@ def simulate(
     when the slot carried a single transmission, so integer channel tallies
     determine every statistic; results are identical for any worker count
     and either backend.
+
+    ``source`` must be exactly a ``QubitPairSource`` or a ``CoinPairSource``;
+    any other, a subclass included, raises TypeError before the one draw.
     """
     from . import _kernels
 
     if source is None:
         source = QubitPairSource()
+    _kernels.pure._is_qubit(source)  # raises for any other source, before the draw
     tallies = _kernels.map_chunks(
-        "hyperdense", lambda count, seed: _kernels.hyperdense_tally(count, seed, source),
-        n_slots, rng, workers, source,
+        lambda count, seed: _kernels.hyperdense_tally(count, seed, source), n_slots, rng, workers
     )
 
     collision = sum(t[0] for t in tallies)

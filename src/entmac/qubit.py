@@ -10,14 +10,6 @@ from the supplied RandomSource, then takes outcome 0 iff u < P(0). Outcome
 probabilities below ``PROB_CLAMP`` are clamped to zero first, so outcomes
 that are impossible up to rounding are never sampled. The fixed draw count
 keeps the pure and compiled simulation backends on identical streams.
-
-Finiteness invariant: the engine operations produce only states with four
-finite ``complex`` amplitudes, and only the public ``TwoQubitState(...)``
-constructor re-validates. The operations wrap their results with the private
-``TwoQubitState._trusted`` instead. A collapse divides each kept amplitude by
-the square root of a positive mass that includes it, so its result stays
-finite; ``apply_single_qubit``, whose PauliOp may hold any matrix, checks its
-products itself.
 """
 
 from __future__ import annotations
@@ -67,7 +59,9 @@ class TwoQubitState:
 
     The constructor checks finiteness only; normalization is the business of
     the operations that produce states (and of the tests that check them),
-    so degenerate inputs remain constructible for error-path coverage.
+    so degenerate inputs remain constructible for error-path coverage. Every
+    operation builds its result through it, so a PauliOp whose products
+    overflow raises here.
     """
 
     amps: tuple[complex, complex, complex, complex]
@@ -80,13 +74,6 @@ class TwoQubitState:
             if not cmath.isfinite(a):
                 raise ValueError(f"non-finite amplitude {a!r}")
         object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def _trusted(cls, amps: tuple[complex, complex, complex, complex]) -> "TwoQubitState":
-        """Wrap amplitudes already known to be four finite complex numbers."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "amps", amps)
-        return state
 
     def norm_sq(self) -> float:
         return sum(a.real * a.real + a.imag * a.imag for a in self.amps)
@@ -151,11 +138,7 @@ def apply_single_qubit(state: TwoQubitState, op: PauliOp, target: QubitId) -> Tw
             m00 * a2 + m01 * a3,
             m10 * a2 + m11 * a3,
         )
-    # a public PauliOp may hold any matrix, so the products can overflow
-    for a in new:
-        if not cmath.isfinite(a):
-            raise ValueError(f"non-finite amplitude {a!r}")
-    return TwoQubitState._trusted(new)
+    return TwoQubitState(new)
 
 
 def _mass(a: complex) -> float:
@@ -197,7 +180,7 @@ def measure_qubit(
     for i in keep:
         a = amps[i]
         new[i] = complex(a.real / norm, a.imag / norm)
-    return outcome, TwoQubitState._trusted(tuple(new))
+    return outcome, TwoQubitState(tuple(new))
 
 
 def bell_probabilities(state: TwoQubitState) -> tuple[float, float, float, float]:

@@ -143,8 +143,7 @@ def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:
     """
     from . import _kernels
 
-    return sum(_kernels.map_chunks("superdense", _kernels.superdense_tally, n_trials, rng,
-                                   workers))
+    return sum(_kernels.map_chunks(_kernels.superdense_tally, n_trials, rng, workers))
 
 
 def simulate(n_trials: int, rng: RandomSource, workers: int = 1) -> RunStats:

@@ -9,7 +9,6 @@ only when there is no C compiler with the Python headers.
 
 import hashlib
 import importlib.util
-import os
 
 import pytest
 
@@ -19,8 +18,6 @@ from entmac.aloha import AlohaParams, simulate as aloha_simulate
 from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
 from entmac.rng import RandomSource
-
-from _support import RecordingPool
 
 CHUNK = _kernels.CHUNK_SLOTS
 
@@ -138,38 +135,6 @@ def test_simulate_results_identical_across_backends(monkeypatch, compiled):
     assert pure_sd == fast_sd
 
 
-class StubSource:
-    """A custom pair source: nothing but ``draw``."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def draw(self, rng):
-        self.calls += 1
-        return 0
-
-
-class FlippedCoin(CoinPairSource):
-    """A subclass of a built-in source whose ``draw`` differs from its parent's."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def draw(self, rng):
-        self.calls += 1
-        return 1 - super().draw(rng)
-
-
-def test_custom_pair_source_falls_back_to_pure():
-    for source_cls in (StubSource, FlippedCoin):
-        source = source_cls()
-        tally = _kernels.hyperdense_tally(500, 99, source)
-        # the compiled path cannot drive a custom source, so it must have been
-        # consulted 500 times through the pure composition
-        assert source.calls == 500, source_cls
-        assert tally == pure.hyperdense_tally(500, 99, source_cls()), source_cls
-
-
 BAD_CALLS = {
     "outcome-table-short": ("hyperdense_tally", (10, 1, pure._OUTCOME[:31], None), ValueError),
     "outcome-table-long": ("hyperdense_tally", (10, 1, pure._OUTCOME + (0,), None), ValueError),
@@ -183,6 +148,8 @@ BAD_CALLS = {
     "aloha-threshold-negative": ("aloha_tally", (2, -1, 10, 1), OverflowError),
     "c-threshold-above-2**53": ("hyperdense_tally", (10, 1, pure._OUTCOME, 2**53 + 1),
                                 ValueError),
+    "aloha-m-0": ("aloha_tally", (0, 2**52, 10, 1), ValueError),
+    "aloha-m-negative": ("aloha_tally", (-1, 2**52, 10, 1), ValueError),
     "aloha-negative-n": ("aloha_tally", (2, 2**52, -1, 1), ValueError),
     "hyperdense-negative-n": ("hyperdense_tally", (-1, 1, pure._OUTCOME, None), ValueError),
     "superdense-negative-n": ("superdense_tally", (-1, 1, superdense._SD_OK), ValueError),
@@ -206,26 +173,6 @@ def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
     assert compiled.words(3, 0) == []
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Compiled backend, two CPUs, and the sizes of the pools map_chunks starts."""
-    RecordingPool.sizes = []
-    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return RecordingPool.sizes
-
-
-def test_runs_compiled_routes_only_the_compiled_kernels():
-    assert _kernels.backend_name() == "compiled"
-    assert _kernels.runs_compiled("aloha")
-    assert _kernels.runs_compiled("superdense")
-    assert _kernels.runs_compiled("hyperdense", QubitPairSource())
-    assert _kernels.runs_compiled("hyperdense", CoinPairSource())
-    assert not _kernels.runs_compiled("hyperdense", StubSource())
-    assert not _kernels.runs_compiled("hyperdense", FlippedCoin())
-    assert not _kernels.runs_compiled("hyperdense", type("Qubits", (QubitPairSource,), {})())
-
-
 def test_compiled_hyperdense_runs_on_a_two_thread_pool(pools):
     n = 2 * CHUNK
     two = hd_simulate(n, RandomSource(4), source=CoinPairSource(), workers=2)
@@ -239,10 +186,3 @@ def test_compiled_superdense_runs_on_a_two_thread_pool(pools, monkeypatch):
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
     assert superdense.count_successes(100, RandomSource(3), workers=2) == 100
     assert pools == [2]
-
-
-def test_gil_bound_chunks_get_no_pool_on_the_compiled_backend(pools, monkeypatch):
-    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
-    hd_simulate(100, RandomSource(3), source=StubSource(), workers=2)
-    hd_simulate(100, RandomSource(3), source=FlippedCoin(), workers=2)
-    assert pools == []

@@ -57,3 +57,14 @@ def test_two_user_aloha_succeeds_with_probability_exactly_one_half():
     assert t53 == 2**52
     p = Fraction(t53, 2**53)
     assert 2 * p * (1 - p) == HALF
+
+
+def test_aloha_at_one_third_differs_from_the_closed_form_only_by_threshold_rounding():
+    # ceil(p * 2**53) rounds the float nearest 1/3 up to the next multiple of 2**-53
+    q = Fraction(pure._transmit_threshold(1 / 3) >> 11, 2**53)
+    assert q == Fraction(1, 3) + Fraction(1, 3 * 2**53)
+    # three users at q succeed with 3q(1-q)**2, not the closed form's 4/9;
+    # the slope vanishes at 1/3, so the gap is far below one rounding step
+    law = 3 * q * (1 - q) ** 2
+    assert law != Fraction(4, 9)
+    assert abs(law - Fraction(4, 9)) < Fraction(1, 2**52)

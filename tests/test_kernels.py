@@ -9,9 +9,6 @@ from entmac import _kernels, aloha, hyperdense, superdense
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
 from entmac.rng import RandomSource
 
-from _support import RecordingPool
-
-
 def test_chunk_plan_covers_exactly():
     plan = _kernels.chunk_plan(123, 200_000)
     assert sum(count for _, count in plan) == 200_000
@@ -21,20 +18,11 @@ def test_chunk_plan_covers_exactly():
     assert _kernels.chunk_plan(123, 200_000) == plan
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Sizes of the pools map_chunks starts, with every kernel counted as compiled."""
-    RecordingPool.sizes = []
-    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(_kernels, "runs_compiled", lambda kernel, source=None: True)
-    return RecordingPool.sizes
-
-
 def chunk_echo(n_chunks, workers):
     """Drive an n_chunks run whose chunks return (slot_count, seed)."""
     n_slots = (n_chunks - 1) * _kernels.CHUNK_SLOTS + 1
-    return _kernels.map_chunks("aloha", lambda count, seed: (count, seed), n_slots,
-                               RandomSource(5), workers)
+    return _kernels.map_chunks(lambda count, seed: (count, seed), n_slots, RandomSource(5),
+                               workers)
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, pools):
@@ -80,17 +68,17 @@ def test_map_chunks_keeps_plan_order(monkeypatch, pools):
 
 def test_map_chunks_rejects_an_empty_run():
     rng = RandomSource(1)
-    with pytest.raises(ValueError, match="n_slots must be >= 1, got 0"):
-        _kernels.map_chunks("aloha", lambda count, seed: 0, 0, rng, 1)
+    with pytest.raises(ValueError, match="n_slots must be an integer >= 1, got 0"):
+        _kernels.map_chunks(lambda count, seed: 0, 0, rng, 1)
     # the check comes before the run's one draw
     assert rng.next_u64() == RandomSource(1).next_u64()
 
 
 ENTRY_POINTS = {
-    "aloha": lambda rng, workers: aloha.simulate(aloha.AlohaParams(2, 0.5), 10, rng, workers),
-    "hyperdense": lambda rng, workers: hyperdense.simulate(
-        10, rng, hyperdense.CoinPairSource(), workers),
-    "superdense": lambda rng, workers: superdense.count_successes(10, rng, workers),
+    "aloha": lambda n, rng, workers: aloha.simulate(aloha.AlohaParams(2, 0.5), n, rng, workers),
+    "hyperdense": lambda n, rng, workers: hyperdense.simulate(
+        n, rng, hyperdense.CoinPairSource(), workers),
+    "superdense": lambda n, rng, workers: superdense.simulate(n, rng, workers),
 }
 
 
@@ -102,18 +90,58 @@ def test_map_chunks_rejects_a_bad_worker_count(monkeypatch, backend, entry, work
     monkeypatch.setattr(_kernels, "_fast", None if backend == "pure" else object())
     rng = RandomSource(1)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-        ENTRY_POINTS[entry](rng, workers)
+        ENTRY_POINTS[entry](10, rng, workers)
     # the check comes before the run's one draw
     assert rng.next_u64() == RandomSource(1).next_u64()
 
 
-def test_runs_compiled_is_false_on_the_pure_backend(monkeypatch):
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("n_slots", [0, -1, True, 2.0, "3"])
+def test_map_chunks_rejects_a_bad_slot_count(monkeypatch, backend, entry, n_slots):
+    monkeypatch.setattr(_kernels, "_fast", None if backend == "pure" else object())
+    rng = RandomSource(1)
+    with pytest.raises(ValueError, match="n_slots must be an integer >= 1"):
+        ENTRY_POINTS[entry](n_slots, rng, 1)
+    assert rng.next_u64() == RandomSource(1).next_u64()
+
+
+def test_backend_name_follows_the_compiled_module(monkeypatch):
     monkeypatch.setattr(_kernels, "_fast", None)
     assert _kernels.backend_name() == "pure"
-    for kernel, source in (("aloha", None), ("superdense", None),
-                           ("hyperdense", hyperdense.QubitPairSource()),
-                           ("hyperdense", hyperdense.CoinPairSource())):
-        assert not _kernels.runs_compiled(kernel, source)
+    monkeypatch.setattr(_kernels, "_fast", object())
+    assert _kernels.backend_name() == "compiled"
+
+
+class StubSource:
+    """An object with a ``draw``, which is not one of the two pair sources."""
+
+    def draw(self, rng):
+        return 0
+
+
+TALLY_CALLERS = {
+    "simulate": lambda source, rng: hyperdense.simulate(10, rng, source),
+    "pure.hyperdense_tally": lambda source, rng: _kernels.pure.hyperdense_tally(10, 1, source),
+    "_kernels.hyperdense_tally": lambda source, rng: _kernels.hyperdense_tally(10, 1, source),
+}
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("caller", sorted(TALLY_CALLERS))
+@pytest.mark.parametrize("source_cls", [
+    StubSource,
+    type("CoinSubclass", (hyperdense.CoinPairSource,), {}),
+    type("QubitSubclass", (hyperdense.QubitPairSource,), {}),
+], ids=lambda cls: cls.__name__)
+def test_only_the_two_built_in_pair_sources_are_accepted(monkeypatch, backend, caller,
+                                                         source_cls):
+    monkeypatch.setattr(_kernels, "_fast", None if backend == "pure" else object())
+    rng = RandomSource(1)
+    with pytest.raises(TypeError, match=f"a CoinPairSource, got {source_cls.__name__}"):
+        TALLY_CALLERS[caller](source_cls(), rng)
+    # simulate checks before the run's one draw
+    assert rng.next_u64() == RandomSource(1).next_u64()
 
 
 @pytest.fixture

@@ -2,10 +2,10 @@
 comparison report, and the scenario table, serialized as text, JSON or CSV.
 
 Reproducibility contract: a campaign's output is a pure function of its
-config. Every protocol draws from its own labeled child stream of the
-master seed, so runs are byte-identical across repetitions, worker counts
-and backends, and changing one protocol's sample count cannot shift
-another protocol's stream.
+config and the format it is rendered in. Every protocol draws from its own
+labeled child stream of the master seed, so runs are byte-identical across
+repetitions, worker counts and backends, and changing one protocol's sample
+count cannot shift another protocol's stream.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class CampaignConfig:
     m: int = 2  # aloha only
     p: Optional[float] = None  # aloha only; defaults to 1/M
     c_source: str = "qubit"  # hyperdense only
-    output_format: str = "text"
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -77,10 +76,6 @@ class CampaignConfig:
             raise ConfigError("p", f"must be in [0, 1], got {self.p!r}")
         if self.c_source not in C_SOURCES:
             raise ConfigError("c_source", f"must be one of {C_SOURCES}, got {self.c_source!r}")
-        if self.output_format not in FORMATS:
-            raise ConfigError(
-                "output_format", f"must be one of {FORMATS}, got {self.output_format!r}"
-            )
 
     def resolved_p(self) -> float:
         return self.p if self.p is not None else 1.0 / self.m
@@ -270,82 +265,72 @@ TABLE_CSV_HEADER = ["l", "a1", "b1", "c", "alice_sends", "bob_sends", "channel",
 
 def enumerate_table(output_format: str = "text") -> str:
     """Serialize the eight-scenario table in the requested format."""
-    if output_format not in FORMATS:
-        raise ConfigError("output_format", f"must be one of {FORMATS}, got {output_format!r}")
     rows = scenario_rows()
     k_sum = sum(r["k"] for r in rows)
+    table = {"rows": rows, "k_sum": k_sum, "expected_bits_per_slot": k_sum / len(rows)}
+    return _render(table, output_format, _table_text, _table_csv_rows)
 
+
+def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return [(prefix, obj)]
+    out = []
+    for key, value in items:
+        out.extend(_flatten(value, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
+def _statistic_rows(json_dict: dict) -> list[list]:
+    """One protocol/statistic/value CSV row per leaf of a protocol's dict."""
+    protocol = json_dict["protocol"]
+    rows = [["protocol", "statistic", "value"]]
+    rows.extend([protocol, path, value] for path, value in _flatten(json_dict)
+                if path != "protocol")
+    return rows
+
+
+def _render(json_dict: dict, output_format: str, text_fn, csv_rows=_statistic_rows) -> str:
+    """The one serializer: json_dict as JSON, as ``csv_rows`` CSV, or as ``text_fn`` text."""
     if output_format == "json":
-        obj = {
-            "rows": rows,
-            "k_sum": k_sum,
-            "expected_bits_per_slot": k_sum / len(rows),
-        }
-        return json.dumps(obj, indent=2) + "\n"
-
+        return json.dumps(json_dict, indent=2) + "\n"
     if output_format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TABLE_CSV_HEADER)
-        for r in rows:
-            writer.writerow([_csv_value(r[key]) for key in TABLE_CSV_HEADER])
+        # str() each value: csv.writer would write None as an empty field
+        csv.writer(buf, lineterminator="\n").writerows(
+            [str(value) for value in row] for row in csv_rows(json_dict)
+        )
         return buf.getvalue()
+    if output_format == "text":
+        return text_fn(json_dict)
+    raise ConfigError("output_format", f"must be one of {FORMATS}, got {output_format!r}")
 
+
+def _table_csv_rows(table: dict) -> list[list]:
+    return [TABLE_CSV_HEADER] + [[r[key] for key in TABLE_CSV_HEADER] for r in table["rows"]]
+
+
+def _table_text(table: dict) -> str:
     lines = [
         "Hyperdense coding: the eight equally likely slot scenarios",
         "",
         f"{'l':>2} {'A1':>3} {'B1':>3} {'CaCb':>5} {'Alice':>6} {'Bob':>6} "
         f"{'channel':>10} {'delivered':>12} {'K':>2}",
     ]
-    for r in rows:
+    for r in table["rows"]:
         cacb = "00" if r["c"] == 0 else "11"
         lines.append(
             f"{r['l']:>2} {r['a1']:>3} {r['b1']:>3} {cacb:>5} {r['alice_sends']:>6} "
             f"{r['bob_sends']:>6} {r['channel']:>10} {r['delivered']:>12} {r['k']:>2}"
         )
     lines.append("")
-    lines.append(f"sum K = {k_sum}, expected bits per slot = {k_sum / len(rows)}")
+    lines.append(
+        f"sum K = {table['k_sum']}, expected bits per slot = {table['expected_bits_per_slot']}"
+    )
     return "\n".join(lines) + "\n"
-
-
-def _csv_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
-    if isinstance(obj, dict):
-        out = []
-        for key, value in obj.items():
-            out.extend(_flatten(value, f"{prefix}.{key}" if prefix else str(key)))
-        return out
-    if isinstance(obj, (list, tuple)):
-        out = []
-        for i, value in enumerate(obj):
-            out.extend(_flatten(value, f"{prefix}.{i}"))
-        return out
-    return [(prefix, obj)]
-
-
-def _render(json_dict: dict, output_format: str, text_fn) -> str:
-    if output_format == "json":
-        return json.dumps(json_dict, indent=2) + "\n"
-    if output_format == "csv":
-        protocol = json_dict["protocol"]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["protocol", "statistic", "value"])
-        for path, value in _flatten(json_dict):
-            if path == "protocol":
-                continue
-            writer.writerow([protocol, path, _csv_value(value)])
-        return buf.getvalue()
-    if output_format == "text":
-        return text_fn(json_dict)
-    raise ConfigError("output_format", f"must be one of {FORMATS}, got {output_format!r}")
 
 
 def _stats_line(s: dict) -> str:

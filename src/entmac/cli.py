@@ -11,8 +11,10 @@ import sys
 from typing import Optional, Sequence
 
 from .campaign import (
+    C_SOURCES,
     DEFAULT_SEED,
     DEFAULT_SLOTS,
+    FORMATS,
     CampaignConfig,
     ConfigError,
     enumerate_table,
@@ -30,13 +32,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=FORMATS, default="text",
+                       help="output format (default text)")
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--slots", type=int, default=DEFAULT_SLOTS, metavar="N",
                        help=f"number of slots/trials (default {DEFAULT_SLOTS})")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
                        help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                       help="output format (default text)")
+        add_format(p)
         p.add_argument("--workers", type=int, default=1, metavar="W",
                        help="worker threads; never changes the reported numbers")
 
@@ -47,21 +52,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_aloha.add_argument("--p", type=float, default=None, metavar="X",
                          help="per-user transmit probability (default 1/M)")
 
-    p_sd = sub.add_parser("superdense", help="superdense-coding roundtrip campaign")
-    add_common(p_sd)
+    add_common(sub.add_parser("superdense", help="superdense-coding roundtrip campaign"))
 
     p_hd = sub.add_parser("hyperdense", help="hyperdense-coding Monte Carlo")
     add_common(p_hd)
-    p_hd.add_argument("--c-source", choices=("qubit", "coin"), default="qubit",
+    p_hd.add_argument("--c-source", choices=C_SOURCES, default="qubit",
                       dest="c_source",
                       help="where the shared slot bit comes from (default qubit)")
 
-    p_cmp = sub.add_parser("compare", help="three-way throughput comparison report")
-    add_common(p_cmp)
+    add_common(sub.add_parser("compare", help="three-way throughput comparison report"))
 
-    p_table = sub.add_parser("table", help="print the eight-scenario table")
-    p_table.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                         help="output format (default text)")
+    add_format(sub.add_parser("table", help="print the eight-scenario table"))
 
     return parser
 
@@ -71,7 +72,6 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         protocol=args.command,
         n_slots=args.slots,
         seed=args.seed,
-        output_format=args.format,
     )
     if args.command == "aloha":
         cfg.m = args.users

@@ -115,6 +115,15 @@ _A_INDICES = ((0, 1), (2, 3))
 _B_INDICES = ((0, 2), (1, 3))
 
 
+def _target_indices(target: QubitId) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The index pairs of ``target``; a target that is not a QubitId raises TypeError."""
+    if target is QubitId.A:
+        return _A_INDICES
+    if target is QubitId.B:
+        return _B_INDICES
+    raise TypeError(f"target must be a QubitId, got {target!r}")
+
+
 def bell_state(idx: BellIndex) -> TwoQubitState:
     """The canonical Bell state |beta_kl>."""
     return _BELL_STATES[(idx.k, idx.l)]
@@ -124,7 +133,7 @@ def apply_single_qubit(state: TwoQubitState, op: PauliOp, target: QubitId) -> Tw
     """Apply (U x I) for target A, or (I x U) for target B."""
     a0, a1, a2, a3 = state.amps
     (m00, m01), (m10, m11) = op.matrix
-    if target is QubitId.A:
+    if _target_indices(target) is _A_INDICES:
         new = (
             m00 * a0 + m01 * a2,
             m00 * a1 + m01 * a3,
@@ -147,7 +156,7 @@ def _mass(a: complex) -> float:
 
 def measure_probabilities(state: TwoQubitState, target: QubitId) -> tuple[float, float]:
     """Born-rule probabilities (P(0), P(1)) for measuring one qubit."""
-    (z0, z1), (o0, o1) = _A_INDICES if target is QubitId.A else _B_INDICES
+    (z0, z1), (o0, o1) = _target_indices(target)
     amps = state.amps
     p0 = _mass(amps[z0]) + _mass(amps[z1])
     p1 = _mass(amps[o0]) + _mass(amps[o1])
@@ -173,7 +182,7 @@ def measure_qubit(
     else:
         outcome = 0 if u < p0 else 1
 
-    keep = (_A_INDICES if target is QubitId.A else _B_INDICES)[outcome]
+    keep = _target_indices(target)[outcome]
     norm = math.sqrt(p0 if outcome == 0 else p1)
     amps = state.amps
     new = [complex(0.0, 0.0)] * 4

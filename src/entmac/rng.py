@@ -56,19 +56,13 @@ class RandomSource:
 
     All randomness in the package flows through this class (or through the
     compiled kernels, which replay the identical sequence from the same
-    seed). ``split`` derives from the creation seed, independent of how many
-    values have been drawn.
+    seed). Child streams come from ``derive_seed``, never from a stream.
     """
 
-    __slots__ = ("_seed", "_state")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
-        self._state = self._seed
-
-    @property
-    def seed(self) -> int:
-        return self._seed
+        self._state = seed & _MASK64
 
     def next_u64(self) -> int:
         state = (self._state + _GOLDEN) & _MASK64
@@ -88,10 +82,3 @@ class RandomSource:
     def next_bit(self) -> int:
         """Fair bit (the top bit of the next word)."""
         return self.next_u64() >> 63
-
-    def split(self, label: str) -> "RandomSource":
-        """Independent labeled child stream (position-independent)."""
-        return RandomSource(derive_seed(self._seed, label))
-
-    def __repr__(self) -> str:
-        return f"RandomSource(seed={self._seed:#x})"

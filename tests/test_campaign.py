@@ -38,7 +38,7 @@ def parse_csv(text):
         (dict(protocol="aloha", m=0), "m"),
         (dict(protocol="aloha", p=1.5), "p"),
         (dict(protocol="hyperdense", c_source="dice"), "c_source"),
-        (dict(protocol="aloha", output_format="xml"), "output_format"),
+        (dict(protocol="aloha", m=2.0), "m"),
         # bool subclasses int, so the type checks must exclude it explicitly
         (dict(protocol="aloha", n_slots=True), "n_slots"),
         (dict(protocol="aloha", seed=False), "seed"),
@@ -54,6 +54,23 @@ def test_config_validation_reports_field(kwargs, field):
         cfg.validate()
     assert err.value.field == field
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda fmt: run_campaign(CampaignConfig(protocol="aloha", n_slots=10)).render(fmt),
+        lambda fmt: compare(10, 1).render(fmt),
+        enumerate_table,
+    ],
+    ids=["campaign", "compare", "table"],
+)
+def test_unknown_format_is_rejected_at_render_time(render):
+    # the format is an argument of rendering, not a field of the run's config
+    with pytest.raises(ConfigError) as err:
+        render("xml")
+    assert err.value.field == "output_format"
+    assert "output_format" in str(err.value)
 
 
 def test_config_default_p_is_one_over_m():
@@ -108,7 +125,7 @@ def test_hyperdense_coin_source_supported():
 @pytest.mark.parametrize("protocol", ["aloha", "superdense", "hyperdense"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_campaign_output_is_byte_identical(protocol, fmt):
-    cfg = CampaignConfig(protocol=protocol, n_slots=30_000, seed=2024, output_format=fmt)
+    cfg = CampaignConfig(protocol=protocol, n_slots=30_000, seed=2024)
     first = run_campaign(cfg).render(fmt)
     second = run_campaign(cfg).render(fmt)
     assert first == second

@@ -251,6 +251,21 @@ def test_measure_degenerate_state_raises():
         measure_bell(zero, RandomSource(1))
 
 
+@pytest.mark.parametrize("target", ["A", None])
+def test_engine_rejects_a_target_that_is_not_a_qubit_id(target):
+    # a string "A" must not fall through to qubit B: on |10> that would
+    # measure 0 where qubit A reads 1
+    state = TwoQubitState((0, 0, 1, 0))
+    with pytest.raises(TypeError):
+        apply_single_qubit(state, PAULIS["X"], target)
+    with pytest.raises(TypeError):
+        measure_probabilities(state, target)
+    rng = ScriptedRng(floats=[0.5])
+    with pytest.raises(TypeError):
+        measure_qubit(state, target, rng)
+    assert rng.next_float() == 0.5  # rejected before any draw
+
+
 def test_measure_bell_rejects_all_clamped_outcomes():
     # total mass clears the degeneracy gate but every single outcome falls
     # below the sampling clamp

@@ -49,9 +49,16 @@ def chunk_plan(base_seed: int, n_slots: int) -> list[tuple[int, int]]:
     return plan
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(workers: int, n_chunks: int) -> int:
-    """Threads worth starting for n_chunks chunks: never more than the chunks or CPUs."""
-    return min(workers, n_chunks, os.cpu_count() or 1)
+    """Threads worth starting for n_chunks chunks: never more than the chunks or usable CPUs."""
+    return min(workers, n_chunks, _usable_cpus())
 
 
 def map_chunks(fn, n_slots: int, rng, workers: int) -> list:

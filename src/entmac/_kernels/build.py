@@ -29,7 +29,7 @@ def build(target: Path | None = None, flags: tuple[str, ...] = ()) -> Path:
         raise FileNotFoundError("building _fast.c needs gcc or cc and the Python headers")
     if target is None:
         target = SOURCE.with_name("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-I{include}",
+    subprocess.run([compiler, "-O2", "-shared", "-fPIC", f"-I{include}",
                     str(SOURCE), "-o", str(target), *flags], check=True)
     return Path(target)
 

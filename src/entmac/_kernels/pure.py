@@ -18,8 +18,8 @@ import by those same operations:
 The compiled kernel knows none of these: the dispatchers in
 ``entmac._kernels`` pass it the same tables and thresholds.
 
-An engine measurement takes its outcome from one uniform u by cumulative
-sampling, which is monotone in u. So ``superdense._independent_of_u``
+An engine measurement takes its outcome from one uniform u with
+``qubit._sample``, which is monotone in u. So ``qubit._independent_of_u``
 proves a measurement's result the same for every u by running it at the
 least and the greatest u that ``next_float`` returns, and raises at import
 when the two differ. Tests pin each loop to a slot-by-slot replay through
@@ -54,8 +54,8 @@ from ..hyperdense import (
     run_slot,
 )
 from ..qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
+from ..qubit import _U_ENDS, _independent_of_u, _OneUniform
 from ..rng import RandomSource
-from ..superdense import _U_ENDS, _independent_of_u, _OneUniform
 
 
 def _tally_index(a1: int, a2: int, b1: int, b2: int, c: int) -> int:

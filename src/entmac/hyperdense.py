@@ -129,8 +129,6 @@ class SlotOutcome:
     a_sent: Optional[int]
     b_sent: Optional[int]
     channel: ChannelObservation
-    alice_view: DecodedView
-    bob_view: DecodedView
     delivered_to_alice: dict
     delivered_to_bob: dict
     k: int
@@ -205,8 +203,6 @@ def run_slot(alice: PartyBits, bob: PartyBits, c: SharedOutcome) -> SlotOutcome:
         a_sent=a_tx,
         b_sent=b_tx,
         channel=obs,
-        alice_view=alice_view,
-        bob_view=bob_view,
         delivered_to_alice=delivered_to_alice,
         delivered_to_bob=delivered_to_bob,
         k=len(delivered_to_alice) + len(delivered_to_bob),

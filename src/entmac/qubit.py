@@ -5,11 +5,15 @@ with Alice's qubit in the left (most significant) position and Bob's in the
 right. That ordering makes the Bell-state table of the superdense encoder
 read off directly from the amplitude tuples.
 
-Measurement sampling: every measurement consumes exactly one uniform draw
-from the supplied RandomSource, then takes outcome 0 iff u < P(0). Outcome
-probabilities below ``PROB_CLAMP`` are clamped to zero first, so outcomes
-that are impossible up to rounding are never sampled. The fixed draw count
-keeps the pure and compiled simulation backends on identical streams.
+Measurement sampling: both measurements pick their outcome with ``_sample``.
+A total outcome mass below ``DEGENERATE_MASS`` raises DegenerateStateError
+before any draw. Otherwise it draws exactly one uniform u from the supplied
+RandomSource, skips the outcomes below ``PROB_CLAMP`` (impossible up to
+rounding, so never sampled) and returns the first outcome whose cumulative
+probability exceeds u, or the last one not skipped when u lands past the
+accumulated mass. If it skipped every outcome it raises
+DegenerateStateError. The pick is monotone in u, which ``_independent_of_u``
+turns into a proof that a result holds for every u.
 """
 
 from __future__ import annotations
@@ -131,27 +135,38 @@ def bell_state(idx: BellIndex) -> TwoQubitState:
 
 def apply_single_qubit(state: TwoQubitState, op: PauliOp, target: QubitId) -> TwoQubitState:
     """Apply (U x I) for target A, or (I x U) for target B."""
-    a0, a1, a2, a3 = state.amps
     (m00, m01), (m10, m11) = op.matrix
-    if _target_indices(target) is _A_INDICES:
-        new = (
-            m00 * a0 + m01 * a2,
-            m00 * a1 + m01 * a3,
-            m10 * a0 + m11 * a2,
-            m10 * a1 + m11 * a3,
-        )
-    else:
-        new = (
-            m00 * a0 + m01 * a1,
-            m10 * a0 + m11 * a1,
-            m00 * a2 + m01 * a3,
-            m10 * a2 + m11 * a3,
-        )
-    return TwoQubitState(new)
+    amps = state.amps
+    new = [complex(0.0, 0.0)] * 4
+    # U mixes each amplitude with target 0 and its partner with target 1
+    for z, o in zip(*_target_indices(target)):
+        new[z] = m00 * amps[z] + m01 * amps[o]
+        new[o] = m10 * amps[z] + m11 * amps[o]
+    return TwoQubitState(tuple(new))
 
 
 def _mass(a: complex) -> float:
     return a.real * a.real + a.imag * a.imag
+
+
+def _sample(probs: tuple[float, ...], rng: RandomSource) -> int:
+    """Index of the outcome picked from ``probs`` by the rule in the module docstring."""
+    total = sum(probs)
+    if total < DEGENERATE_MASS:
+        raise DegenerateStateError(f"total outcome mass {total} is below {DEGENERATE_MASS}")
+    u = rng.next_float()
+    cum = 0.0
+    pick = None
+    for i, p in enumerate(probs):
+        if p < PROB_CLAMP:
+            continue
+        pick = i
+        cum += p
+        if u < cum:
+            return i
+    if pick is None:
+        raise DegenerateStateError("no outcome carries measurable probability")
+    return pick
 
 
 def measure_probabilities(state: TwoQubitState, target: QubitId) -> tuple[float, float]:
@@ -169,21 +184,12 @@ def measure_qubit(
     """Measure one qubit in the computational basis, collapsing the state.
 
     Returns the outcome bit and the renormalized post-measurement state.
-    Raises DegenerateStateError when the state carries no probability mass.
+    Raises DegenerateStateError when ``_sample`` finds no outcome to pick.
     """
-    p0, p1 = measure_probabilities(state, target)
-    if p0 + p1 < DEGENERATE_MASS:
-        raise DegenerateStateError(f"total outcome mass {p0 + p1} is below {DEGENERATE_MASS}")
-    u = rng.next_float()
-    if p0 < PROB_CLAMP:
-        outcome = 1
-    elif p1 < PROB_CLAMP:
-        outcome = 0
-    else:
-        outcome = 0 if u < p0 else 1
-
+    probs = measure_probabilities(state, target)
+    outcome = _sample(probs, rng)
     keep = _target_indices(target)[outcome]
-    norm = math.sqrt(p0 if outcome == 0 else p1)
+    norm = math.sqrt(probs[outcome])
     amps = state.amps
     new = [complex(0.0, 0.0)] * 4
     for i in keep:
@@ -212,24 +218,36 @@ _BELL_OUTCOMES = (BellIndex(0, 0), BellIndex(0, 1), BellIndex(1, 0), BellIndex(1
 
 def measure_bell(state: TwoQubitState, rng: RandomSource) -> BellIndex:
     """Projective measurement in the Bell basis."""
-    probs = bell_probabilities(state)
-    if sum(probs) < DEGENERATE_MASS:
-        raise DegenerateStateError(f"total outcome mass {sum(probs)} is below {DEGENERATE_MASS}")
-    u = rng.next_float()
-    cum = 0.0
-    pick = None
-    for idx, p in zip(_BELL_OUTCOMES, probs):
-        if p < PROB_CLAMP:
-            # impossible up to rounding: never sampled
-            continue
-        pick = idx
-        cum += p
-        if u < cum:
-            return idx
-    if pick is None:
-        # every outcome fell below the clamp although the total mass passed
-        # the degeneracy gate: the input was unnormalizable junk
-        raise DegenerateStateError("no outcome carries measurable probability")
-    # u landed past the accumulated mass (possible when the probabilities sum
-    # to slightly under 1); fall back to the last feasible outcome
-    return pick
+    return _BELL_OUTCOMES[_sample(bell_probabilities(state), rng)]
+
+
+class _OneUniform:
+    """Stub rng whose next_float returns u once; a second draw raises IndexError."""
+
+    __slots__ = ("_us",)
+
+    def __init__(self, u: float):
+        self._us = [u]
+
+    def next_float(self) -> float:
+        return self._us.pop()
+
+
+#: the least and the greatest value RandomSource.next_float returns
+_U_ENDS = (0.0, 1.0 - 2.0**-53)
+
+
+def _independent_of_u(measure, *args):
+    """``measure(*args, rng)``, proved the same for every uniform it draws from rng.
+
+    A measurement draws one uniform u and picks its outcome with ``_sample``,
+    which is monotone in u, so a result that is equal at both ends of
+    next_float()'s range is the result for every u. Raises RuntimeError when
+    the two ends differ.
+    """
+    lo, hi = (measure(*args, _OneUniform(u)) for u in _U_ENDS)
+    if lo != hi:
+        raise RuntimeError(
+            f"{measure.__name__} depends on the uniform: {lo!r} at u = 0, {hi!r} at u = 1 - 2**-53"
+        )
+    return lo

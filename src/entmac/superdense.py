@@ -22,6 +22,7 @@ from .qubit import (
     PauliOp,
     QubitId,
     TwoQubitState,
+    _independent_of_u,
     apply_single_qubit,
     measure_bell,
 )
@@ -72,40 +73,6 @@ def roundtrip(d: Dibit, rng: RandomSource) -> Dibit:
     return Dibit(idx.k, idx.l)
 
 
-class _OneUniform:
-    """Stub rng whose next_float returns u once; a second draw raises IndexError."""
-
-    __slots__ = ("_us",)
-
-    def __init__(self, u: float):
-        self._us = [u]
-
-    def next_float(self) -> float:
-        return self._us.pop()
-
-
-#: the least and the greatest value RandomSource.next_float returns
-_U_ENDS = (0.0, 1.0 - 2.0**-53)
-
-
-def _independent_of_u(measure, *args):
-    """``measure(*args, rng)``, proved the same for every uniform it draws from rng.
-
-    An engine measurement draws one uniform u and picks its outcome by
-    cumulative sampling, which is monotone in u, so a result that is equal at
-    both ends of next_float()'s range is the result for every u. Raises
-    RuntimeError when the two ends differ. The pure hyperdense kernel proves
-    its qubit pair source with it too; it lives here so that importing this
-    module does not import the kernels.
-    """
-    lo, hi = (measure(*args, _OneUniform(u)) for u in _U_ENDS)
-    if lo != hi:
-        raise RuntimeError(
-            f"{measure.__name__} depends on the uniform: {lo!r} at u = 0, {hi!r} at u = 1 - 2**-53"
-        )
-    return lo
-
-
 def _decodes(a1: int, a2: int) -> int:
     """1 when Bob's Bell measurement of the encoded (a1, a2) reads (a1, a2), for every uniform."""
     idx = _independent_of_u(measure_bell, channel_state_after_encoding(Dibit(a1, a2)))
@@ -113,7 +80,8 @@ def _decodes(a1: int, a2: int) -> int:
 
 
 #: 1 where ``roundtrip`` returns its dibit (A1, A2), read as the two-bit
-#: number A1 A2; built by the engine and proved free of the Bell uniform
+#: number A1 A2; built by the engine and proved free of the Bell uniform by
+#: ``qubit._independent_of_u``
 _SD_OK = tuple(_decodes(a1, a2) for a1 in (0, 1) for a2 in (0, 1))
 
 

@@ -1,7 +1,5 @@
 """Fixtures shared by the test modules."""
 
-import os
-
 import pytest
 
 from entmac import _kernels
@@ -18,7 +16,7 @@ def pools(monkeypatch):
     """
     RecordingPool.sizes = []
     monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     if _kernels._fast is None:
         monkeypatch.setattr(_kernels, "_fast", object())
     return RecordingPool.sizes

@@ -31,6 +31,16 @@ def test_golden_pure_qubit_chunks():
     assert pure.hyperdense_tally(65_536, 7, QubitPairSource()) == (16444, 16246, 16340, 16506)
 
 
+def test_golden_outcome_table():
+    # the table every hyperdense kernel reads, built at import from run_slot;
+    # the engine-built superdense._SD_OK and pure._QUBIT_C_THRESHOLD are
+    # pinned in test_superdense.py and test_hyperdense.py
+    assert pure._OUTCOME == (
+        0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3,
+        3, 2, 3, 2, 1, 0, 1, 0, 3, 2, 3, 2, 1, 0, 1, 0,
+    )
+
+
 def test_golden_superdense_successes():
     assert superdense.count_successes(10_000, RandomSource(999)) == 10_000
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from entmac import _kernels, aloha, hyperdense, superdense
+from entmac import _kernels, aloha, hyperdense, qubit, superdense
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
 from entmac.rng import RandomSource
 
@@ -25,8 +25,12 @@ def chunk_echo(n_chunks, workers):
                                workers)
 
 
+#: the CPU count pool_size reads, kept before the pools fixture replaces it
+usable_cpus = _kernels._usable_cpus
+
+
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
     assert _kernels.pool_size(1, 10) == 1
     assert _kernels.pool_size(2, 2) == 2
     assert _kernels.pool_size(3, 10) == 3
@@ -40,6 +44,8 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, pools):
 
 
 def test_pool_size_without_a_cpu_count(monkeypatch, pools):
+    monkeypatch.setattr(_kernels, "_usable_cpus", usable_cpus)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _kernels.pool_size(8, 8) == 1
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
@@ -47,16 +53,27 @@ def test_pool_size_without_a_cpu_count(monkeypatch, pools):
     assert pools == []
 
 
+def test_pool_size_counts_only_the_cpus_this_process_may_run_on(monkeypatch, pools):
+    # pinned to one CPU of four, as under `taskset -c 0`
+    monkeypatch.setattr(_kernels, "_usable_cpus", usable_cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _kernels.pool_size(2, 16) == 1
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    chunk_echo(16, 2)
+    assert pools == []
+
+
 def test_pool_size_keeps_two_threads_for_two_chunks_on_two_cpus(monkeypatch, pools):
     # `hyperdense --workers 2` over two 65536-slot chunks
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     assert _kernels.pool_size(2, 2) == 2
     chunk_echo(2, 2)
     assert pools == [2]
 
 
 def test_map_chunks_keeps_plan_order(monkeypatch, pools):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     plan = _kernels.chunk_plan(RandomSource(5).next_u64(), 33)
     expected = [(count, seed) for seed, count in plan]
@@ -174,13 +191,13 @@ def test_pure_hyperdense_starts_no_pool(no_pool, source_cls):
 
 
 def test_independent_of_u_returns_a_result_that_holds_for_every_uniform():
-    assert superdense._independent_of_u(measure_bell, BETA_00) == BellIndex(0, 0)
+    assert qubit._independent_of_u(measure_bell, BETA_00) == BellIndex(0, 0)
     c, collapsed = measure_qubit(BETA_00, QubitId.A, RandomSource(1))
-    assert superdense._independent_of_u(measure_qubit, collapsed, QubitId.B)[0] == c
+    assert qubit._independent_of_u(measure_qubit, collapsed, QubitId.B)[0] == c
 
 
 def test_independent_of_u_rejects_a_measurement_that_depends_on_u():
     with pytest.raises(RuntimeError, match="measure_qubit depends on the uniform"):
-        superdense._independent_of_u(measure_qubit, BETA_00, QubitId.A)
+        qubit._independent_of_u(measure_qubit, BETA_00, QubitId.A)
     with pytest.raises(RuntimeError, match="measure_bell depends on the uniform"):
-        superdense._independent_of_u(measure_bell, TwoQubitState((1, 0, 0, 0)))
+        qubit._independent_of_u(measure_bell, TwoQubitState((1, 0, 0, 0)))

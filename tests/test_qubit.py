@@ -266,12 +266,15 @@ def test_engine_rejects_a_target_that_is_not_a_qubit_id(target):
     assert rng.next_float() == 0.5  # rejected before any draw
 
 
-def test_measure_bell_rejects_all_clamped_outcomes():
+@pytest.mark.parametrize("measure, amps", [
+    (measure_bell, (1.4e-6, 0, 0, 0)),
+    (lambda state, rng: measure_qubit(state, QubitId.A, rng), (0.8e-6, 0, 0.8e-6, 0)),
+], ids=["measure_bell", "measure_qubit"])
+def test_measurement_rejects_all_clamped_outcomes(measure, amps):
     # total mass clears the degeneracy gate but every single outcome falls
     # below the sampling clamp
-    junk = TwoQubitState((1.4e-6, 0, 0, 0))
-    with pytest.raises(DegenerateStateError):
-        measure_bell(junk, RandomSource(1))
+    with pytest.raises(DegenerateStateError, match="no outcome carries measurable probability"):
+        measure(TwoQubitState(amps), RandomSource(1))
 
 
 def test_perfect_correlation_on_beta00():

@@ -1,15 +1,18 @@
 """Simulation kernel backends and the one runner of chunked Monte Carlo runs.
 
-The hot per-slot loops exist twice: ``pure`` (with
-``superdense.trial_successes``) is plain Python and always available;
-``_fast`` is a small hand-written C extension, built from ``_fast.c`` by
-``python -m entmac._kernels.build``. It draws the identical words and
-reads the same tables and thresholds, which the dispatchers below pass in,
-so both backends produce the same integer tallies bit for bit. One fact
-routes every kernel: the compiled backend runs exactly when ``_fast``
-imported. Hyperdense accepts only the two built-in pair sources, a
-``QubitPairSource`` or a ``CoinPairSource`` matched by exact type, on
-either backend.
+Each tally kernel exists twice. ``pure`` (with
+``superdense.trial_successes``) is plain Python and always available: it
+runs each protocol as one word program (thresholds, weights, skip, then a
+table) over blocks of about 512 SplitMix64 words at once, one word per
+128-bit lane of a Python int, with no per-slot loop. ``_fast`` is a small
+hand-written C extension, built from ``_fast.c`` by ``python -m
+entmac._kernels.build``, whose per-slot loops draw the identical words one
+at a time and read the same tables and thresholds, which the dispatchers
+below pass in. So both backends produce the same integer tallies bit for
+bit, by two independent implementations. One fact routes every kernel: the
+compiled backend runs exactly when ``_fast`` imported. Hyperdense accepts
+only the two built-in pair sources, a ``QubitPairSource`` or a
+``CoinPairSource`` matched by exact type, on either backend.
 """
 
 from __future__ import annotations

@@ -1,48 +1,66 @@
 """Pure-Python kernels: the reference the compiled backend must match.
 
-No loop here calls the statevector engine or builds an object per slot.
-Each replays the draws of the public protocol operations word by word and
-reads every result that does not depend on a draw from a table built at
-import by those same operations:
+Every kernel runs one word program (thresholds T_0 .. T_{k-1}, weights
+w_0 .. w_{k-1}, skip s) over its chunk stream: a slot reads k words, then
+draws s more it ignores, and its index is the sum of w_i * [word_i >= T_i].
+``_histogram`` counts each index over a chunk's slots, and each kernel maps
+those counts through its table at call time. The tables and thresholds
+come from the public protocol operations, run at import, so no kernel
+calls the statevector engine:
 
-* ``_OUTCOME`` holds, for each of the 32 inputs (A1, A2, B1, B2, c), the
-  tally its slot counts toward (collision, idle, single_alice,
-  single_bob), from one call of the public ``run_slot`` each.
-* ``_QUBIT_C_THRESHOLD`` stands in for ``QubitPairSource.draw``: measuring
-  qubit A of |beta_00> gives c = 0 exactly when its word is below the
-  threshold, and measuring B then gives c again while consuming one more
-  word.
-* ``superdense._SD_OK`` says whether Bob's Bell measurement decodes each
-  encoded dibit.
+* hyperdense: T = (2**63 four times, then c's threshold), w = (16, 8, 4,
+  2, 1), skip 1 for a ``QubitPairSource`` and 0 for a ``CoinPairSource``.
+  The index is the five-bit number A1 A2 B1 B2 c; ``_OUTCOME`` gives the
+  tally (collision, idle, single_alice, single_bob) of each, from one call
+  of the public ``run_slot``. c's threshold is 2**63 for the coin, whose
+  ``draw`` is the word's top bit, and ``_QUBIT_C_THRESHOLD`` for a qubit
+  pair: measuring qubit A of |beta_00> gives c = 0 exactly when its word
+  is below it, and measuring B then gives c again from the skipped word.
+* superdense (``superdense.trial_successes``): T = (2**63, 2**63), w = (2,
+  1), skip 1, the Bell measurement's uniform; ``superdense._SD_OK`` is 1
+  for each dibit A1 A2 that Bob's Bell measurement decodes.
+* Aloha: T = ``_transmit_threshold(p)`` for each of the M users, every
+  weight 1, skip 0. A user transmits when ``next_float() < p``, that is
+  when its word is below T, so the index counts the silent users and a
+  slot succeeds at index M - 1.
 
-The compiled kernel knows none of these: the dispatchers in
-``entmac._kernels`` pass it the same tables and thresholds.
+No word is drawn one at a time. SplitMix64 is counter-based: word j (from
+0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block of
+``_BLOCK_WORDS`` words is one Python int with one 128-bit lane per word,
+word j in bits 128 j .. 128 j + 63, and each step of ``mix64`` is one
+operation on the whole int: a lane's 64-bit value times a 64-bit constant
+fits in its 128 bits, and masking every lane to its low 64 bits after each
+xorshift drops the bits the shift brought in from the next lane. Adding
+2**64 - T_i to a word's lane (0 to a skipped word's) carries into bit 64
+exactly when the word is >= T_i, so byte 8 of each lane is that word's
+bit. Those bytes, spread over lanes as many bytes wide as the largest
+index needs and multiplied by the weights read as a polynomial, give each
+slot's index in the lane of its last word, and one slice picks them out.
+
+The compiled kernel knows none of the tables: the dispatchers in
+``entmac._kernels`` pass them in, and its per-slot loops draw the same
+words, so the backend-parity tests check this evaluator against an
+independent implementation.
 
 An engine measurement takes its outcome from one uniform u with
 ``qubit._sample``, which is monotone in u. So ``qubit._independent_of_u``
 proves a measurement's result the same for every u by running it at the
 least and the greatest u that ``next_float`` returns, and raises at import
-when the two differ. Tests pin each loop to a slot-by-slot replay through
-the engine (``tests/test_hyperdense.py``, ``tests/test_superdense.py``),
-which keeps these loops the oracle in backend-parity tests.
+when the two differ. Tests pin each kernel to a slot-by-slot replay through
+the public operations (``tests/test_hyperdense.py``,
+``tests/test_superdense.py``, ``tests/test_aloha.py``), which keeps these
+kernels the oracle in backend-parity tests.
 
-A hyperdense slot draws its four party bits as the top bits of four words
-from the chunk stream, then c as one word against a threshold:
-``_QUBIT_C_THRESHOLD`` for a ``QubitPairSource``, which then draws B's word,
-and 2**63 for a ``CoinPairSource``, whose ``draw`` is that word's top bit.
-These two are the only pair sources, matched by exact type: ``_is_qubit``
+The two pair sources are the only ones, matched by exact type: ``_is_qubit``
 rejects any other, subclasses included, for every caller.
-
-The Aloha loop replays ``aloha.run_slot``'s draws and decision inline: a
-user transmits when ``next_float() < p``, which it tests as one integer
-comparison of the raw word against ``_transmit_threshold(p)``;
-tests/test_aloha.py::test_run_slot_composition_matches_kernel pins it to
-``run_slot``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
+from typing import NamedTuple
 
 from ..hyperdense import (
     ChannelState,
@@ -55,7 +73,7 @@ from ..hyperdense import (
 )
 from ..qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
 from ..qubit import _U_ENDS, _independent_of_u, _OneUniform
-from ..rng import RandomSource
+from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 
 
 def _tally_index(a1: int, a2: int, b1: int, b2: int, c: int) -> int:
@@ -120,20 +138,102 @@ def _qubit_c_threshold() -> int:
 _QUBIT_C_THRESHOLD = _qubit_c_threshold()
 
 
+#: words per block of the evaluator, unless one slot needs more; a block runs whole slots
+_BLOCK_WORDS = 512
+
+
+class _Block(NamedTuple):
+    """Per-block constants of one word program."""
+
+    period: int  # words per slot, skipped ones included
+    lanes: int  # words per block
+    slots: int  # whole slots per block
+    width: int  # bytes per index lane
+    carry: int  # 2**64 - T_i in the lane of each read word, 0 in a skipped one
+    weights: int  # w_i in index lane period - 1 - i
+    advance: int  # what one block adds to each lane's counter, mod 2**64
+
+
+@functools.lru_cache(maxsize=32)
+def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], skip: int) -> _Block:
+    """Constants of the program, by its word period and thresholds; never by table."""
+    period = len(thresholds) + skip
+    lanes = max(_BLOCK_WORDS, period)
+    slots = lanes // period
+    width = max(1, -(-sum(weights).bit_length() // 8))
+    # a threshold <= 0 passes every word and one >= 2**64 none, as w >= T does
+    read = [((1 << 64) - min(max(t, 0), 1 << 64)).to_bytes(16, "little") for t in thresholds]
+    carry = b"".join(read + [bytes(16)] * skip) * slots
+    poly = b"".join(w.to_bytes(width, "little") for w in reversed(weights + (0,) * skip))
+    advance = (slots * period * _GOLDEN & _MASK64) * _lane_masks(lanes)[1]
+    return _Block(period, lanes, slots, width, int.from_bytes(carry, "little"),
+                  int.from_bytes(poly, "little"), advance)
+
+
+@functools.lru_cache(maxsize=4)
+def _lane_masks(lanes: int) -> tuple[int, int, int]:
+    """(2**64 - 1, 1, j * GOLDEN mod 2**64) in each lane j of ``lanes`` 128-bit lanes."""
+    low64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    steps = b"".join((j * _GOLDEN & _MASK64).to_bytes(16, "little") for j in range(lanes))
+    return low64, ones, int.from_bytes(steps, "little")
+
+
+def _mix(z: int, low64: int) -> int:
+    """``rng.mix64`` of the counter in each 128-bit lane of z, all lanes at once."""
+    z = (z ^ z >> 30) & low64
+    z = z * _MIX1 & low64
+    z = (z ^ z >> 27) & low64
+    z = z * _MIX2 & low64
+    return (z ^ z >> 31) & low64
+
+
+def _slot_indices(words: int, n_slots: int, block: _Block):
+    """Index of each of the first n_slots slots whose words fill ``words``'s lanes.
+
+    ``words`` holds one word below 2**64 per 128-bit lane, slot 0's first
+    word in lane 0, in at most ``block.lanes`` lanes; n_slots is at most
+    ``block.slots``. The indices come as bytes when they fit one byte.
+    """
+    bits = (words + block.carry).to_bytes(16 * block.lanes, "little")[8::16]
+    width, period = block.width, block.period
+    if width > 1:
+        spread = bytearray(width * block.lanes)
+        spread[::width] = bits
+        bits = spread
+    sums = (int.from_bytes(bits, "little") * block.weights).to_bytes(
+        width * (block.lanes + period), "little")
+    if width == 1:
+        return sums[period - 1:period * n_slots:period]
+    return [int.from_bytes(sums[at:at + width], "little")
+            for at in range(width * (period - 1), width * period * n_slots, width * period)]
+
+
+def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
+               weights: tuple[int, ...], skip: int) -> list[int]:
+    """[number of the n_slots slots of seed's stream with index i for each i <= sum(weights)].
+
+    Runs the word program (thresholds, weights, skip) block by block; see
+    the module docstring.
+    """
+    block = _block(thresholds, weights, skip)
+    low64, ones, steps = _lane_masks(block.lanes)
+    counters = ((seed + _GOLDEN & _MASK64) * ones + steps) & low64
+    counts = Counter()
+    for first in range(0, n_slots, block.slots):
+        counts.update(_slot_indices(_mix(counters, low64), min(block.slots, n_slots - first),
+                                    block))
+        counters = (counters + block.advance) & low64
+    return [counts[index] for index in range(sum(weights) + 1)]
+
+
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
-    """Successful-slot count for one contiguous chunk of an Aloha run."""
-    next_u64 = RandomSource(seed).next_u64
-    threshold = _transmit_threshold(p)
-    users = range(m)
-    successes = 0
-    for _ in range(n_slots):
-        transmitters = 0
-        for _ in users:
-            if next_u64() < threshold:
-                transmitters += 1
-        if transmitters == 1:
-            successes += 1
-    return successes
+    """Successful-slot count for one contiguous chunk of an Aloha run.
+
+    The index of a slot counts its silent users, so exactly one of the m
+    transmitted at index m - 1.
+    """
+    return _histogram(n_slots, seed, (_transmit_threshold(p),) * m, (1,) * m, 0)[m - 1]
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
@@ -145,16 +245,9 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     """
     qubit = _is_qubit(source)
     c_threshold = _QUBIT_C_THRESHOLD if qubit else 1 << 63
-    next_u64 = RandomSource(seed).next_u64
-    outcome = _OUTCOME
+    hist = _histogram(n_slots, seed, (1 << 63,) * 4 + (c_threshold,), (16, 8, 4, 2, 1),
+                      int(qubit))
     counts = [0, 0, 0, 0]
-    for _ in range(n_slots):
-        # the top bit of each word, shifted to its place in the table index;
-        # operands evaluate left to right, so c is drawn after the four bits
-        counts[outcome[
-            next_u64() >> 59 & 16 | next_u64() >> 60 & 8 | next_u64() >> 61 & 4
-            | next_u64() >> 62 & 2 | (next_u64() >= c_threshold)
-        ]] += 1
-        if qubit:
-            next_u64()
+    for index, count in enumerate(hist):
+        counts[_OUTCOME[index]] += count
     return tuple(counts)

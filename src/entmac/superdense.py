@@ -85,6 +85,12 @@ def _decodes(a1: int, a2: int) -> int:
 _SD_OK = tuple(_decodes(a1, a2) for a1 in (0, 1) for a2 in (0, 1))
 
 
+#: the word program of one trial (see ``entmac._kernels.pure``): A1 and A2
+#: as the top bits of two words, weighted as the two-bit number A1 A2, then
+#: the Bell measurement's uniform, drawn and skipped
+_SD_PROGRAM = ((1 << 63, 1 << 63), (2, 1), 1)
+
+
 def trial_successes(n_trials: int, seed: int) -> int:
     """Roundtrip successes over one contiguous seeded chunk of trials.
 
@@ -93,14 +99,9 @@ def trial_successes(n_trials: int, seed: int) -> int:
     depend on that uniform, so the trial adds the ``_SD_OK`` entry of its
     dibit rather than measuring.
     """
-    next_u64 = RandomSource(seed).next_u64
-    ok = _SD_OK
-    successes = 0
-    for _ in range(n_trials):
-        # operands evaluate left to right, so A1 is drawn first
-        successes += ok[next_u64() >> 62 & 2 | next_u64() >> 63]
-        next_u64()  # the Bell measurement's uniform
-    return successes
+    from ._kernels.pure import _histogram
+
+    return sum(count * ok for count, ok in zip(_histogram(n_trials, seed, *_SD_PROGRAM), _SD_OK))
 
 
 def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:

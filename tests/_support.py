@@ -12,6 +12,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+from entmac._kernels import pure
 from entmac.hyperdense import PartyBits, SharedOutcome, run_slot
 from entmac.rng import RandomSource
 
@@ -19,10 +20,9 @@ from entmac.rng import RandomSource
 class ScriptedRng:
     """Random source stub that replays preset draws."""
 
-    def __init__(self, floats=(), bits=(), u64s=()):
+    def __init__(self, floats=(), bits=()):
         self._floats = list(floats)
         self._bits = list(bits)
-        self._u64s = list(u64s)
 
     def next_float(self) -> float:
         return self._floats.pop(0)
@@ -30,8 +30,15 @@ class ScriptedRng:
     def next_bit(self) -> int:
         return self._bits.pop(0)
 
-    def next_u64(self) -> int:
-        return self._u64s.pop(0)
+
+def script_words(monkeypatch, words) -> None:
+    """Make each block of the pure kernels read ``words``, slot 0's first word first.
+
+    The words replace what ``pure._mix`` computes from the chunk stream, so
+    they go straight to the evaluator's bit and index stage.
+    """
+    lanes = sum(word << 128 * j for j, word in enumerate(words))
+    monkeypatch.setattr(pure, "_mix", lambda counters, low64: lanes)
 
 
 class RecordingPool(ThreadPoolExecutor):

@@ -181,10 +181,11 @@ def test_simulate_rejects_empty_run():
 def test_run_slot_composition_matches_kernel():
     # pure.aloha_tally replays run_slot's draws inline: running the public
     # single-slot op over one chunk stream must reproduce the kernel tally
-    # exactly (same draws, same decisions), the edge probabilities included
+    # exactly (same draws, same decisions), the edge probabilities included;
+    # M = 300 counts its silent users past 255, in two-byte index lanes
     n = 2000
     for m, p, seed in [(3, 0.4, 2718), (1, 1.0, 1), (2, 0.5, 12345), (5, 0.0, 7), (8, 0.125, 99),
-                         (2, 1, 3)]:
+                         (2, 1, 3), (300, 1 / 300, 4242)]:
         params = AlohaParams(m, p)
         rng = RandomSource(seed)
         successes = sum(1 for _ in range(n) if run_slot(params, rng).success)

@@ -37,6 +37,7 @@ from _support import (
     ScriptedRng,
     chi_square,
     replay_hyperdense_slots,
+    script_words,
 )
 
 ALL_BITS = (0, 1)
@@ -308,13 +309,13 @@ def test_qubit_c_threshold_is_the_measurement_boundary():
 
 def test_qubit_tally_reads_c_at_the_threshold(monkeypatch):
     # A1 = B1 = 0 in both slots: c = 0 collides, c = 1 leaves the slot idle;
-    # a slot that skipped B's word would read the next slot's bits off by one
+    # B's word is skipped whatever it holds: a slot that read it would read
+    # the next slot's bits off by one
     threshold = _kernels.pure._QUBIT_C_THRESHOLD
-    rng = ScriptedRng(u64s=[0, 0, 0, 0, threshold - 1, 2**64 - 1,
-                            0, 0, 0, 0, threshold, 2**64 - 1])
-    monkeypatch.setattr(_kernels.pure, "RandomSource", lambda seed: rng)
-    assert _kernels.pure.hyperdense_tally(2, 0, QubitPairSource()) == (1, 1, 0, 0)
-    assert rng._u64s == []
+    for b_word in (0, 2**64 - 1):
+        script_words(monkeypatch, [0, 0, 0, 0, threshold - 1, b_word,
+                                   0, 0, 0, 0, threshold, b_word])
+        assert _kernels.pure.hyperdense_tally(2, 0, QubitPairSource()) == (1, 1, 0, 0), b_word
 
 
 def test_coin_pair_source_is_fair():

@@ -4,10 +4,14 @@ the pure kernels' tables rest on."""
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmac import _kernels, aloha, hyperdense, qubit, superdense
+from entmac._kernels import pure
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
 from entmac.rng import RandomSource
+
 
 def test_chunk_plan_covers_exactly():
     plan = _kernels.chunk_plan(123, 200_000)
@@ -201,3 +205,44 @@ def test_independent_of_u_rejects_a_measurement_that_depends_on_u():
         qubit._independent_of_u(measure_qubit, BETA_00, QubitId.A)
     with pytest.raises(RuntimeError, match="measure_bell depends on the uniform"):
         qubit._independent_of_u(measure_bell, TwoQubitState((1, 0, 0, 0)))
+
+
+def naive_histogram(n_slots, seed, thresholds, weights, skip):
+    """The word program run one next_u64 at a time."""
+    rng = RandomSource(seed)
+    counts = [0] * (sum(weights) + 1)
+    for _ in range(n_slots):
+        counts[sum(w for t, w in zip(thresholds, weights) if rng.next_u64() >= t)] += 1
+        for _ in range(skip):
+            rng.next_u64()
+    return counts
+
+
+THRESHOLDS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64]),
+                       st.integers(0, 2**64))
+#: weights small enough for one-byte index lanes, and large enough for wider ones
+WEIGHTS = st.one_of(st.integers(0, 31), st.integers(0, 2**20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=st.integers(1, 10).flatmap(lambda k: st.tuples(
+           st.lists(THRESHOLDS, min_size=k, max_size=k),
+           st.lists(WEIGHTS, min_size=k, max_size=k))),
+       skip=st.integers(0, 2),
+       seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+       blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]))
+def test_word_program_histogram_matches_a_naive_loop(program, skip, seed, blocks):
+    # n_slots falls on and either side of a block boundary of the evaluator
+    thresholds, weights = map(tuple, program)
+    whole, extra = blocks
+    n_slots = whole * pure._block(thresholds, weights, skip).slots + extra
+    assert (pure._histogram(n_slots, seed, thresholds, weights, skip)
+            == naive_histogram(n_slots, seed, thresholds, weights, skip))
+
+
+def test_a_slot_longer_than_a_block_gets_a_block_of_its_own():
+    thresholds, weights = (1 << 63,) * 600, (1,) * 600
+    assert pure._block(thresholds, weights, 2).slots == 1
+    for seed in (0, 2**64 - 1):
+        assert (pure._histogram(3, seed, thresholds, weights, 2)
+                == naive_histogram(3, seed, thresholds, weights, 2))

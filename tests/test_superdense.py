@@ -16,7 +16,7 @@ from entmac.superdense import (
     simulate,
 )
 
-from _support import ADVERSARIAL_UNIFORMS, ScriptedRng, inner
+from _support import ADVERSARIAL_UNIFORMS, CountingRng, ScriptedRng, inner, script_words
 
 ALL_DIBITS = [Dibit(a1, a2) for a1 in (0, 1) for a2 in (0, 1)]
 
@@ -78,27 +78,29 @@ def test_roundtrip_consumes_exactly_one_uniform():
     assert stub._floats == []
 
 
-def test_trial_successes_replays_roundtrip(monkeypatch):
-    # per trial the chunk kernel consumes the words roundtrip consumes on a
-    # dibit of two next_bit draws: the two bits, then the Bell uniform
-    class CountingSource(RandomSource):
-        words = 0
-
-        def next_u64(self):
-            CountingSource.words += 1
-            return super().next_u64()
-
-    monkeypatch.setattr(superdense, "RandomSource", CountingSource)
-    successes = superdense.trial_successes(200, 31)
-    kernel_words = CountingSource.words
-    CountingSource.words = 0
-    rng = CountingSource(31)
+def test_trial_successes_replays_roundtrip():
+    # per trial the chunk kernel reads the words roundtrip consumes on a dibit
+    # of two next_bit draws: the two bits, then the Bell uniform
+    rng = CountingRng(RandomSource(31))
     replayed = 0
     for _ in range(200):
         d = Dibit(rng.next_bit(), rng.next_bit())
         replayed += roundtrip(d, rng) == d
-    assert successes == replayed == 200
-    assert kernel_words == CountingSource.words == 3 * 200
+    assert superdense.trial_successes(200, 31) == replayed == 200
+    assert (rng.bit_calls, rng.float_calls) == (2 * 200, 200)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_trial_reads_two_dibit_words_and_skips_the_third(monkeypatch, k):
+    # trial t carries the dibit t mod 4 in its first two words and an
+    # all-ones third word, the Bell uniform: a trial that read any word but
+    # its own first two would shift every later trial's dibit
+    words = []
+    for t in range(12):
+        words += [(t >> 1 & 1) << 63, (t & 1) << 63, 2**64 - 1]
+    script_words(monkeypatch, words)
+    monkeypatch.setattr(superdense, "_SD_OK", tuple(int(i == k) for i in range(4)))
+    assert superdense.trial_successes(12, 0) == 3
 
 
 @pytest.mark.parametrize("k", range(4))

@@ -1,18 +1,11 @@
 """Simulation kernel backends and the one runner of chunked Monte Carlo runs.
 
-Each tally kernel exists twice. ``pure`` (with
-``superdense.trial_successes``) is plain Python and always available: it
-runs each protocol as one word program (thresholds, weights, skip, then a
-table) over blocks of about 512 SplitMix64 words at once, one word per
-128-bit lane of a Python int, with no per-slot loop. ``_fast`` is a small
-hand-written C extension, built from ``_fast.c`` by ``python -m
-entmac._kernels.build``, whose per-slot loops draw the identical words one
-at a time and read the same tables and thresholds, which the dispatchers
-below pass in. So both backends produce the same integer tallies bit for
-bit, by two independent implementations. One fact routes every kernel: the
-compiled backend runs exactly when ``_fast`` imported. Hyperdense accepts
-only the two built-in pair sources, a ``QubitPairSource`` or a
-``CoinPairSource`` matched by exact type, on either backend.
+Every tally kernel folds the index histogram of its protocol's word program
+(see ``pure``) into a tally with ``pure._tally``. ``pure._histogram`` gives
+that histogram in plain Python, always available. ``_fast.histogram``, one
+GIL-free C loop built from ``_fast.c`` by ``python -m entmac._kernels.build``,
+gives it bit for bit by drawing the same words one at a time, and knows no
+protocol. The compiled backend runs exactly when ``_fast`` imported.
 """
 
 from __future__ import annotations
@@ -84,11 +77,16 @@ def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     return [fn(count, seed) for seed, count in plan]
 
 
+def _compiled_histogram(n_slots: int, seed: int, thresholds, weights, skip: int) -> list[int]:
+    """``pure._histogram`` on the compiled kernel, which takes each threshold T as T >> 11."""
+    return _fast.histogram(n_slots, seed, [t >> 11 for t in thresholds], weights, skip)
+
+
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Count of successful slots over one contiguous chunk."""
     if _fast is None:
         return pure.aloha_tally(m, p, n_slots, seed)
-    return _fast.aloha_tally(m, pure._transmit_threshold(p) >> 11, n_slots, seed)
+    return pure._tally(_compiled_histogram, n_slots, seed, pure._aloha_program(m, p))[1]
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
@@ -99,12 +97,13 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     """
     if _fast is None:
         return pure.hyperdense_tally(n_slots, seed, source)
-    c_t53 = pure._QUBIT_C_THRESHOLD >> 11 if pure._is_qubit(source) else None
-    return _fast.hyperdense_tally(n_slots, seed, pure._OUTCOME, c_t53)
+    return tuple(pure._tally(_compiled_histogram, n_slots, seed,
+                             pure._hyperdense_program(source), 4))
 
 
 def superdense_tally(n_trials: int, seed: int) -> int:
     """Roundtrip successes over one chunk of superdense trials."""
     if _fast is None:
         return superdense.trial_successes(n_trials, seed)
-    return _fast.superdense_tally(n_trials, seed, superdense._SD_OK)
+    program = (*superdense._SD_PROGRAM, superdense._SD_OK)
+    return pure._tally(_compiled_histogram, n_trials, seed, program)[1]

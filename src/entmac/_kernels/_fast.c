@@ -1,13 +1,16 @@
-/* Compiled tally kernels: the integer loops of entmac._kernels.pure, in C.
+/* Compiled tally kernel: the word-program evaluator of entmac._kernels.pure, in C.
  *
- * Every loop draws SplitMix64 words (Steele, Lea & Flood, OOPSLA 2014),
- * compares them with integer thresholds and looks results up in small
- * tables, all passed in from the pure backend, so both backends share one
- * source of truth and their tallies match bit for bit. Nothing here knows
- * the physics. A threshold T, a multiple of 2**11 up to 2**64, is passed as
- * t53 = T >> 11: then w < T exactly when (w >> 11) < t53, and T = 2**64
- * fits. The tally loops release the GIL. Every argument is range-checked
- * before a loop starts, so no table index can leave its table.
+ * One loop runs any word program (thresholds T_0 .. T_{k-1}, weights w_0 ..
+ * w_{k-1}, skip s) over n slots of a SplitMix64 stream (Steele, Lea & Flood,
+ * OOPSLA 2014): a slot reads k words, then draws s more it ignores, and its
+ * index is the sum of w_i * [word_i >= T_i]. It returns how many slots had
+ * each index. The programs and the tables that fold an index histogram into
+ * a tally stay on the Python side, so nothing here knows the physics and
+ * both backends share one source of truth. A threshold T, a multiple of
+ * 2**11 up to 2**64, is passed as t53 = T >> 11: then w >= T exactly when
+ * (w >> 11) >= t53, and T = 2**64 fits. The loop releases the GIL. Every
+ * argument is range-checked and every array sized from the program before
+ * it starts, so no index can leave the count array.
  *
  * Build with `python -m entmac._kernels.build`.
  */
@@ -15,9 +18,11 @@
 #include <Python.h>
 #include <stdint.h>
 
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
 static inline uint64_t next_u64(uint64_t *state)
 {
-    uint64_t z = *state += 0x9E3779B97F4A7C15ULL;
+    uint64_t z = *state += GOLDEN;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
@@ -46,43 +51,31 @@ static int u64_arg(PyObject *obj, void *out)  /* an int in 0..2**64-1 */
     return 1;
 }
 
-static int t53_arg(PyObject *obj, void *out)  /* an int in 0..2**53 */
+/* A new array of the ints in the sequence obj, each in 0..max, and their
+ * number in *len; the caller frees it. Returns NULL with an exception set. */
+static uint64_t *u64_array(PyObject *obj, uint64_t max, const char *name, Py_ssize_t *len)
 {
-    if (!u64_arg(obj, out))
-        return 0;
-    if (*(uint64_t *)out > (1ULL << 53)) {
-        PyErr_SetString(PyExc_ValueError, "threshold >> 11 must be <= 2**53");
-        return 0;
-    }
-    return 1;
-}
-
-/* Copies a sequence of exactly len ints, each in 0..max, into table. */
-static int table_arg(PyObject *obj, Py_ssize_t len, long max, unsigned char *table)
-{
-    PyObject *seq = PySequence_Fast(obj, "table must be a sequence");
+    PyObject *seq = PySequence_Fast(obj, "thresholds and weights must be sequences");
     if (seq == NULL)
-        return 0;
-    int ok = PySequence_Fast_GET_SIZE(seq) == len;
+        return NULL;
+    *len = PySequence_Fast_GET_SIZE(seq);
+    uint64_t *out = PyMem_New(uint64_t, *len);
+    int ok = out != NULL;
     if (!ok)
-        PyErr_Format(PyExc_ValueError, "table must have %zd entries, got %zd",
-                     len, PySequence_Fast_GET_SIZE(seq));
-    for (Py_ssize_t i = 0; ok && i < len; i++) {
-        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        ok = !(v == -1 && PyErr_Occurred());
-        if (ok && (v < 0 || v > max)) {
-            PyErr_Format(PyExc_ValueError, "table entry %zd must be in 0..%ld, got %ld",
-                         i, max, v);
+        PyErr_NoMemory();
+    for (Py_ssize_t i = 0; ok && i < *len; i++) {
+        ok = u64_arg(PySequence_Fast_GET_ITEM(seq, i), &out[i]);
+        if (ok && out[i] > max) {
+            PyErr_Format(PyExc_ValueError, "%s %zd must be <= %llu", name, i,
+                         (unsigned long long)max);
             ok = 0;
         }
-        table[i] = (unsigned char)v;
     }
     Py_DECREF(seq);
-    return ok;
+    if (!ok)
+        PyMem_Free(out);
+    return ok ? out : NULL;
 }
-
-static int outcome_arg(PyObject *obj, void *out) { return table_arg(obj, 32, 3, out); }
-static int ok_arg(PyObject *obj, void *out) { return table_arg(obj, 4, 1, out); }
 
 static PyObject *words(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -101,90 +94,76 @@ static PyObject *words(PyObject *Py_UNUSED(self), PyObject *args)
     return out;
 }
 
-static PyObject *aloha_tally(PyObject *Py_UNUSED(self), PyObject *args)
+static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_ssize_t m, n, successes = 0;
-    uint64_t t53, s;
-    if (!PyArg_ParseTuple(args, "nO&O&O&:aloha_tally", &m, t53_arg, &t53, count_arg, &n,
-                          u64_arg, &s))
+    Py_ssize_t n, skip, k, k_weights;
+    uint64_t s, *t53 = NULL, *w = NULL;
+    Py_ssize_t *counts = NULL;
+    PyObject *t53_obj, *weight_obj, *out = NULL;
+    if (!PyArg_ParseTuple(args, "O&O&OOO&:histogram", count_arg, &n, u64_arg, &s, &t53_obj,
+                          &weight_obj, count_arg, &skip))
         return NULL;
-    if (m < 1) {
-        PyErr_Format(PyExc_ValueError, "m must be >= 1, got %zd", m);
-        return NULL;
+    /* the largest index, sum(weights), stays within this bound, so neither the
+       index nor the size of the count array can overflow */
+    const uint64_t bound = (uint64_t)PY_SSIZE_T_MAX / sizeof(Py_ssize_t) - 1;
+    uint64_t top = 0;
+    if ((t53 = u64_array(t53_obj, 1ULL << 53, "threshold >> 11", &k)) == NULL
+        || (w = u64_array(weight_obj, bound, "weight", &k_weights)) == NULL)
+        goto done;
+    if (k != k_weights || k == 0) {
+        PyErr_Format(PyExc_ValueError, "a program needs at least one threshold and one "
+                     "weight per threshold, got %zd and %zd", k, k_weights);
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j < k && top <= bound; j++)
+        top += w[j];
+    if (top > bound) {
+        PyErr_SetString(PyExc_OverflowError, "sum(weights) is too large");
+        goto done;
+    }
+    if ((counts = PyMem_Calloc(top + 1, sizeof *counts)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
     }
     Py_BEGIN_ALLOW_THREADS
+    const uint64_t jump = (uint64_t)skip * GOLDEN;  /* the skipped words, drawn at once */
     for (Py_ssize_t i = 0; i < n; i++) {
-        Py_ssize_t transmitters = 0;
-        for (Py_ssize_t j = 0; j < m; j++)
-            transmitters += (next_u64(&s) >> 11) < t53;
-        successes += transmitters == 1;
+        uint64_t index = 0;
+        for (Py_ssize_t j = 0; j < k; j++)
+            index += w[j] * ((next_u64(&s) >> 11) >= t53[j]);
+        s += jump;
+        counts[index]++;
     }
     Py_END_ALLOW_THREADS
-    return PyLong_FromSsize_t(successes);
-}
-
-static PyObject *hyperdense_tally(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    Py_ssize_t n, counts[4] = {0, 0, 0, 0};
-    uint64_t s, c_t53 = 0;
-    unsigned char outcome[32];
-    PyObject *c_obj;
-    if (!PyArg_ParseTuple(args, "O&O&O&O:hyperdense_tally", count_arg, &n, u64_arg, &s,
-                          outcome_arg, outcome, &c_obj)
-        || (c_obj != Py_None && !t53_arg(c_obj, &c_t53)))
-        return NULL;
-    int qubit = c_obj != Py_None;
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < n; i++) {
-        unsigned index = 0;
-        for (int k = 0; k < 4; k++)  /* A1, A2, B1, B2: top bits */
-            index = index << 1 | (unsigned)(next_u64(&s) >> 63);
-        /* c: A's measurement word against the threshold, or a fair coin's top bit */
-        uint64_t w = next_u64(&s);
-        index = index << 1 | (unsigned)(qubit ? (w >> 11) >= c_t53 : w >> 63);
-        if (qubit)
-            next_u64(&s);  /* B's measurement word, which gives c again */
-        counts[outcome[index]]++;
+    out = PyList_New((Py_ssize_t)top + 1);
+    for (uint64_t i = 0; out != NULL && i <= top; i++) {
+        PyObject *count = PyLong_FromSsize_t(counts[i]);
+        if (count == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, (Py_ssize_t)i, count);
     }
-    Py_END_ALLOW_THREADS
-    return Py_BuildValue("(nnnn)", counts[0], counts[1], counts[2], counts[3]);
-}
-
-static PyObject *superdense_tally(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    Py_ssize_t n, successes = 0;
-    uint64_t s;
-    unsigned char ok[4];
-    if (!PyArg_ParseTuple(args, "O&O&O&:superdense_tally", count_arg, &n, u64_arg, &s,
-                          ok_arg, ok))
-        return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < n; i++) {
-        unsigned a1 = (unsigned)(next_u64(&s) >> 63);
-        unsigned a2 = (unsigned)(next_u64(&s) >> 63);
-        next_u64(&s);  /* the Bell measurement's uniform */
-        successes += ok[a1 << 1 | a2];
-    }
-    Py_END_ALLOW_THREADS
-    return PyLong_FromSsize_t(successes);
+done:
+    PyMem_Free(counts);
+    PyMem_Free(w);
+    PyMem_Free(t53);
+    return out;
 }
 
 static PyMethodDef methods[] = {
     {"words", words, METH_VARARGS, "words(seed, n): the first n SplitMix64 words from seed."},
-    {"aloha_tally", aloha_tally, METH_VARARGS,
-     "aloha_tally(m, t53, n, seed): successes over n slots of m users."},
-    {"hyperdense_tally", hyperdense_tally, METH_VARARGS,
-     "hyperdense_tally(n, seed, outcome_table, c_t53): (collision, idle, single_alice,\n"
-     "single_bob) over n slots; c_t53 is None for a fair-coin c."},
-    {"superdense_tally", superdense_tally, METH_VARARGS,
-     "superdense_tally(n, seed, ok_table): roundtrip successes over n trials."},
+    {"histogram", histogram, METH_VARARGS,
+     "histogram(n, seed, t53s, weights, skip): [number of the n slots with index i for\n"
+     "each i <= sum(weights)], where a slot reads one word per threshold, then skip\n"
+     "more, and its index is the sum of the weights of the words w with\n"
+     "(w >> 11) >= t53."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_fast",
-    .m_doc = "Compiled tally kernels that replay the pure backend's words and tables.",
+    .m_doc = "The compiled word-program evaluator that replays the pure backend's words.",
     .m_size = -1,
     .m_methods = methods,
 };

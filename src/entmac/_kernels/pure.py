@@ -3,10 +3,10 @@
 Every kernel runs one word program (thresholds T_0 .. T_{k-1}, weights
 w_0 .. w_{k-1}, skip s) over its chunk stream: a slot reads k words, then
 draws s more it ignores, and its index is the sum of w_i * [word_i >= T_i].
-``_histogram`` counts each index over a chunk's slots, and each kernel maps
-those counts through its table at call time. The tables and thresholds
-come from the public protocol operations, run at import, so no kernel
-calls the statevector engine:
+``_histogram`` counts each index over a chunk's slots, and ``_tally`` folds
+those counts through the program's table, read at call time. The tables
+and thresholds come from the public protocol operations, run at import, so
+no kernel calls the statevector engine:
 
 * hyperdense: T = (2**63 four times, then c's threshold), w = (16, 8, 4,
   2, 1), skip 1 for a ``QubitPairSource`` and 0 for a ``CoinPairSource``.
@@ -37,10 +37,10 @@ bit. Those bytes, spread over lanes as many bytes wide as the largest
 index needs and multiplied by the weights read as a polynomial, give each
 slot's index in the lane of its last word, and one slice picks them out.
 
-The compiled kernel knows none of the tables: the dispatchers in
-``entmac._kernels`` pass them in, and its per-slot loops draw the same
-words, so the backend-parity tests check this evaluator against an
-independent implementation.
+The compiled kernel's one loop runs the same programs a word at a time and
+knows no table: the dispatchers in ``entmac._kernels`` fold its histogram
+with ``_tally`` too, so the backend-parity tests check this evaluator
+against an independent implementation.
 
 An engine measurement takes its outcome from one uniform u with
 ``qubit._sample``, which is monotone in u. So ``qubit._independent_of_u``
@@ -227,13 +227,35 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     return [counts[index] for index in range(sum(weights) + 1)]
 
 
-def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
-    """Successful-slot count for one contiguous chunk of an Aloha run.
+def _tally(histogram, n_slots: int, seed: int, program, size: int = 2) -> list[int]:
+    """[number of the n_slots slots whose index has table entry k, for each k < size].
 
-    The index of a slot counts its silent users, so exactly one of the m
-    transmitted at index m - 1.
+    ``program`` is (thresholds, weights, skip, table); ``histogram`` runs its
+    first three over the chunk: ``_histogram`` here, and the compiled
+    kernel's twin in ``entmac._kernels``. This fold is the same on both.
     """
-    return _histogram(n_slots, seed, (_transmit_threshold(p),) * m, (1,) * m, 0)[m - 1]
+    thresholds, weights, skip, table = program
+    counts = [0] * size
+    for index, count in enumerate(histogram(n_slots, seed, thresholds, weights, skip)):
+        counts[table[index]] += count
+    return counts
+
+
+def _aloha_program(m: int, p: float):
+    """Aloha's program; its table counts a success (1) at index m - 1, one user transmitting."""
+    return (_transmit_threshold(p),) * m, (1,) * m, 0, (0,) * (m - 1) + (1, 0)
+
+
+def _hyperdense_program(source):
+    """Hyperdense's program for ``source``; its table is ``_OUTCOME``."""
+    qubit = _is_qubit(source)
+    c_threshold = _QUBIT_C_THRESHOLD if qubit else 1 << 63
+    return (1 << 63,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), int(qubit), _OUTCOME
+
+
+def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
+    """Successful-slot count for one contiguous chunk of an Aloha run."""
+    return _tally(_histogram, n_slots, seed, _aloha_program(m, p))[1]
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
@@ -243,11 +265,4 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     the next word reaches the source's threshold; a ``QubitPairSource`` then
     draws B's word, which gives c again.
     """
-    qubit = _is_qubit(source)
-    c_threshold = _QUBIT_C_THRESHOLD if qubit else 1 << 63
-    hist = _histogram(n_slots, seed, (1 << 63,) * 4 + (c_threshold,), (16, 8, 4, 2, 1),
-                      int(qubit))
-    counts = [0, 0, 0, 0]
-    for index, count in enumerate(hist):
-        counts[_OUTCOME[index]] += count
-    return tuple(counts)
+    return tuple(_tally(_histogram, n_slots, seed, _hyperdense_program(source), 4))

@@ -79,9 +79,6 @@ class TwoQubitState:
                 raise ValueError(f"non-finite amplitude {a!r}")
         object.__setattr__(self, "amps", amps)
 
-    def norm_sq(self) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for a in self.amps)
-
 
 @dataclass(frozen=True, slots=True)
 class PauliOp:

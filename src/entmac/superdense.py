@@ -99,9 +99,9 @@ def trial_successes(n_trials: int, seed: int) -> int:
     depend on that uniform, so the trial adds the ``_SD_OK`` entry of its
     dibit rather than measuring.
     """
-    from ._kernels.pure import _histogram
+    from ._kernels.pure import _histogram, _tally
 
-    return sum(count * ok for count, ok in zip(_histogram(n_trials, seed, *_SD_PROGRAM), _SD_OK))
+    return _tally(_histogram, n_trials, seed, (*_SD_PROGRAM, _SD_OK))[1]
 
 
 def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:

@@ -1,16 +1,19 @@
 """Pure vs compiled kernels: bit-for-bit stream and tally parity.
 
 The pure kernels are the reference semantics, so equality here pins the
-compiled shortcuts to them exactly. When the package was installed without
-its compiled kernel, ``_fast.c`` is built into a temporary directory by
-``entmac._kernels.build``, with every warning an error; the module skips
-only when there is no C compiler with the Python headers.
+compiled evaluator and the dispatchers' compiled branches to them exactly.
+When the package was installed without its compiled kernel, ``_fast.c`` is
+built into a temporary directory by ``entmac._kernels.build``, with every
+warning an error; the module skips only when there is no C compiler with
+the Python headers.
 """
 
 import hashlib
 import importlib.util
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entmac import _kernels, superdense
 from entmac._kernels import build, pure
@@ -21,8 +24,8 @@ from entmac.rng import RandomSource
 
 CHUNK = _kernels.CHUNK_SLOTS
 
-#: the compiled hyperdense kernel's c argument for each built-in source
-C_T53 = {"qubit": pure._QUBIT_C_THRESHOLD >> 11, "coin": None}
+#: c's threshold in the hyperdense program of each built-in source
+C_THRESHOLD = {"qubit": pure._QUBIT_C_THRESHOLD, "coin": 1 << 63}
 
 
 @pytest.fixture(scope="session")
@@ -48,11 +51,6 @@ def compiled(compiled_module, monkeypatch):
     return compiled_module
 
 
-def aloha_t53(p):
-    """The compiled Aloha kernel's threshold argument for transmit probability p."""
-    return pure._transmit_threshold(p) >> 11
-
-
 SEEDS = [0, 1, 42, 999, 2**64 - 1]
 
 
@@ -71,47 +69,66 @@ def test_float_stream_parity(compiled, seed):
     draws = [w >> 11 for w in compiled.words(seed, 2000)]
     assert floats == [d * 2.0**-53 for d in draws]
     for p in (0.0, 1 / 3, 0.5, 0.999, 1.0, floats[0], floats[-1]):
-        assert [f < p for f in floats] == [d < aloha_t53(p) for d in draws], p
+        t53 = pure._transmit_threshold(p) >> 11
+        assert [f < p for f in floats] == [d < t53 for d in draws], p
+
+
+#: a threshold T as t53 = T >> 11, so 0, 2**63 and 2**64 among them; None puts
+#: it on the first slot's own word, where w >= T and w > T part
+T53S = st.one_of(st.sampled_from([0, 2**52, 2**53, None]), st.integers(0, 2**53))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(program=st.integers(1, 10).flatmap(lambda k: st.tuples(
+           st.lists(T53S, min_size=k, max_size=k),
+           st.lists(st.integers(0, 31), min_size=k, max_size=k))),
+       skip=st.integers(0, 2),
+       seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, skip, seed):
+    t53s, weights = program
+    rng = RandomSource(seed)
+    first_slot = [rng.next_u64() for _ in t53s]
+    t53s = tuple(w >> 11 if t is None else t for t, w in zip(t53s, first_slot))
+    thresholds = tuple(t << 11 for t in t53s)
+    for n_slots in (0, 1, CHUNK):
+        assert (compiled.histogram(n_slots, seed, t53s, weights, skip)
+                == pure._histogram(n_slots, seed, thresholds, tuple(weights), skip)), n_slots
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
 @pytest.mark.parametrize("m,p", [(1, 1.0), (2, 0.5), (3, 1 / 3), (5, 0.0), (4, 0.999),
                                  (8, 0.125)])
-def test_aloha_tally_parity(compiled, seed, m, p):
-    assert pure.aloha_tally(m, p, CHUNK, seed) == compiled.aloha_tally(m, aloha_t53(p), CHUNK,
-                                                                       seed)
+def test_aloha_tally_parity(seed, m, p):
+    assert pure.aloha_tally(m, p, CHUNK, seed) == _kernels.aloha_tally(m, p, CHUNK, seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 31337])
 @pytest.mark.parametrize("source_cls,c_source", [(QubitPairSource, "qubit"),
                                                  (CoinPairSource, "coin")])
-def test_hyperdense_tally_parity(compiled, seed, source_cls, c_source):
-    assert pure.hyperdense_tally(CHUNK, seed, source_cls()) == compiled.hyperdense_tally(
-        CHUNK, seed, pure._OUTCOME, C_T53[c_source]
-    )
+def test_hyperdense_tally_parity(seed, source_cls, c_source):
+    assert pure._hyperdense_program(source_cls())[0][4] == C_THRESHOLD[c_source]
+    assert (pure.hyperdense_tally(CHUNK, seed, source_cls())
+            == _kernels.hyperdense_tally(CHUNK, seed, source_cls()))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 31337])
-def test_superdense_tally_parity(compiled, monkeypatch, seed):
-    assert compiled.superdense_tally(CHUNK, seed, superdense._SD_OK) == CHUNK
+def test_superdense_tally_parity(monkeypatch, seed):
+    assert _kernels.superdense_tally(CHUNK, seed) == CHUNK
     # _SD_OK is all ones, so a one-hot table counts the trials of each dibit
     for k in range(4):
-        table = tuple(int(i == k) for i in range(4))
-        monkeypatch.setattr(superdense, "_SD_OK", table)
-        assert superdense.trial_successes(CHUNK, seed) == compiled.superdense_tally(
-            CHUNK, seed, table), k
+        monkeypatch.setattr(superdense, "_SD_OK", tuple(int(i == k) for i in range(4)))
+        assert superdense.trial_successes(CHUNK, seed) == _kernels.superdense_tally(CHUNK, seed), k
 
 
-def test_golden_tallies(compiled):
-    # the pure pins of test_golden.py
-    assert compiled.aloha_tally(2, aloha_t53(0.5), 10_000, 12345) == 5009
-    assert compiled.hyperdense_tally(10_000, 999, pure._OUTCOME, C_T53["qubit"]) == (
-        2441, 2568, 2518, 2473)
-    assert compiled.hyperdense_tally(10_000, 999, pure._OUTCOME, None) == (
-        2356, 2521, 2562, 2561)
+def test_golden_tallies():
+    # the pure pins of test_golden.py, through the compiled dispatchers
+    assert _kernels.aloha_tally(2, 0.5, 10_000, 12345) == 5009
+    assert _kernels.hyperdense_tally(10_000, 999, QubitPairSource()) == (2441, 2568, 2518, 2473)
+    assert _kernels.hyperdense_tally(10_000, 999, CoinPairSource()) == (2356, 2521, 2562, 2561)
     for seed, tally in ((999, (16335, 16460, 16282, 16459)), (12345, (16475, 16209, 16404, 16448)),
                         (7, (16444, 16246, 16340, 16506))):
-        assert compiled.hyperdense_tally(CHUNK, seed, pure._OUTCOME, C_T53["qubit"]) == tally
+        assert _kernels.hyperdense_tally(CHUNK, seed, QubitPairSource()) == tally
     assert superdense.count_successes(10_000, RandomSource(999)) == 10_000
     text = compare(16_384, 42).render("text")
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
@@ -135,27 +152,44 @@ def test_simulate_results_identical_across_backends(monkeypatch, compiled):
     assert pure_sd == fast_sd
 
 
+def test_aloha_with_many_users_is_identical_across_backends(monkeypatch, compiled):
+    # 300 users: the pure evaluator spreads its indices over two-byte lanes,
+    # and the compiled loop sizes 300 thresholds, 300 weights and 301 counts
+    # from the program
+    params = AlohaParams(300, 1 / 300)
+    assert pure._block(*pure._aloha_program(300, 1 / 300)[:3]).width == 2
+    monkeypatch.setattr(_kernels, "_fast", None)
+    pure_stats = aloha_simulate(params, 10_000, RandomSource(8))
+    monkeypatch.setattr(_kernels, "_fast", compiled)
+    assert aloha_simulate(params, 10_000, RandomSource(8)) == pure_stats
+
+
 BAD_CALLS = {
-    "outcome-table-short": ("hyperdense_tally", (10, 1, pure._OUTCOME[:31], None), ValueError),
-    "outcome-table-long": ("hyperdense_tally", (10, 1, pure._OUTCOME + (0,), None), ValueError),
-    "outcome-entry-4": ("hyperdense_tally", (10, 1, (4,) * 32, None), ValueError),
-    "outcome-entry-negative": ("hyperdense_tally", (10, 1, (-1,) * 32, None), ValueError),
-    "outcome-not-a-sequence": ("hyperdense_tally", (10, 1, None, None), TypeError),
-    "ok-table-short": ("superdense_tally", (10, 1, (1, 1, 1)), ValueError),
-    "ok-entry-2": ("superdense_tally", (10, 1, (1, 1, 1, 2)), ValueError),
-    "ok-entry-negative": ("superdense_tally", (10, 1, (1, -1, 1, 1)), ValueError),
-    "aloha-threshold-above-2**53": ("aloha_tally", (2, 2**53 + 1, 10, 1), ValueError),
-    "aloha-threshold-negative": ("aloha_tally", (2, -1, 10, 1), OverflowError),
-    "c-threshold-above-2**53": ("hyperdense_tally", (10, 1, pure._OUTCOME, 2**53 + 1),
-                                ValueError),
-    "aloha-m-0": ("aloha_tally", (0, 2**52, 10, 1), ValueError),
-    "aloha-m-negative": ("aloha_tally", (-1, 2**52, 10, 1), ValueError),
-    "aloha-negative-n": ("aloha_tally", (2, 2**52, -1, 1), ValueError),
-    "hyperdense-negative-n": ("hyperdense_tally", (-1, 1, pure._OUTCOME, None), ValueError),
-    "superdense-negative-n": ("superdense_tally", (-1, 1, superdense._SD_OK), ValueError),
+    # the compiled kernel's own checks
+    "negative-n": ("histogram", (-1, 1, (0,), (1,), 0), ValueError),
+    "t53-negative": ("histogram", (10, 1, (-1,), (1,), 0), OverflowError),
+    "c-threshold-above-2**53": ("histogram", (10, 1, (2**52,) * 4 + (2**53 + 1,),
+                                              (16, 8, 4, 2, 1), 1), ValueError),
+    "weight-negative": ("histogram", (10, 1, (0, 0), (1, -1), 0), OverflowError),
+    "weights-sum-too-large": ("histogram", (10, 1, (0, 0), (2**59, 2**59), 0), OverflowError),
+    "skip-negative": ("histogram", (10, 1, (0,), (1,), -1), ValueError),
+    "more-thresholds-than-weights": ("histogram", (10, 1, (0, 0), (1,), 0), ValueError),
+    "more-weights-than-thresholds": ("histogram", (10, 1, (0,), (1, 1), 0), ValueError),
+    "empty-program": ("histogram", (10, 1, (), (), 0), ValueError),
+    "thresholds-not-a-sequence": ("histogram", (10, 1, None, (1,), 0), TypeError),
+    "weights-not-a-sequence": ("histogram", (10, 1, (0,), 1, 0), TypeError),
+    "histogram-seed-above-64-bits": ("histogram", (10, 2**64, (0,), (1,), 0), OverflowError),
     "words-negative-n": ("words", (1, -1), ValueError),
     "seed-negative": ("words", (-1, 3), OverflowError),
     "seed-above-64-bits": ("words", (2**64, 3), OverflowError),
+    # the same checks, reached through a dispatcher's program
+    "aloha-m-0": ("aloha_tally", (0, 0.5, 10, 1), ValueError),
+    "aloha-m-negative": ("aloha_tally", (-1, 0.5, 10, 1), ValueError),
+    "aloha-negative-n": ("aloha_tally", (2, 0.5, -1, 1), ValueError),
+    "aloha-threshold-above-2**53": ("aloha_tally", (2, 1.5, 10, 1), ValueError),
+    "aloha-threshold-negative": ("aloha_tally", (2, -0.5, 10, 1), OverflowError),
+    "hyperdense-negative-n": ("hyperdense_tally", (-1, 1, CoinPairSource()), ValueError),
+    "superdense-negative-n": ("superdense_tally", (-1, 1), ValueError),
 }
 
 
@@ -163,13 +197,16 @@ BAD_CALLS = {
 def test_compiled_rejects_out_of_range_input(compiled, case):
     name, args, error = BAD_CALLS[case]
     with pytest.raises(error):
-        getattr(compiled, name)(*args)
+        getattr(_kernels if name.endswith("_tally") else compiled, name)(*args)
 
 
 def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
-    assert compiled.aloha_tally(1, aloha_t53(1.0), 100, 3) == 100
-    assert compiled.aloha_tally(3, aloha_t53(0.0), 100, 3) == 0
-    assert compiled.hyperdense_tally(0, 1, pure._OUTCOME, 2**53) == (0, 0, 0, 0)
+    # T = 0 passes every word and T = 2**64 none
+    assert compiled.histogram(100, 3, (0,), (1,), 0) == [0, 100]
+    assert compiled.histogram(100, 3, (2**53,) * 3, (1,) * 3, 0) == [100, 0, 0, 0]
+    assert _kernels.aloha_tally(1, 1.0, 100, 3) == 100
+    assert _kernels.aloha_tally(3, 0.0, 100, 3) == 0
+    assert compiled.histogram(0, 1, (2**53,), (1,), 2) == [0, 0]
     assert compiled.words(3, 0) == []
 
 

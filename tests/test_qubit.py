@@ -31,6 +31,11 @@ KET_00 = TwoQubitState((1, 0, 0, 0))
 KET_11 = TwoQubitState((0, 0, 0, 1))
 
 
+def norm_sq(state) -> float:
+    """Sum of the squared magnitudes of the state's amplitudes."""
+    return sum(a.real * a.real + a.imag * a.imag for a in state.amps)
+
+
 def assert_amps_close(state, expected, tol=1e-12):
     for got, want in zip(state.amps, expected):
         assert abs(got - want) <= tol, (state.amps, expected)
@@ -62,7 +67,7 @@ def test_bell_state_amplitudes():
 def test_bell_states_are_normalized():
     for k in (0, 1):
         for l in (0, 1):
-            assert abs(bell_state(BellIndex(k, l)).norm_sq() - 1.0) <= 1e-12
+            assert abs(norm_sq(bell_state(BellIndex(k, l))) - 1.0) <= 1e-12
 
 
 def test_bell_orthonormality():
@@ -181,7 +186,7 @@ def test_apply_matches_tensor_product_oracle(tag, target):
        target=st.sampled_from([QubitId.A, QubitId.B]))
 def test_unitarity_preserves_norm(state, tag, target):
     out = apply_single_qubit(state, PAULIS[tag], target)
-    assert abs(out.norm_sq() - 1.0) <= 1e-9
+    assert abs(norm_sq(out) - 1.0) <= 1e-9
 
 
 # --- computational-basis measurement ------------------------------------
@@ -233,7 +238,7 @@ def test_post_measurement_state_is_normalized(state, scale, target, seed):
     _, post = measure_qubit(scaled, target, RandomSource(seed))
     assert len(post.amps) == 4
     assert all(type(a) is complex and cmath.isfinite(a) for a in post.amps)
-    assert abs(post.norm_sq() - 1.0) <= 1e-9
+    assert abs(norm_sq(post) - 1.0) <= 1e-9
 
 
 def test_measure_overflowing_mass_stays_finite():

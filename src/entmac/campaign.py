@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import aloha as aloha_mod
 from . import hyperdense as hd
@@ -23,10 +23,6 @@ from . import superdense as sd
 from .rng import RandomSource, derive_seed
 from .stats import RunStats
 
-DEFAULT_SLOTS = 1_000_000
-DEFAULT_SEED = 42
-
-PROTOCOLS = ("aloha", "superdense", "hyperdense", "compare")
 FORMATS = ("json", "csv", "text")
 C_SOURCES = ("qubit", "coin")
 
@@ -46,23 +42,19 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-def _check_workers(workers) -> None:
-    if not _is_int(workers) or workers < 1:
-        raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
-
-
 @dataclass
 class CampaignConfig:
     protocol: str
-    n_slots: int = DEFAULT_SLOTS
-    seed: int = DEFAULT_SEED
+    n_slots: int = 1_000_000
+    seed: int = 42
     m: int = 2  # aloha only
     p: Optional[float] = None  # aloha only; defaults to 1/M
     c_source: str = "qubit"  # hyperdense only
 
     def validate(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError("protocol", f"must be one of {PROTOCOLS}, got {self.protocol!r}")
+        if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
+            raise ConfigError("protocol",
+                              f"must be one of {tuple(PROTOCOLS)}, got {self.protocol!r}")
         if not _is_int(self.n_slots) or self.n_slots < 1:
             raise ConfigError("n_slots", f"must be an integer >= 1, got {self.n_slots!r}")
         if not _is_int(self.seed) or not 0 <= self.seed <= _MAX_SEED:
@@ -79,10 +71,6 @@ class CampaignConfig:
 
     def resolved_p(self) -> float:
         return self.p if self.p is not None else 1.0 / self.m
-
-
-def _protocol_stream(seed: int, protocol: str) -> RandomSource:
-    return RandomSource(derive_seed(seed, protocol))
 
 
 @dataclass
@@ -118,39 +106,41 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1):
 
     ``workers`` affects scheduling only, never the reported numbers.
     """
-    _check_workers(workers)
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
     cfg.validate()
-    if cfg.protocol == "compare":
-        return compare(cfg.n_slots, cfg.seed, workers=workers)
+    return PROTOCOLS[cfg.protocol].run(cfg, workers)
 
-    stream = _protocol_stream(cfg.seed, cfg.protocol)
 
-    if cfg.protocol == "aloha":
-        params = aloha_mod.AlohaParams(cfg.m, cfg.resolved_p())
-        empirical = aloha_mod.simulate(params, cfg.n_slots, stream, workers=workers)
-        return CampaignResult(
-            protocol="aloha",
-            config={"n_slots": cfg.n_slots, "seed": cfg.seed, "m": cfg.m, "p": params.p},
-            analytic={
-                "success_probability": aloha_mod.success_probability(params),
-                "total_throughput": aloha_mod.total_throughput(params),
-                "optimal_p": aloha_mod.optimal_p(cfg.m),
-                "max_throughput": aloha_mod.max_throughput(cfg.m),
-            },
-            empirical=empirical,
-        )
+def _run_aloha(cfg: CampaignConfig, workers: int) -> CampaignResult:
+    params = aloha_mod.AlohaParams(cfg.m, cfg.resolved_p())
+    stream = RandomSource(derive_seed(cfg.seed, "aloha"))
+    return CampaignResult(
+        protocol="aloha",
+        config={"n_slots": cfg.n_slots, "seed": cfg.seed, "m": cfg.m, "p": params.p},
+        empirical=aloha_mod.simulate(params, cfg.n_slots, stream, workers=workers),
+        analytic={
+            "success_probability": aloha_mod.success_probability(params),
+            "total_throughput": aloha_mod.total_throughput(params),
+            "optimal_p": aloha_mod.optimal_p(cfg.m),
+            "max_throughput": aloha_mod.max_throughput(cfg.m),
+        },
+    )
 
-    if cfg.protocol == "superdense":
-        empirical = sd.simulate(cfg.n_slots, stream, workers=workers)
-        return CampaignResult(
-            protocol="superdense",
-            config={"n_slots": cfg.n_slots, "seed": cfg.seed},
-            analytic={"success_rate": 1.0, "bits_per_slot": float(sd.BITS_PER_USE)},
-            empirical=empirical,
-        )
 
-    # hyperdense
+def _run_superdense(cfg: CampaignConfig, workers: int) -> CampaignResult:
+    stream = RandomSource(derive_seed(cfg.seed, "superdense"))
+    return CampaignResult(
+        protocol="superdense",
+        config={"n_slots": cfg.n_slots, "seed": cfg.seed},
+        empirical=sd.simulate(cfg.n_slots, stream, workers=workers),
+        analytic={"success_rate": 1.0, "bits_per_slot": float(sd.BITS_PER_USE)},
+    )
+
+
+def _run_hyperdense(cfg: CampaignConfig, workers: int) -> CampaignResult:
     source = hd.QubitPairSource() if cfg.c_source == "qubit" else hd.CoinPairSource()
+    stream = RandomSource(derive_seed(cfg.seed, "hyperdense"))
     result = hd.simulate(cfg.n_slots, stream, source=source, workers=workers)
     per_direction = hd.expected_bits_per_direction()
     return CampaignResult(
@@ -200,43 +190,67 @@ class ComparisonReport:
 
 
 def compare(n_slots: int, seed: int, workers: int = 1) -> ComparisonReport:
-    """Run the three protocols on non-overlapping derived streams.
+    """Hyperdense (qubit pairs) vs superdense vs slotted-Aloha (M=2, p=1/2).
 
-    Each protocol uses the same labeled stream it gets in a standalone
-    campaign with the same master seed, so the numbers agree between
-    ``compare`` and individual runs.
+    The hyperdense and Aloha rows are the standalone campaigns with the same
+    master seed, analytic values included, so ``compare`` agrees with the
+    individual runs by construction. Superdense is reported in delivered
+    bits, 0 or 2 per slot, from its own labeled stream.
     """
-    _check_workers(workers)
-    CampaignConfig("compare", n_slots=n_slots, seed=seed).validate()
-
-    hyper = hd.simulate(
-        n_slots, _protocol_stream(seed, "hyperdense"), source=hd.QubitPairSource(),
-        workers=workers,
-    )
-
-    sd_stream = _protocol_stream(seed, "superdense")
+    hyper = run_campaign(CampaignConfig("hyperdense", n_slots, seed, c_source="qubit"), workers)
+    sd_stream = RandomSource(derive_seed(seed, "superdense"))
     sd_successes = sd.count_successes(n_slots, sd_stream, workers=workers)
-    superdense_bits = RunStats.from_two_valued(n_slots, sd_successes, lo=0.0, hi=2.0)
-
-    params = aloha_mod.AlohaParams(2, aloha_mod.optimal_p(2))
-    aloha_stats = aloha_mod.simulate(params, n_slots, _protocol_stream(seed, "aloha"),
-                                     workers=workers)
-
-    per_direction = hd.expected_bits_per_direction()
+    aloha = run_campaign(CampaignConfig("aloha", n_slots, seed, m=2, p=0.5), workers)
     return ComparisonReport(
         n_slots=n_slots,
         seed=seed,
         analytic={
-            "hyperdense_total": hd.expected_bits_analytic(),
-            "hyperdense_per_direction": per_direction["alice_to_bob"],
+            "hyperdense_total": hyper.analytic["expected_bits_per_slot"],
+            "hyperdense_per_direction": hyper.analytic["expected_bits_alice_to_bob"],
             "superdense_per_slot": float(sd.BITS_PER_USE),
-            "aloha_m2_total": aloha_mod.max_throughput(2),
+            "aloha_m2_total": aloha.analytic["max_throughput"],
             "aloha_limit": math.exp(-1.0),
         },
-        hyperdense=hyper,
-        superdense_bits=superdense_bits,
-        aloha_m2=aloha_stats,
+        hyperdense=hd.HyperdenseStats(hyper.empirical, **hyper.directions,
+                                      channel_counts=hyper.channel_counts),
+        superdense_bits=RunStats.from_two_valued(n_slots, sd_successes, lo=0.0, hi=2.0),
+        aloha_m2=aloha.empirical,
     )
+
+
+class Option(NamedTuple):
+    """A protocol's own CLI flag: the config field it sets and its argparse keywords."""
+
+    flag: str
+    field: str
+    kwargs: dict
+
+
+class Protocol(NamedTuple):
+    """A simulation subcommand: its help, its own options and its runner."""
+
+    help: str
+    run: Callable[[CampaignConfig, int], object]
+    options: tuple[Option, ...] = ()
+
+
+#: the one table of simulation subcommands, read by the CLI and ``run_campaign``
+PROTOCOLS = {
+    "aloha": Protocol("slotted-Aloha Monte Carlo and analytics", _run_aloha, (
+        Option("--users", "m", dict(type=int, metavar="M",
+                                    help="number of users (default %(default)s)")),
+        Option("--p", "p", dict(type=float, metavar="X",
+                                help="per-user transmit probability (default 1/M)")),
+    )),
+    "superdense": Protocol("superdense-coding roundtrip campaign", _run_superdense),
+    "hyperdense": Protocol("hyperdense-coding Monte Carlo", _run_hyperdense, (
+        Option("--c-source", "c_source", dict(
+            choices=C_SOURCES,
+            help="where the shared slot bit comes from (default %(default)s)")),
+    )),
+    "compare": Protocol("three-way throughput comparison report",
+                        lambda cfg, workers: compare(cfg.n_slots, cfg.seed, workers)),
+}
 
 
 def scenario_rows() -> list[dict]:

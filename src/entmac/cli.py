@@ -1,25 +1,27 @@
 """Command-line interface.
 
-Subcommands: aloha, superdense, hyperdense, compare, table. Exit status is
-0 on success and 2 on a configuration error.
+Subcommands: one per entry of ``campaign.PROTOCOLS``, plus table. Exit
+status is 0 on success and 2 on a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from .campaign import (
-    C_SOURCES,
-    DEFAULT_SEED,
-    DEFAULT_SLOTS,
     FORMATS,
+    PROTOCOLS,
     CampaignConfig,
     ConfigError,
     enumerate_table,
     run_campaign,
 )
+
+#: every config field's default, which is also its flag's default
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(CampaignConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,31 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="text",
                        help="output format (default text)")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--slots", type=int, default=DEFAULT_SLOTS, metavar="N",
-                       help=f"number of slots/trials (default {DEFAULT_SLOTS})")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
-                       help=f"master seed (default {DEFAULT_SEED})")
+    for name, protocol in PROTOCOLS.items():
+        p = sub.add_parser(name, help=protocol.help)
+        p.add_argument("--slots", type=int, dest="n_slots", default=_DEFAULTS["n_slots"],
+                       metavar="N", help="number of slots/trials (default %(default)s)")
+        p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], metavar="S",
+                       help="master seed (default %(default)s)")
         add_format(p)
         p.add_argument("--workers", type=int, default=1, metavar="W",
                        help="worker threads; never changes the reported numbers")
-
-    p_aloha = sub.add_parser("aloha", help="slotted-Aloha Monte Carlo and analytics")
-    add_common(p_aloha)
-    p_aloha.add_argument("--users", type=int, default=2, metavar="M",
-                         help="number of users (default 2)")
-    p_aloha.add_argument("--p", type=float, default=None, metavar="X",
-                         help="per-user transmit probability (default 1/M)")
-
-    add_common(sub.add_parser("superdense", help="superdense-coding roundtrip campaign"))
-
-    p_hd = sub.add_parser("hyperdense", help="hyperdense-coding Monte Carlo")
-    add_common(p_hd)
-    p_hd.add_argument("--c-source", choices=C_SOURCES, default="qubit",
-                      dest="c_source",
-                      help="where the shared slot bit comes from (default qubit)")
-
-    add_common(sub.add_parser("compare", help="three-way throughput comparison report"))
+        for opt in protocol.options:
+            p.add_argument(opt.flag, dest=opt.field, default=_DEFAULTS[opt.field], **opt.kwargs)
 
     add_format(sub.add_parser("table", help="print the eight-scenario table"))
 
@@ -68,17 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    cfg = CampaignConfig(
-        protocol=args.command,
-        n_slots=args.slots,
-        seed=args.seed,
-    )
-    if args.command == "aloha":
-        cfg.m = args.users
-        cfg.p = args.p
-    if args.command == "hyperdense":
-        cfg.c_source = args.c_source
-    return cfg
+    """The config of a simulation subcommand: each parsed flag that names a field."""
+    fields = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
+    return CampaignConfig(protocol=args.command, **fields)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

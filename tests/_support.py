@@ -2,8 +2,9 @@
 per-slot hyperdense replay and independent oracles.
 
 The oracles here recompute expected values by brute force (pattern
-enumeration, explicit tensor products, two-pass statistics) on purpose;
-they must stay independent of the library code paths they check.
+enumeration, explicit tensor products, two-pass statistics, the exact law
+of a word program) on purpose; they must stay independent of the library
+code paths they check.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from entmac._kernels import pure
 from entmac.hyperdense import PartyBits, SharedOutcome, run_slot
@@ -87,6 +89,28 @@ CHI2_CRITICAL_0_001 = {1: 10.828, 3: 16.266}
 def chi_square(observed, expected) -> float:
     """Pearson's statistic: sum of (observed - expected)^2 / expected."""
     return sum((o - e) ** 2 / e for o, e in zip(observed, expected, strict=True))
+
+
+def law(program, size=2) -> list[Fraction]:
+    """[P(a slot of ``program`` adds to counter k) for each k < size].
+
+    The index law is the convolution over the read words of bit i, worth
+    w_i, being 1 with probability 1 - T_i / 2**64; skipped words do not
+    matter. The table then folds it as ``pure._tally`` folds a histogram.
+    """
+    thresholds, weights, _skip, table = program
+    index_law = [Fraction(1)]
+    for threshold, weight in zip(thresholds, weights):
+        one = 1 - Fraction(threshold, 2**64)
+        step = [Fraction(0)] * (len(index_law) + weight)
+        for index, p in enumerate(index_law):
+            step[index] += p * (1 - one)
+            step[index + weight] += p * one
+        index_law = step
+    counters = [Fraction(0)] * size
+    for index, p in enumerate(index_law):
+        counters[table[index]] += p
+    return counters
 
 
 def enum_user_success_probability(m: int, p: float) -> float:

@@ -26,6 +26,7 @@ from _support import (
     enum_total_throughput,
     enum_user_success_probability,
     grid_argmax_throughput,
+    law,
 )
 
 E_INV = math.exp(-1.0)
@@ -162,14 +163,15 @@ def test_simulate_tracks_analytic_value(seed, m, p):
 
 @pytest.mark.parametrize("m", [2, 8])
 def test_success_counts_fit_total_throughput(monkeypatch, m):
-    # chi-square of success/failure counts against M p (1 - p)^(M - 1), the
-    # per-slot success probability, on the pure kernels (df = 1, alpha = 0.001)
+    # chi-square of failure/success counts against the exact law of the
+    # kernel's own program, whose transmit threshold rounds p to 2**-53, on
+    # the pure kernels (df = 1, alpha = 0.001)
     monkeypatch.setattr(_kernels, "_fast", None)
     n = 1 << 17
     params = AlohaParams(m, optimal_p(m))
     successes = round(simulate(params, n, RandomSource(20120 + m)).mean * n)
-    q = total_throughput(params)
-    statistic = chi_square((successes, n - successes), (n * q, n * (1.0 - q)))
+    expected = [n * float(q) for q in law(pure._aloha_program(params.m, params.p))]
+    statistic = chi_square((n - successes, successes), expected)
     assert statistic < CHI2_CRITICAL_0_001[1], (successes, statistic)
 
 

@@ -46,6 +46,8 @@ def parse_csv(text):
         (dict(protocol="aloha", m=True), "m"),
         (dict(protocol="aloha", p=True), "p"),
         (dict(protocol="aloha", p=False), "p"),
+        # an unhashable name must not escape as TypeError from the protocol lookup
+        (dict(protocol=["aloha"]), "protocol"),
     ],
 )
 def test_config_validation_reports_field(kwargs, field):

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from entmac.campaign import CampaignConfig, enumerate_table, run_campaign
-from entmac.cli import main
+from entmac.campaign import PROTOCOLS, CampaignConfig, enumerate_table, run_campaign
+from entmac.cli import _config_from_args, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -23,15 +23,30 @@ def test_table_subcommand(capsys):
     assert out == enumerate_table("csv")
 
 
-def test_aloha_matches_api(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["aloha", "--slots", "5000", "--seed", "6", "--users", "3", "--p", "0.2",
-         "--format", "json"],
-    )
+@pytest.mark.parametrize(
+    "argv,fields,fmt",
+    [
+        pytest.param(["aloha", "--users", "3", "--p", "0.2"], dict(m=3, p=0.2), "json",
+                     id="aloha-users-p"),
+        pytest.param(["superdense"], {}, "csv", id="superdense"),
+        pytest.param(["hyperdense", "--c-source", "coin"], dict(c_source="coin"), "text",
+                     id="hyperdense-coin"),
+        pytest.param(["compare"], {}, "json", id="compare"),
+        # none of aloha's own options: the CLI's defaults must be the config's
+        pytest.param(["aloha"], {}, "text", id="aloha-defaults"),
+    ],
+)
+def test_subcommand_matches_api(capsys, argv, fields, fmt):
+    code, out, _ = run_cli(capsys, argv + ["--slots", "5000", "--seed", "6", "--format", fmt])
     assert code == 0
-    cfg = CampaignConfig(protocol="aloha", n_slots=5000, seed=6, m=3, p=0.2)
-    assert out == run_campaign(cfg).render("json")
+    cfg = CampaignConfig(protocol=argv[0], n_slots=5000, seed=6, **fields)
+    assert out == run_campaign(cfg).render(fmt)
+
+
+@pytest.mark.parametrize("name", list(PROTOCOLS))
+def test_flag_defaults_are_config_defaults(name):
+    # slot count and seed included, which the runs above pass explicitly
+    assert _config_from_args(build_parser().parse_args([name])) == CampaignConfig(name)
 
 
 def test_hyperdense_coin_source(capsys):

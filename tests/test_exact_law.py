@@ -15,32 +15,12 @@ from entmac import superdense
 from entmac._kernels import pure
 from entmac.hyperdense import CoinPairSource, QubitPairSource
 
+from _support import law
+
 HALF = Fraction(1, 2)
 
 #: positions in each ``_OUTCOME`` entry's tally (collision, idle, single_alice, single_bob)
 SINGLE_ALICE, SINGLE_BOB = 2, 3
-
-
-def law(program, size=2) -> list[Fraction]:
-    """[P(a slot of ``program`` adds to counter k) for each k < size].
-
-    The index law is the convolution over the read words of bit i, worth
-    w_i, being 1 with probability 1 - T_i / 2**64; skipped words do not
-    matter. The table then folds it as ``pure._tally`` folds a histogram.
-    """
-    thresholds, weights, _skip, table = program
-    index_law = [Fraction(1)]
-    for threshold, weight in zip(thresholds, weights):
-        one = 1 - Fraction(threshold, 2**64)
-        step = [Fraction(0)] * (len(index_law) + weight)
-        for index, p in enumerate(index_law):
-            step[index] += p * (1 - one)
-            step[index + weight] += p * one
-        index_law = step
-    counters = [Fraction(0)] * size
-    for index, p in enumerate(index_law):
-        counters[table[index]] += p
-    return counters
 
 
 def hyperdense_law(source, c_threshold=None) -> list[Fraction]:

@@ -36,6 +36,7 @@ from _support import (
     CountingRng,
     ScriptedRng,
     chi_square,
+    law,
     replay_hyperdense_slots,
     script_words,
 )
@@ -368,11 +369,14 @@ def test_qubit_and_coin_paths_statistically_indistinguishable():
 
 @pytest.mark.parametrize("source_cls,n", [(CoinPairSource, 1 << 17), (QubitPairSource, 1 << 16)])
 def test_channel_counts_fit_uniform_quarters(monkeypatch, source_cls, n):
-    # chi-square of collision / idle / single_alice / single_bob against 1/4
-    # each, on the pure kernels (df = 3, alpha = 0.001)
+    # chi-square of collision / idle / single_alice / single_bob against the
+    # exact law of the kernel's own program, a quarter each up to the qubit
+    # source's 2**-53 bias in c, on the pure kernels (df = 3, alpha = 0.001)
     monkeypatch.setattr(_kernels, "_fast", None)
-    counts = simulate(n, RandomSource(2012), source=source_cls()).channel_counts
-    statistic = chi_square(counts.values(), [n / 4] * 4)
+    source = source_cls()
+    counts = simulate(n, RandomSource(2012), source=source).channel_counts
+    expected = [n * float(q) for q in law(_kernels.pure._hyperdense_program(source), 4)]
+    statistic = chi_square(counts.values(), expected)
     assert statistic < CHI2_CRITICAL_0_001[3], (counts, statistic)
 
 

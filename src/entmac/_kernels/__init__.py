@@ -1,11 +1,12 @@
 """Simulation kernel backends and the one runner of chunked Monte Carlo runs.
 
 Every tally kernel folds the index histogram of its protocol's word program
-(see ``pure``) into a tally with ``pure._tally``. ``pure._histogram`` gives
-that histogram in plain Python, always available. ``_fast.histogram``, one
+(``aloha._program``, ``hyperdense._program``, ``superdense._program``; see
+``pure``) into a tally with ``pure._tally``. ``pure._histogram`` gives that
+histogram in plain Python, always available. ``_fast.histogram``, one
 GIL-free C loop built from ``_fast.c`` by ``python -m entmac._kernels.build``,
-gives it bit for bit by drawing the same words one at a time, and knows no
-protocol. The compiled backend runs exactly when ``_fast`` imported.
+gives it bit for bit by drawing the same words one at a time. Neither knows
+a protocol. The compiled backend runs exactly when ``_fast`` imported.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from .. import superdense
+from .. import aloha, hyperdense, superdense
 from ..rng import derive_seed
 from . import pure
 
@@ -86,7 +87,7 @@ def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Count of successful slots over one contiguous chunk."""
     if _fast is None:
         return pure.aloha_tally(m, p, n_slots, seed)
-    return pure._tally(_compiled_histogram, n_slots, seed, pure._aloha_program(m, p))[1]
+    return pure._tally(_compiled_histogram, n_slots, seed, aloha._program(m, p))[1]
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
@@ -97,13 +98,11 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     """
     if _fast is None:
         return pure.hyperdense_tally(n_slots, seed, source)
-    return tuple(pure._tally(_compiled_histogram, n_slots, seed,
-                             pure._hyperdense_program(source), 4))
+    return tuple(pure._tally(_compiled_histogram, n_slots, seed, hyperdense._program(source), 4))
 
 
 def superdense_tally(n_trials: int, seed: int) -> int:
     """Roundtrip successes over one chunk of superdense trials."""
     if _fast is None:
         return superdense.trial_successes(n_trials, seed)
-    program = (*superdense._SD_PROGRAM, superdense._SD_OK)
-    return pure._tally(_compiled_histogram, n_trials, seed, program)[1]
+    return pure._tally(_compiled_histogram, n_trials, seed, superdense._program())[1]

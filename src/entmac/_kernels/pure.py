@@ -1,28 +1,14 @@
 """Pure-Python kernels: the reference the compiled backend must match.
 
 Every kernel runs one word program (thresholds T_0 .. T_{k-1}, weights
-w_0 .. w_{k-1}, skip s) over its chunk stream: a slot reads k words, then
-draws s more it ignores, and its index is the sum of w_i * [word_i >= T_i].
-``_histogram`` counts each index over a chunk's slots, and ``_tally`` folds
-those counts through the program's table, read at call time. The tables
-and thresholds come from the public protocol operations, run at import, so
-no kernel calls the statevector engine:
-
-* hyperdense: T = (2**63 four times, then c's threshold), w = (16, 8, 4,
-  2, 1), skip 1 for a ``QubitPairSource`` and 0 for a ``CoinPairSource``.
-  The index is the five-bit number A1 A2 B1 B2 c; ``_OUTCOME`` gives the
-  tally (collision, idle, single_alice, single_bob) of each, from one call
-  of the public ``run_slot``. c's threshold is 2**63 for the coin, whose
-  ``draw`` is the word's top bit, and ``_QUBIT_C_THRESHOLD`` for a qubit
-  pair: measuring qubit A of |beta_00> gives c = 0 exactly when its word
-  is below it, and measuring B then gives c again from the skipped word.
-* superdense (``superdense.trial_successes``): T = (2**63, 2**63), w = (2,
-  1), skip 1, the Bell measurement's uniform; ``superdense._SD_OK`` is 1
-  for each dibit A1 A2 that Bob's Bell measurement decodes.
-* Aloha: T = ``_transmit_threshold(p)`` for each of the M users, every
-  weight 1, skip 0. A user transmits when ``next_float() < p``, that is
-  when its word is below T, so the index counts the silent users and a
-  slot succeeds at index M - 1.
+w_0 .. w_{k-1}, skip s, table) over its chunk stream: a slot reads k words,
+then draws s more it ignores, and its index is the sum of w_i * [word_i >=
+T_i]. ``_histogram`` counts each index over a chunk's slots, and ``_tally``
+folds those counts through the table. Each protocol module states its own
+program, built from its public operations at import, so no kernel calls the
+statevector engine and neither evaluator holds a protocol's table or
+threshold: ``aloha._program``, ``hyperdense._program`` and
+``superdense._program``.
 
 No word is drawn one at a time. SplitMix64 is counter-based: word j (from
 0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block of
@@ -37,105 +23,23 @@ bit. Those bytes, spread over lanes as many bytes wide as the largest
 index needs and multiplied by the weights read as a polynomial, give each
 slot's index in the lane of its last word, and one slice picks them out.
 
-The compiled kernel's one loop runs the same programs a word at a time and
-knows no table: the dispatchers in ``entmac._kernels`` fold its histogram
-with ``_tally`` too, so the backend-parity tests check this evaluator
-against an independent implementation.
-
-An engine measurement takes its outcome from one uniform u with
-``qubit._sample``, which is monotone in u. So ``qubit._independent_of_u``
-proves a measurement's result the same for every u by running it at the
-least and the greatest u that ``next_float`` returns, and raises at import
-when the two differ. Tests pin each kernel to a slot-by-slot replay through
-the public operations (``tests/test_hyperdense.py``,
+The compiled kernel's one loop runs the same programs a word at a time:
+the dispatchers in ``entmac._kernels`` fold its histogram with ``_tally``
+too, so the backend-parity tests check this evaluator against an
+independent implementation. Tests pin each kernel to a slot-by-slot replay
+through the public operations (``tests/test_hyperdense.py``,
 ``tests/test_superdense.py``, ``tests/test_aloha.py``), which keeps these
 kernels the oracle in backend-parity tests.
-
-The two pair sources are the only ones, matched by exact type: ``_is_qubit``
-rejects any other, subclasses included, for every caller.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from typing import NamedTuple
 
-from ..hyperdense import (
-    ChannelState,
-    CoinPairSource,
-    Party,
-    PartyBits,
-    QubitPairSource,
-    SharedOutcome,
-    run_slot,
-)
-from ..qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
-from ..qubit import _U_ENDS, _independent_of_u, _OneUniform
+from .. import aloha, hyperdense
 from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
-
-
-def _tally_index(a1: int, a2: int, b1: int, b2: int, c: int) -> int:
-    """Position in (collision, idle, single_alice, single_bob) of one slot's outcome."""
-    channel = run_slot(PartyBits(a1, a2), PartyBits(b1, b2), SharedOutcome(c)).channel
-    if channel.state is ChannelState.COLLISION:
-        return 0
-    if channel.state is ChannelState.IDLE:
-        return 1
-    return 2 if channel.sender is Party.ALICE else 3
-
-
-#: tally index of the slot with inputs (A1, A2, B1, B2, c), read as the
-#: five-bit number A1 A2 B1 B2 c
-_OUTCOME = tuple(
-    _tally_index(a1, a2, b1, b2, c)
-    for a1 in (0, 1) for a2 in (0, 1) for b1 in (0, 1) for b2 in (0, 1) for c in (0, 1)
-)
-
-
-def _is_qubit(source) -> bool:
-    """True for a ``QubitPairSource``, False for a ``CoinPairSource``.
-
-    Raises TypeError for any other source, a subclass of either included:
-    the kernels read c off a threshold and never call ``draw``.
-    """
-    if type(source) is QubitPairSource:
-        return True
-    if type(source) is CoinPairSource:
-        return False
-    raise TypeError(f"source must be a QubitPairSource or a CoinPairSource, "
-                    f"got {type(source).__name__}")
-
-
-def _transmit_threshold(p: float) -> int:
-    """T such that the word w behind next_float() gives next_float() < p exactly when w < T.
-
-    next_float() is (w >> 11) * 2**-53, exact, so it is below p exactly when
-    the integer w >> 11 is below p * 2**53 (exact for a float p), that is
-    below ceil(p * 2**53), that is when w < ceil(p * 2**53) << 11.
-    """
-    return math.ceil(p * 2**53) << 11
-
-
-def _qubit_c_threshold() -> int:
-    """T such that QubitPairSource().draw(rng) is 0 exactly when its first word is below T.
-
-    The first word is A's measurement of |beta_00>, which gives 0 exactly when
-    next_float() < P(0). Raises RuntimeError unless A gives 0 at u = 0 and 1
-    at the greatest u (so no clamp makes either outcome impossible), and B's
-    measurement of each state A's collapses to gives A's outcome for every u:
-    draw then never raises and consumes one more word.
-    """
-    for c, u in enumerate(_U_ENDS):
-        c_a, collapsed = measure_qubit(BETA_00, QubitId.A, _OneUniform(u))
-        c_b, _ = _independent_of_u(measure_qubit, collapsed, QubitId.B)
-        if c_a != c or c_b != c:
-            raise RuntimeError(f"qubit pair measured ({c_a}, {c_b}) where ({c}, {c}) was due")
-    return _transmit_threshold(measure_probabilities(BETA_00, QubitId.A)[0])
-
-
-_QUBIT_C_THRESHOLD = _qubit_c_threshold()
 
 
 #: words per block of the evaluator, unless one slot needs more; a block runs whole slots
@@ -241,28 +145,11 @@ def _tally(histogram, n_slots: int, seed: int, program, size: int = 2) -> list[i
     return counts
 
 
-def _aloha_program(m: int, p: float):
-    """Aloha's program; its table counts a success (1) at index m - 1, one user transmitting."""
-    return (_transmit_threshold(p),) * m, (1,) * m, 0, (0,) * (m - 1) + (1, 0)
-
-
-def _hyperdense_program(source):
-    """Hyperdense's program for ``source``; its table is ``_OUTCOME``."""
-    qubit = _is_qubit(source)
-    c_threshold = _QUBIT_C_THRESHOLD if qubit else 1 << 63
-    return (1 << 63,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), int(qubit), _OUTCOME
-
-
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Successful-slot count for one contiguous chunk of an Aloha run."""
-    return _tally(_histogram, n_slots, seed, _aloha_program(m, p))[1]
+    return _tally(_histogram, n_slots, seed, aloha._program(m, p))[1]
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
-    """(collision, idle, single_alice, single_bob) counts for one chunk.
-
-    Per slot: A1, A2, B1, B2 from the chunk stream, then c = 1 exactly when
-    the next word reaches the source's threshold; a ``QubitPairSource`` then
-    draws B's word, which gives c again.
-    """
-    return tuple(_tally(_histogram, n_slots, seed, _hyperdense_program(source), 4))
+    """(collision, idle, single_alice, single_bob) counts for one chunk."""
+    return tuple(_tally(_histogram, n_slots, seed, hyperdense._program(source), 4))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import RandomSource
+from .rng import RandomSource, _float_threshold
 from .stats import RunStats
 
 
@@ -82,6 +82,18 @@ def run_slot(params: AlohaParams, rng: RandomSource) -> AlohaSlotResult:
         if rng.next_float() < params.p:
             transmitters += 1
     return AlohaSlotResult(transmitters=transmitters, success=transmitters == 1)
+
+
+def _program(m: int, p: float):
+    """The word program of one slot (see ``entmac._kernels``).
+
+    Each of the m users reads one word and transmits when it is below
+    ``_float_threshold(p)``, as ``run_slot`` does when ``next_float() < p``.
+    Every weight is 1 and no word is skipped, so the index counts the silent
+    users, and the table counts a success (1) at index m - 1: one user
+    transmitting.
+    """
+    return (_float_threshold(p),) * m, (1,) * m, 0, (0,) * (m - 1) + (1, 0)
 
 
 def simulate(params: AlohaParams, n_slots: int, rng: RandomSource, workers: int = 1) -> RunStats:

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .qubit import BETA_00, QubitId, measure_qubit
-from .rng import RandomSource
+from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
+from .qubit import _U_ENDS, _independent_of_u, _OneUniform
+from .rng import RandomSource, _float_threshold
 from .stats import RunStats
 
 
@@ -270,6 +271,67 @@ class CoinPairSource:
         return rng.next_bit()
 
 
+def _tally_index(a1: int, a2: int, b1: int, b2: int, c: int) -> int:
+    """Position in (collision, idle, single_alice, single_bob) of one slot's outcome."""
+    channel = run_slot(PartyBits(a1, a2), PartyBits(b1, b2), SharedOutcome(c)).channel
+    if channel.state is ChannelState.COLLISION:
+        return 0
+    if channel.state is ChannelState.IDLE:
+        return 1
+    return 2 if channel.sender is Party.ALICE else 3
+
+
+#: tally index of the slot with inputs (A1, A2, B1, B2, c), read as the
+#: five-bit number A1 A2 B1 B2 c
+_OUTCOME = tuple(
+    _tally_index(a1, a2, b1, b2, c)
+    for a1 in (0, 1) for a2 in (0, 1) for b1 in (0, 1) for b2 in (0, 1) for c in (0, 1)
+)
+
+
+def _qubit_c_threshold() -> int:
+    """T such that QubitPairSource().draw(rng) is 0 exactly when its first word is below T.
+
+    The first word is A's measurement of |beta_00>, which gives 0 exactly when
+    next_float() < P(0). Raises RuntimeError unless A gives 0 at u = 0 and 1
+    at the greatest u (so no clamp makes either outcome impossible), and B's
+    measurement of each state A's collapses to gives A's outcome for every u:
+    draw then never raises and consumes one more word.
+    """
+    for c, u in enumerate(_U_ENDS):
+        c_a, collapsed = measure_qubit(BETA_00, QubitId.A, _OneUniform(u))
+        c_b, _ = _independent_of_u(measure_qubit, collapsed, QubitId.B)
+        if c_a != c or c_b != c:
+            raise RuntimeError(f"qubit pair measured ({c_a}, {c_b}) where ({c}, {c}) was due")
+    return _float_threshold(measure_probabilities(BETA_00, QubitId.A)[0])
+
+
+_QUBIT_C_THRESHOLD = _qubit_c_threshold()
+
+#: (c's threshold, words skipped after c) for each pair source, by exact type:
+#: a coin's c is its word's top bit, and a qubit pair's B measurement draws
+#: one more word, which gives c again
+_C_WORDS = {QubitPairSource: (_QUBIT_C_THRESHOLD, 1), CoinPairSource: (1 << 63, 0)}
+
+
+def _program(source):
+    """The word program of one slot with c from ``source`` (see ``entmac._kernels``).
+
+    A1, A2, B1, B2 are the top bits of four words and c is 1 exactly when the
+    next word reaches the source's threshold; the index is the five-bit
+    number A1 A2 B1 B2 c and the table is ``_OUTCOME``. Raises TypeError for
+    any source but a ``QubitPairSource`` or a ``CoinPairSource``, a subclass
+    of either included: the kernels read c off a threshold and never call
+    ``draw``.
+    """
+    try:
+        c_threshold, skip = _C_WORDS[type(source)]
+    except KeyError:
+        raise TypeError(f"source must be a QubitPairSource or a CoinPairSource, "
+                        f"got {type(source).__name__}") from None
+    return (1 << 63,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), skip, _OUTCOME
+
+
 @dataclass(frozen=True, slots=True)
 class HyperdenseStats:
     """Monte Carlo result: total delivered bits per slot and the two directions."""
@@ -301,7 +363,7 @@ def simulate(
 
     if source is None:
         source = QubitPairSource()
-    _kernels.pure._is_qubit(source)  # raises for any other source, before the draw
+    _program(source)  # raises for any other source, before the draw
     tallies = _kernels.map_chunks(
         lambda count, seed: _kernels.hyperdense_tally(count, seed, source), n_slots, rng, workers
     )

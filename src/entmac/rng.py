@@ -14,6 +14,8 @@ stays reproducible no matter how work is scheduled.
 
 from __future__ import annotations
 
+import math
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -82,3 +84,13 @@ class RandomSource:
     def next_bit(self) -> int:
         """Fair bit (the top bit of the next word)."""
         return self.next_u64() >> 63
+
+
+def _float_threshold(p: float) -> int:
+    """T such that the word w behind next_float() gives next_float() < p exactly when w < T.
+
+    next_float() is (w >> 11) * 2**-53, exact, so it is below p exactly when
+    the integer w >> 11 is below p * 2**53 (exact for a float p), that is
+    below ceil(p * 2**53), that is when w < ceil(p * 2**53) << 11.
+    """
+    return math.ceil(p * 2**53) << 11

@@ -85,10 +85,14 @@ def _decodes(a1: int, a2: int) -> int:
 _SD_OK = tuple(_decodes(a1, a2) for a1 in (0, 1) for a2 in (0, 1))
 
 
-#: the word program of one trial (see ``entmac._kernels.pure``): A1 and A2
-#: as the top bits of two words, weighted as the two-bit number A1 A2, then
-#: the Bell measurement's uniform, drawn and skipped
-_SD_PROGRAM = ((1 << 63, 1 << 63), (2, 1), 1)
+def _program():
+    """The word program of one trial (see ``entmac._kernels``).
+
+    A1 and A2 are the top bits of two words, weighted as the two-bit number
+    A1 A2, and the Bell measurement's uniform is drawn and skipped. The table
+    is ``_SD_OK``, read at each call.
+    """
+    return (1 << 63, 1 << 63), (2, 1), 1, _SD_OK
 
 
 def trial_successes(n_trials: int, seed: int) -> int:
@@ -101,7 +105,7 @@ def trial_successes(n_trials: int, seed: int) -> int:
     """
     from ._kernels.pure import _histogram, _tally
 
-    return _tally(_histogram, n_trials, seed, (*_SD_PROGRAM, _SD_OK))[1]
+    return _tally(_histogram, n_trials, seed, _program())[1]
 
 
 def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:

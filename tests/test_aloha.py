@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmac import _kernels
+from entmac import _kernels, aloha
 from entmac.aloha import (
     AlohaParams,
     AlohaSlotResult,
@@ -17,7 +17,7 @@ from entmac.aloha import (
     success_probability,
     total_throughput,
 )
-from entmac.rng import RandomSource
+from entmac.rng import RandomSource, _float_threshold
 from entmac._kernels import pure
 
 from _support import (
@@ -170,7 +170,7 @@ def test_success_counts_fit_total_throughput(monkeypatch, m):
     n = 1 << 17
     params = AlohaParams(m, optimal_p(m))
     successes = round(simulate(params, n, RandomSource(20120 + m)).mean * n)
-    expected = [n * float(q) for q in law(pure._aloha_program(params.m, params.p))]
+    expected = [n * float(q) for q in law(aloha._program(params.m, params.p))]
     statistic = chi_square((n - successes, successes), expected)
     assert statistic < CHI2_CRITICAL_0_001[1], (successes, statistic)
 
@@ -201,12 +201,12 @@ def test_transmit_threshold_agrees_with_next_float():
     ps = [0.0, 5e-324, math.nextafter(2**-53, 0), 2**-53, math.nextafter(2**-53, 1),
           math.nextafter(0.5, 0), 0.5, 1 - 2**-53, 1.0, 1]
     for p in ps:
-        threshold = pure._transmit_threshold(p)
+        threshold = _float_threshold(p)
         for w in (threshold - 2048, threshold - 1, threshold, threshold + 1, threshold + 2047):
             if 0 <= w < 2**64:
                 assert (w < threshold) == ((w >> 11) * 2**-53 < p), (p, w)
-    assert pure._transmit_threshold(0.0) == 0
-    assert pure._transmit_threshold(1.0) == pure._transmit_threshold(1) == 2**64
+    assert _float_threshold(0.0) == 0
+    assert _float_threshold(1.0) == _float_threshold(1) == 2**64
 
 
 def test_run_slot_counts_transmitters():

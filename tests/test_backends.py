@@ -15,17 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entmac import _kernels, superdense
+from entmac import _kernels, aloha, hyperdense, superdense
 from entmac._kernels import build, pure
 from entmac.aloha import AlohaParams, simulate as aloha_simulate
 from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
-from entmac.rng import RandomSource
+from entmac.rng import RandomSource, _float_threshold
 
 CHUNK = _kernels.CHUNK_SLOTS
 
 #: c's threshold in the hyperdense program of each built-in source
-C_THRESHOLD = {"qubit": pure._QUBIT_C_THRESHOLD, "coin": 1 << 63}
+C_THRESHOLD = {"qubit": hyperdense._QUBIT_C_THRESHOLD, "coin": 1 << 63}
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +69,7 @@ def test_float_stream_parity(compiled, seed):
     draws = [w >> 11 for w in compiled.words(seed, 2000)]
     assert floats == [d * 2.0**-53 for d in draws]
     for p in (0.0, 1 / 3, 0.5, 0.999, 1.0, floats[0], floats[-1]):
-        t53 = pure._transmit_threshold(p) >> 11
+        t53 = _float_threshold(p) >> 11
         assert [f < p for f in floats] == [d < t53 for d in draws], p
 
 
@@ -107,7 +107,7 @@ def test_aloha_tally_parity(seed, m, p):
 @pytest.mark.parametrize("source_cls,c_source", [(QubitPairSource, "qubit"),
                                                  (CoinPairSource, "coin")])
 def test_hyperdense_tally_parity(seed, source_cls, c_source):
-    assert pure._hyperdense_program(source_cls())[0][4] == C_THRESHOLD[c_source]
+    assert hyperdense._program(source_cls())[0][4] == C_THRESHOLD[c_source]
     assert (pure.hyperdense_tally(CHUNK, seed, source_cls())
             == _kernels.hyperdense_tally(CHUNK, seed, source_cls()))
 
@@ -157,7 +157,7 @@ def test_aloha_with_many_users_is_identical_across_backends(monkeypatch, compile
     # and the compiled loop sizes 300 thresholds, 300 weights and 301 counts
     # from the program
     params = AlohaParams(300, 1 / 300)
-    assert pure._block(*pure._aloha_program(300, 1 / 300)[:3]).width == 2
+    assert pure._block(*aloha._program(300, 1 / 300)[:3]).width == 2
     monkeypatch.setattr(_kernels, "_fast", None)
     pure_stats = aloha_simulate(params, 10_000, RandomSource(8))
     monkeypatch.setattr(_kernels, "_fast", compiled)

@@ -11,9 +11,9 @@ exactly for the simulator itself, not only within a Monte Carlo tolerance.
 
 from fractions import Fraction
 
-from entmac import superdense
-from entmac._kernels import pure
+from entmac import aloha, hyperdense, superdense
 from entmac.hyperdense import CoinPairSource, QubitPairSource
+from entmac.rng import _float_threshold
 
 from _support import law
 
@@ -25,7 +25,7 @@ SINGLE_ALICE, SINGLE_BOB = 2, 3
 
 def hyperdense_law(source, c_threshold=None) -> list[Fraction]:
     """P(each tally) of one hyperdense slot, optionally with c's threshold replaced."""
-    thresholds, weights, skip, table = pure._hyperdense_program(source)
+    thresholds, weights, skip, table = hyperdense._program(source)
     if c_threshold is not None:
         thresholds = thresholds[:4] + (c_threshold,)
     return law((thresholds, weights, skip, table), 4)
@@ -39,7 +39,7 @@ def test_single_transmission_has_probability_one_half_for_either_c():
 
 
 def test_hyperdense_delivers_exactly_five_halves_bits_from_either_source():
-    qubit_p_c0 = Fraction(pure._QUBIT_C_THRESHOLD, 2**64)
+    qubit_p_c0 = Fraction(hyperdense._QUBIT_C_THRESHOLD, 2**64)
     # the qubit source's c is biased by 2**-53, which the law does not feel
     assert qubit_p_c0 == HALF - Fraction(1, 2**53)
     for source in (CoinPairSource(), QubitPairSource()):
@@ -52,21 +52,21 @@ def test_hyperdense_delivers_exactly_five_halves_bits_from_either_source():
 
 
 def test_superdense_delivers_every_dibit():
-    assert law((*superdense._SD_PROGRAM, superdense._SD_OK)) == [0, 1]
+    assert law(superdense._program()) == [0, 1]
 
 
 def test_two_user_aloha_succeeds_with_probability_exactly_one_half():
-    assert pure._transmit_threshold(0.5) >> 11 == 2**52
-    assert law(pure._aloha_program(2, 0.5))[1] == HALF
+    assert _float_threshold(0.5) >> 11 == 2**52
+    assert law(aloha._program(2, 0.5))[1] == HALF
 
 
 def test_aloha_at_one_third_differs_from_the_closed_form_only_by_threshold_rounding():
     # ceil(p * 2**53) rounds the float nearest 1/3 up to the next multiple of 2**-53
-    q = Fraction(pure._transmit_threshold(1 / 3), 2**64)
+    q = Fraction(_float_threshold(1 / 3), 2**64)
     assert q == Fraction(1, 3) + Fraction(1, 3 * 2**53)
     # three users at q succeed with 3q(1-q)**2, not the closed form's 4/9;
     # the slope vanishes at 1/3, so the gap is far below one rounding step
-    success = law(pure._aloha_program(3, 1 / 3))[1]
+    success = law(aloha._program(3, 1 / 3))[1]
     assert success == 3 * q * (1 - q) ** 2
     assert success != Fraction(4, 9)
     assert abs(success - Fraction(4, 9)) < Fraction(1, 2**52)

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from entmac import superdense
+from entmac import hyperdense, superdense
 from entmac._kernels import pure
 from entmac.campaign import CampaignConfig, compare, enumerate_table, run_campaign
 from entmac.hyperdense import CoinPairSource, QubitPairSource
@@ -33,9 +33,9 @@ def test_golden_pure_qubit_chunks():
 
 def test_golden_outcome_table():
     # the table every hyperdense kernel reads, built at import from run_slot;
-    # the engine-built superdense._SD_OK and pure._QUBIT_C_THRESHOLD are
+    # the engine-built superdense._SD_OK and hyperdense._QUBIT_C_THRESHOLD are
     # pinned in test_superdense.py and test_hyperdense.py
-    assert pure._OUTCOME == (
+    assert hyperdense._OUTCOME == (
         0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3,
         3, 2, 3, 2, 1, 0, 1, 0, 3, 2, 3, 2, 1, 0, 1, 0,
     )

@@ -3,11 +3,12 @@ and the Monte Carlo slot simulation."""
 
 import itertools
 import math
+import re
 
 import pytest
 
 import entmac.qubit
-from entmac import _kernels
+from entmac import _kernels, hyperdense
 from entmac.hyperdense import (
     ChannelObservation,
     ChannelState,
@@ -27,8 +28,8 @@ from entmac.hyperdense import (
     run_slot,
     simulate,
 )
-from entmac.qubit import BETA_00, QubitId, measure_probabilities
-from entmac.rng import RandomSource, derive_seed
+from entmac.qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
+from entmac.rng import RandomSource, _float_threshold, derive_seed
 
 from _support import (
     CHI2_CRITICAL_0_001,
@@ -298,9 +299,9 @@ def test_qubit_pair_source_uses_two_single_qubit_measurements(monkeypatch):
 
 
 def test_qubit_c_threshold_is_the_measurement_boundary():
-    threshold = _kernels.pure._QUBIT_C_THRESHOLD
+    threshold = hyperdense._QUBIT_C_THRESHOLD
     p0 = measure_probabilities(BETA_00, QubitId.A)[0]
-    assert threshold == 2**63 - 2048 == _kernels.pure._transmit_threshold(p0)
+    assert threshold == 2**63 - 2048 == _float_threshold(p0)
     # A's word just below and at the threshold, B's uniform at either end
     for word, c in ((threshold - 1, 0), (threshold, 1)):
         for u_b in (0.0, MAX_UNIFORM):
@@ -308,11 +309,25 @@ def test_qubit_c_threshold_is_the_measurement_boundary():
             assert QubitPairSource().draw(rng) == c, (word, u_b)
 
 
+@pytest.mark.parametrize("flipped,measured", [(QubitId.A, "(1, 0)"), (QubitId.B, "(0, 1)")],
+                         ids=["A", "B"])
+def test_qubit_c_threshold_rejects_a_pair_that_does_not_give_c_twice(monkeypatch, flipped,
+                                                                    measured):
+    # A giving 1 at u = 0, or B disagreeing with A, stops the import
+    def measure_flipped(state, target, rng):
+        c, collapsed = measure_qubit(state, target, rng)
+        return (1 - c if target is flipped else c), collapsed
+
+    monkeypatch.setattr(hyperdense, "measure_qubit", measure_flipped)
+    with pytest.raises(RuntimeError, match=re.escape(f"measured {measured} where (0, 0) was due")):
+        hyperdense._qubit_c_threshold()
+
+
 def test_qubit_tally_reads_c_at_the_threshold(monkeypatch):
     # A1 = B1 = 0 in both slots: c = 0 collides, c = 1 leaves the slot idle;
     # B's word is skipped whatever it holds: a slot that read it would read
     # the next slot's bits off by one
-    threshold = _kernels.pure._QUBIT_C_THRESHOLD
+    threshold = hyperdense._QUBIT_C_THRESHOLD
     for b_word in (0, 2**64 - 1):
         script_words(monkeypatch, [0, 0, 0, 0, threshold - 1, b_word,
                                    0, 0, 0, 0, threshold, b_word])
@@ -375,7 +390,7 @@ def test_channel_counts_fit_uniform_quarters(monkeypatch, source_cls, n):
     monkeypatch.setattr(_kernels, "_fast", None)
     source = source_cls()
     counts = simulate(n, RandomSource(2012), source=source).channel_counts
-    expected = [n * float(q) for q in law(_kernels.pure._hyperdense_program(source), 4)]
+    expected = [n * float(q) for q in law(hyperdense._program(source), 4)]
     statistic = chi_square(counts.values(), expected)
     assert statistic < CHI2_CRITICAL_0_001[3], (counts, statistic)
 

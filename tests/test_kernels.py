@@ -1,5 +1,5 @@
-"""Kernel helpers: the chunk plan, the chunk runner map_chunks, and the proof
-the pure kernels' tables rest on."""
+"""Kernel helpers: the chunk plan, the chunk runner map_chunks, the shape of
+each protocol's word program, and the proof the pure kernels' tables rest on."""
 
 import os
 
@@ -205,6 +205,27 @@ def test_independent_of_u_rejects_a_measurement_that_depends_on_u():
         qubit._independent_of_u(measure_qubit, BETA_00, QubitId.A)
     with pytest.raises(RuntimeError, match="measure_bell depends on the uniform"):
         qubit._independent_of_u(measure_bell, TwoQubitState((1, 0, 0, 0)))
+
+
+#: every program a protocol module states, with the tally size its dispatcher folds it into
+PROGRAMS = [
+    *(pytest.param(aloha._program(m, p), 2, id=f"aloha-{m}-{p:.3g}")
+      for m in (1, 2, 8, 300) for p in (0, 1 / 3, 1 / 2, 1)),
+    pytest.param(hyperdense._program(hyperdense.QubitPairSource()), 4, id="hyperdense-qubit"),
+    pytest.param(hyperdense._program(hyperdense.CoinPairSource()), 4, id="hyperdense-coin"),
+    pytest.param(superdense._program(), 2, id="superdense"),
+]
+
+
+@pytest.mark.parametrize("program,size", PROGRAMS)
+def test_each_protocol_program_is_one_both_evaluators_run(program, size):
+    thresholds, weights, skip, table = program
+    assert len(thresholds) == len(weights)
+    # one table entry per index the histogram counts, each a counter of the tally
+    assert len(table) == sum(weights) + 1
+    assert all(0 <= entry < size for entry in table)
+    # the compiled kernel takes each threshold T as T >> 11, which must lose nothing
+    assert all(t % 2**11 == 0 and 0 <= t <= 2**64 for t in thresholds)
 
 
 def naive_histogram(n_slots, seed, thresholds, weights, skip):

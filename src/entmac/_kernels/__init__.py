@@ -5,8 +5,9 @@ Every tally kernel folds the index histogram of its protocol's word program
 ``pure``) into a tally with ``pure._tally``. ``pure._histogram`` gives that
 histogram in plain Python, always available. ``_fast.histogram``, one
 GIL-free C loop built from ``_fast.c`` by ``python -m entmac._kernels.build``,
-gives it bit for bit by drawing the same words one at a time. Neither knows
-a protocol. The compiled backend runs exactly when ``_fast`` imported.
+takes the same arguments and gives it bit for bit by drawing the same words
+one at a time. Neither knows a protocol. The compiled backend runs exactly
+when ``_fast`` imported.
 """
 
 from __future__ import annotations
@@ -78,16 +79,11 @@ def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     return [fn(count, seed) for seed, count in plan]
 
 
-def _compiled_histogram(n_slots: int, seed: int, thresholds, weights, skip: int) -> list[int]:
-    """``pure._histogram`` on the compiled kernel, which takes each threshold T as T >> 11."""
-    return _fast.histogram(n_slots, seed, [t >> 11 for t in thresholds], weights, skip)
-
-
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Count of successful slots over one contiguous chunk."""
     if _fast is None:
         return pure.aloha_tally(m, p, n_slots, seed)
-    return pure._tally(_compiled_histogram, n_slots, seed, aloha._program(m, p))[1]
+    return pure._tally(_fast.histogram, n_slots, seed, aloha._program(m, p))[1]
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
@@ -98,11 +94,12 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     """
     if _fast is None:
         return pure.hyperdense_tally(n_slots, seed, source)
-    return tuple(pure._tally(_compiled_histogram, n_slots, seed, hyperdense._program(source), 4))
+    program = hyperdense._program(source)  # raises for any other source, before the kernel runs
+    return tuple(pure._tally(_fast.histogram, n_slots, seed, program, 4))
 
 
 def superdense_tally(n_trials: int, seed: int) -> int:
     """Roundtrip successes over one chunk of superdense trials."""
     if _fast is None:
         return superdense.trial_successes(n_trials, seed)
-    return pure._tally(_compiled_histogram, n_trials, seed, superdense._program())[1]
+    return pure._tally(_fast.histogram, n_trials, seed, superdense._program())[1]

@@ -1,16 +1,14 @@
 /* Compiled tally kernel: the word-program evaluator of entmac._kernels.pure, in C.
  *
- * One loop runs any word program (thresholds T_0 .. T_{k-1}, weights w_0 ..
+ * One loop runs any word program (thresholds t_0 .. t_{k-1}, weights w_0 ..
  * w_{k-1}, skip s) over n slots of a SplitMix64 stream (Steele, Lea & Flood,
  * OOPSLA 2014): a slot reads k words, then draws s more it ignores, and its
- * index is the sum of w_i * [word_i >= T_i]. It returns how many slots had
- * each index. The programs and the tables that fold an index histogram into
- * a tally stay on the Python side, so nothing here knows the physics and
- * both backends share one source of truth. A threshold T, a multiple of
- * 2**11 up to 2**64, is passed as t53 = T >> 11: then w >= T exactly when
- * (w >> 11) >= t53, and T = 2**64 fits. The loop releases the GIL. Every
- * argument is range-checked and every array sized from the program before
- * it starts, so no index can leave the count array.
+ * index is the sum of w_i * [(word_i >> 11) >= t_i]. It returns how many
+ * slots had each index. The programs and the tables that fold an index
+ * histogram into a tally stay on the Python side, so nothing here knows the
+ * physics and both backends share one source of truth. The loop releases
+ * the GIL. Every argument is range-checked and every array sized from the
+ * program before it starts, so no index can leave the count array.
  *
  * Build with `python -m entmac._kernels.build`.
  */
@@ -97,17 +95,17 @@ static PyObject *words(PyObject *Py_UNUSED(self), PyObject *args)
 static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t n, skip, k, k_weights;
-    uint64_t s, *t53 = NULL, *w = NULL;
+    uint64_t s, *t = NULL, *w = NULL;
     Py_ssize_t *counts = NULL;
-    PyObject *t53_obj, *weight_obj, *out = NULL;
-    if (!PyArg_ParseTuple(args, "O&O&OOO&:histogram", count_arg, &n, u64_arg, &s, &t53_obj,
+    PyObject *threshold_obj, *weight_obj, *out = NULL;
+    if (!PyArg_ParseTuple(args, "O&O&OOO&:histogram", count_arg, &n, u64_arg, &s, &threshold_obj,
                           &weight_obj, count_arg, &skip))
         return NULL;
     /* the largest index, sum(weights), stays within this bound, so neither the
        index nor the size of the count array can overflow */
     const uint64_t bound = (uint64_t)PY_SSIZE_T_MAX / sizeof(Py_ssize_t) - 1;
     uint64_t top = 0;
-    if ((t53 = u64_array(t53_obj, 1ULL << 53, "threshold >> 11", &k)) == NULL
+    if ((t = u64_array(threshold_obj, 1ULL << 53, "threshold", &k)) == NULL
         || (w = u64_array(weight_obj, bound, "weight", &k_weights)) == NULL)
         goto done;
     if (k != k_weights || k == 0) {
@@ -130,7 +128,7 @@ static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
     for (Py_ssize_t i = 0; i < n; i++) {
         uint64_t index = 0;
         for (Py_ssize_t j = 0; j < k; j++)
-            index += w[j] * ((next_u64(&s) >> 11) >= t53[j]);
+            index += w[j] * ((next_u64(&s) >> 11) >= t[j]);
         s += jump;
         counts[index]++;
     }
@@ -146,17 +144,17 @@ static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
 done:
     PyMem_Free(counts);
     PyMem_Free(w);
-    PyMem_Free(t53);
+    PyMem_Free(t);
     return out;
 }
 
 static PyMethodDef methods[] = {
     {"words", words, METH_VARARGS, "words(seed, n): the first n SplitMix64 words from seed."},
     {"histogram", histogram, METH_VARARGS,
-     "histogram(n, seed, t53s, weights, skip): [number of the n slots with index i for\n"
-     "each i <= sum(weights)], where a slot reads one word per threshold, then skip\n"
-     "more, and its index is the sum of the weights of the words w with\n"
-     "(w >> 11) >= t53."},
+     "histogram(n, seed, thresholds, weights, skip): [number of the n slots with index i\n"
+     "for each i <= sum(weights)], where a slot reads one word per threshold t, then\n"
+     "skip more, and its index is the sum of the weights of the words w with\n"
+     "(w >> 11) >= t."},
     {NULL, NULL, 0, NULL},
 };
 

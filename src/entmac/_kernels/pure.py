@@ -1,14 +1,15 @@
 """Pure-Python kernels: the reference the compiled backend must match.
 
-Every kernel runs one word program (thresholds T_0 .. T_{k-1}, weights
+Every kernel runs one word program (thresholds t_0 .. t_{k-1}, weights
 w_0 .. w_{k-1}, skip s, table) over its chunk stream: a slot reads k words,
-then draws s more it ignores, and its index is the sum of w_i * [word_i >=
-T_i]. ``_histogram`` counts each index over a chunk's slots, and ``_tally``
-folds those counts through the table. Each protocol module states its own
-program, built from its public operations at import, so no kernel calls the
-statevector engine and neither evaluator holds a protocol's table or
-threshold: ``aloha._program``, ``hyperdense._program`` and
-``superdense._program``.
+then draws s more it ignores, and its index is the sum of w_i * [word_i >> 11
+>= t_i]. A threshold is in ``next_float``'s unit, 2**-53, as
+``rng._float_threshold`` states it. ``_histogram`` counts each index over a
+chunk's slots, and ``_tally`` folds those counts through the table. Each
+protocol module states its own program, built from its public operations
+at import, so no kernel calls the statevector engine and neither evaluator
+holds a protocol's table or threshold: ``aloha._program``,
+``hyperdense._program`` and ``superdense._program``.
 
 No word is drawn one at a time. SplitMix64 is counter-based: word j (from
 0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block of
@@ -17,13 +18,14 @@ word j in bits 128 j .. 128 j + 63, and each step of ``mix64`` is one
 operation on the whole int: a lane's 64-bit value times a 64-bit constant
 fits in its 128 bits, and masking every lane to its low 64 bits after each
 xorshift drops the bits the shift brought in from the next lane. Adding
-2**64 - T_i to a word's lane (0 to a skipped word's) carries into bit 64
-exactly when the word is >= T_i, so byte 8 of each lane is that word's
-bit. Those bytes, spread over lanes as many bytes wide as the largest
+2**64 - (t_i << 11) to a word's lane (0 to a skipped word's) carries into
+bit 64 exactly when word >> 11 >= t_i, so byte 8 of each lane is that
+word's bit. Those bytes, spread over lanes as many bytes wide as the largest
 index needs and multiplied by the weights read as a polynomial, give each
 slot's index in the lane of its last word, and one slice picks them out.
 
-The compiled kernel's one loop runs the same programs a word at a time:
+The compiled kernel's one loop, ``_fast.histogram``, takes the same
+arguments as ``_histogram`` and runs the same programs a word at a time:
 the dispatchers in ``entmac._kernels`` fold its histogram with ``_tally``
 too, so the backend-parity tests check this evaluator against an
 independent implementation. Tests pin each kernel to a slot-by-slot replay
@@ -53,7 +55,7 @@ class _Block(NamedTuple):
     lanes: int  # words per block
     slots: int  # whole slots per block
     width: int  # bytes per index lane
-    carry: int  # 2**64 - T_i in the lane of each read word, 0 in a skipped one
+    carry: int  # 2**64 - (t_i << 11) in the lane of each read word, 0 in a skipped one
     weights: int  # w_i in index lane period - 1 - i
     advance: int  # what one block adds to each lane's counter, mod 2**64
 
@@ -65,8 +67,9 @@ def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], skip: int) -> 
     lanes = max(_BLOCK_WORDS, period)
     slots = lanes // period
     width = max(1, -(-sum(weights).bit_length() // 8))
-    # a threshold <= 0 passes every word and one >= 2**64 none, as w >= T does
-    read = [((1 << 64) - min(max(t, 0), 1 << 64)).to_bytes(16, "little") for t in thresholds]
+    # a threshold <= 0 passes every word and one >= 2**53 none, as w >> 11 >= t does
+    read = [((1 << 64) - (min(max(t, 0), 1 << 53) << 11)).to_bytes(16, "little")
+            for t in thresholds]
     carry = b"".join(read + [bytes(16)] * skip) * slots
     poly = b"".join(w.to_bytes(width, "little") for w in reversed(weights + (0,) * skip))
     advance = (slots * period * _GOLDEN & _MASK64) * _lane_masks(lanes)[1]
@@ -135,8 +138,8 @@ def _tally(histogram, n_slots: int, seed: int, program, size: int = 2) -> list[i
     """[number of the n_slots slots whose index has table entry k, for each k < size].
 
     ``program`` is (thresholds, weights, skip, table); ``histogram`` runs its
-    first three over the chunk: ``_histogram`` here, and the compiled
-    kernel's twin in ``entmac._kernels``. This fold is the same on both.
+    first three over the chunk: ``_histogram`` here, or ``_fast.histogram``,
+    which takes the same arguments. This fold is the same on both.
     """
     thresholds, weights, skip, table = program
     counts = [0] * size

@@ -87,7 +87,7 @@ def run_slot(params: AlohaParams, rng: RandomSource) -> AlohaSlotResult:
 def _program(m: int, p: float):
     """The word program of one slot (see ``entmac._kernels``).
 
-    Each of the m users reads one word and transmits when it is below
+    Each of the m users reads one word w and transmits when w >> 11 is below
     ``_float_threshold(p)``, as ``run_slot`` does when ``next_float() < p``.
     Every weight is 1 and no word is skipped, so the index counts the silent
     users, and the table counts a success (1) at index m - 1: one user

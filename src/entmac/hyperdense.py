@@ -248,13 +248,9 @@ class QubitPairSource:
     checked every draw.
     """
 
-    def draw_pair(self, rng: RandomSource) -> tuple[int, int]:
+    def draw(self, rng: RandomSource) -> int:
         c_a, collapsed = measure_qubit(BETA_00, QubitId.A, rng)
         c_b, _ = measure_qubit(collapsed, QubitId.B, rng)
-        return c_a, c_b
-
-    def draw(self, rng: RandomSource) -> int:
-        c_a, c_b = self.draw_pair(rng)
         if c_a != c_b:
             raise PairCorrelationError(f"half-pair measurements disagree: {c_a} vs {c_b}")
         return c_a
@@ -290,7 +286,7 @@ _OUTCOME = tuple(
 
 
 def _qubit_c_threshold() -> int:
-    """T such that QubitPairSource().draw(rng) is 0 exactly when its first word is below T.
+    """t such that QubitPairSource().draw(rng) is 0 exactly when its first word w has w >> 11 < t.
 
     The first word is A's measurement of |beta_00>, which gives 0 exactly when
     next_float() < P(0). Raises RuntimeError unless A gives 0 at u = 0 and 1
@@ -311,7 +307,7 @@ _QUBIT_C_THRESHOLD = _qubit_c_threshold()
 #: (c's threshold, words skipped after c) for each pair source, by exact type:
 #: a coin's c is its word's top bit, and a qubit pair's B measurement draws
 #: one more word, which gives c again
-_C_WORDS = {QubitPairSource: (_QUBIT_C_THRESHOLD, 1), CoinPairSource: (1 << 63, 0)}
+_C_WORDS = {QubitPairSource: (_QUBIT_C_THRESHOLD, 1), CoinPairSource: (1 << 52, 0)}
 
 
 def _program(source):
@@ -329,7 +325,7 @@ def _program(source):
     except KeyError:
         raise TypeError(f"source must be a QubitPairSource or a CoinPairSource, "
                         f"got {type(source).__name__}") from None
-    return (1 << 63,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), skip, _OUTCOME
+    return (1 << 52,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), skip, _OUTCOME
 
 
 @dataclass(frozen=True, slots=True)

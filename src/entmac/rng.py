@@ -67,15 +67,8 @@ class RandomSource:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        state = (self._state + _GOLDEN) & _MASK64
-        self._state = state
-        z = state
-        z ^= z >> 30
-        z = (z * _MIX1) & _MASK64
-        z ^= z >> 27
-        z = (z * _MIX2) & _MASK64
-        z ^= z >> 31
-        return z
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return mix64(self._state)
 
     def next_float(self) -> float:
         """Uniform double in [0, 1) with 53 significant bits."""
@@ -87,10 +80,11 @@ class RandomSource:
 
 
 def _float_threshold(p: float) -> int:
-    """T such that the word w behind next_float() gives next_float() < p exactly when w < T.
+    """t such that next_float() < p exactly when next_float() * 2**53 < t.
 
-    next_float() is (w >> 11) * 2**-53, exact, so it is below p exactly when
-    the integer w >> 11 is below p * 2**53 (exact for a float p), that is
-    below ceil(p * 2**53), that is when w < ceil(p * 2**53) << 11.
+    Thresholds are in next_float()'s own unit, 2**-53: next_float() is
+    (w >> 11) * 2**-53 for the word w behind it, exact, so it is below p
+    exactly when the integer w >> 11 is below p * 2**53 (exact for a float p),
+    that is below t = ceil(p * 2**53). For p in [0, 1], 0 <= t <= 2**53.
     """
-    return math.ceil(p * 2**53) << 11
+    return math.ceil(p * 2**53)

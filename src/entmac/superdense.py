@@ -92,7 +92,7 @@ def _program():
     A1 A2, and the Bell measurement's uniform is drawn and skipped. The table
     is ``_SD_OK``, read at each call.
     """
-    return (1 << 63, 1 << 63), (2, 1), 1, _SD_OK
+    return (1 << 52, 1 << 52), (2, 1), 1, _SD_OK
 
 
 def trial_successes(n_trials: int, seed: int) -> int:

@@ -95,13 +95,13 @@ def law(program, size=2) -> list[Fraction]:
     """[P(a slot of ``program`` adds to counter k) for each k < size].
 
     The index law is the convolution over the read words of bit i, worth
-    w_i, being 1 with probability 1 - T_i / 2**64; skipped words do not
+    w_i, being 1 with probability 1 - t_i / 2**53; skipped words do not
     matter. The table then folds it as ``pure._tally`` folds a histogram.
     """
     thresholds, weights, _skip, table = program
     index_law = [Fraction(1)]
     for threshold, weight in zip(thresholds, weights):
-        one = 1 - Fraction(threshold, 2**64)
+        one = 1 - Fraction(threshold, 2**53)
         step = [Fraction(0)] * (len(index_law) + weight)
         for index, p in enumerate(index_law):
             step[index] += p * (1 - one)

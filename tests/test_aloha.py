@@ -201,12 +201,12 @@ def test_transmit_threshold_agrees_with_next_float():
     ps = [0.0, 5e-324, math.nextafter(2**-53, 0), 2**-53, math.nextafter(2**-53, 1),
           math.nextafter(0.5, 0), 0.5, 1 - 2**-53, 1.0, 1]
     for p in ps:
-        threshold = _float_threshold(p)
+        threshold = _float_threshold(p) << 11
         for w in (threshold - 2048, threshold - 1, threshold, threshold + 1, threshold + 2047):
             if 0 <= w < 2**64:
                 assert (w < threshold) == ((w >> 11) * 2**-53 < p), (p, w)
     assert _float_threshold(0.0) == 0
-    assert _float_threshold(1.0) == _float_threshold(1) == 2**64
+    assert _float_threshold(1.0) == _float_threshold(1) == 2**53
 
 
 def test_run_slot_counts_transmitters():

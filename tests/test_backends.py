@@ -25,7 +25,7 @@ from entmac.rng import RandomSource, _float_threshold
 CHUNK = _kernels.CHUNK_SLOTS
 
 #: c's threshold in the hyperdense program of each built-in source
-C_THRESHOLD = {"qubit": hyperdense._QUBIT_C_THRESHOLD, "coin": 1 << 63}
+C_THRESHOLD = {"qubit": hyperdense._QUBIT_C_THRESHOLD, "coin": 1 << 52}
 
 
 @pytest.fixture(scope="session")
@@ -69,31 +69,32 @@ def test_float_stream_parity(compiled, seed):
     draws = [w >> 11 for w in compiled.words(seed, 2000)]
     assert floats == [d * 2.0**-53 for d in draws]
     for p in (0.0, 1 / 3, 0.5, 0.999, 1.0, floats[0], floats[-1]):
-        t53 = _float_threshold(p) >> 11
-        assert [f < p for f in floats] == [d < t53 for d in draws], p
+        t = _float_threshold(p)
+        assert [f < p for f in floats] == [d < t for d in draws], p
 
 
-#: a threshold T as t53 = T >> 11, so 0, 2**63 and 2**64 among them; None puts
-#: it on the first slot's own word, where w >= T and w > T part
-T53S = st.one_of(st.sampled_from([0, 2**52, 2**53, None]), st.integers(0, 2**53))
+#: a threshold t in next_float's unit, so 0, 2**52 and 2**53 among them; None
+#: puts it on the first slot's own word w, t = w >> 11, where w >> 11 >= t
+#: and w >> 11 > t part
+THRESHOLDS = st.one_of(st.sampled_from([0, 2**52, 2**53, None]), st.integers(0, 2**53))
 
 
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(program=st.integers(1, 10).flatmap(lambda k: st.tuples(
-           st.lists(T53S, min_size=k, max_size=k),
+           st.lists(THRESHOLDS, min_size=k, max_size=k),
            st.lists(st.integers(0, 31), min_size=k, max_size=k))),
        skip=st.integers(0, 2),
        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
 def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, skip, seed):
-    t53s, weights = program
+    thresholds, weights = program
     rng = RandomSource(seed)
-    first_slot = [rng.next_u64() for _ in t53s]
-    t53s = tuple(w >> 11 if t is None else t for t, w in zip(t53s, first_slot))
-    thresholds = tuple(t << 11 for t in t53s)
+    first_slot = [rng.next_u64() for _ in thresholds]
+    thresholds = tuple(w >> 11 if t is None else t for t, w in zip(thresholds, first_slot))
+    weights = tuple(weights)
     for n_slots in (0, 1, CHUNK):
-        assert (compiled.histogram(n_slots, seed, t53s, weights, skip)
-                == pure._histogram(n_slots, seed, thresholds, tuple(weights), skip)), n_slots
+        assert (compiled.histogram(n_slots, seed, thresholds, weights, skip)
+                == pure._histogram(n_slots, seed, thresholds, weights, skip)), n_slots
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -201,7 +202,7 @@ def test_compiled_rejects_out_of_range_input(compiled, case):
 
 
 def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
-    # T = 0 passes every word and T = 2**64 none
+    # t = 0 passes every word and t = 2**53 none
     assert compiled.histogram(100, 3, (0,), (1,), 0) == [0, 100]
     assert compiled.histogram(100, 3, (2**53,) * 3, (1,) * 3, 0) == [100, 0, 0, 0]
     assert _kernels.aloha_tally(1, 1.0, 100, 3) == 100

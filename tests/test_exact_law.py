@@ -1,8 +1,8 @@
 """The exact law of the word programs both kernel backends run.
 
 Every kernel runs a word program (thresholds, weights, skip, table): a slot
-reads one uniform 64-bit word per threshold T_i, its bit i is 1 exactly when
-the word is at least T_i, that is with probability 1 - T_i / 2**64, and the
+reads one uniform 64-bit word per threshold t_i, its bit i is 1 exactly when
+its top 53 bits are at least t_i, that is with probability 1 - t_i / 2**53, and the
 table folds the index sum(w_i * bit_i) into a counter. So the law of each
 counter is exact in fractions. These tests compute it from the kernels' own
 programs with ``fractions.Fraction`` and show the paper's figures hold
@@ -32,14 +32,14 @@ def hyperdense_law(source, c_threshold=None) -> list[Fraction]:
 
 
 def test_single_transmission_has_probability_one_half_for_either_c():
-    # a threshold of 2**64 makes c always 0, and one of 0 makes it always 1
-    for c_threshold in (2**64, 0):
+    # a threshold of 2**53 makes c always 0, and one of 0 makes it always 1
+    for c_threshold in (2**53, 0):
         tallies = hyperdense_law(CoinPairSource(), c_threshold)
         assert tallies[SINGLE_ALICE] + tallies[SINGLE_BOB] == HALF, c_threshold
 
 
 def test_hyperdense_delivers_exactly_five_halves_bits_from_either_source():
-    qubit_p_c0 = Fraction(hyperdense._QUBIT_C_THRESHOLD, 2**64)
+    qubit_p_c0 = Fraction(hyperdense._QUBIT_C_THRESHOLD, 2**53)
     # the qubit source's c is biased by 2**-53, which the law does not feel
     assert qubit_p_c0 == HALF - Fraction(1, 2**53)
     for source in (CoinPairSource(), QubitPairSource()):
@@ -56,13 +56,13 @@ def test_superdense_delivers_every_dibit():
 
 
 def test_two_user_aloha_succeeds_with_probability_exactly_one_half():
-    assert _float_threshold(0.5) >> 11 == 2**52
+    assert _float_threshold(0.5) == 2**52
     assert law(aloha._program(2, 0.5))[1] == HALF
 
 
 def test_aloha_at_one_third_differs_from_the_closed_form_only_by_threshold_rounding():
     # ceil(p * 2**53) rounds the float nearest 1/3 up to the next multiple of 2**-53
-    q = Fraction(_float_threshold(1 / 3), 2**64)
+    q = Fraction(_float_threshold(1 / 3), 2**53)
     assert q == Fraction(1, 3) + Fraction(1, 3 * 2**53)
     # three users at q succeed with 3q(1-q)**2, not the closed form's 4/9;
     # the slope vanishes at 1/3, so the gap is far below one rounding step

@@ -14,6 +14,7 @@ from entmac.hyperdense import (
     ChannelState,
     CoinPairSource,
     DecodedView,
+    PairCorrelationError,
     PartyBits,
     Party,
     ProtocolViolationError,
@@ -278,9 +279,8 @@ def test_qubit_pair_source_correlation_and_fairness():
     n = 20_000
     zeros = 0
     for _ in range(n):
-        c_a, c_b = source.draw_pair(rng)
-        assert c_a == c_b
-        zeros += 1 - c_a
+        # draw raises PairCorrelationError unless both halves measure c
+        zeros += 1 - source.draw(rng)
     assert abs(zeros / n - 0.5) <= 5 * 0.5 / math.sqrt(n)
 
 
@@ -301,12 +301,12 @@ def test_qubit_pair_source_uses_two_single_qubit_measurements(monkeypatch):
 def test_qubit_c_threshold_is_the_measurement_boundary():
     threshold = hyperdense._QUBIT_C_THRESHOLD
     p0 = measure_probabilities(BETA_00, QubitId.A)[0]
-    assert threshold == 2**63 - 2048 == _float_threshold(p0)
-    # A's word just below and at the threshold, B's uniform at either end
-    for word, c in ((threshold - 1, 0), (threshold, 1)):
+    assert threshold == 2**52 - 1 == _float_threshold(p0)
+    # A's uniform just below and at the threshold, B's at either end
+    for t, c in ((threshold - 1, 0), (threshold, 1)):
         for u_b in (0.0, MAX_UNIFORM):
-            rng = ScriptedRng(floats=[(word >> 11) * 2**-53, u_b])
-            assert QubitPairSource().draw(rng) == c, (word, u_b)
+            rng = ScriptedRng(floats=[t * 2**-53, u_b])
+            assert QubitPairSource().draw(rng) == c, (t, u_b)
 
 
 @pytest.mark.parametrize("flipped,measured", [(QubitId.A, "(1, 0)"), (QubitId.B, "(0, 1)")],
@@ -323,11 +323,21 @@ def test_qubit_c_threshold_rejects_a_pair_that_does_not_give_c_twice(monkeypatch
         hyperdense._qubit_c_threshold()
 
 
+def test_qubit_pair_source_raises_when_the_halves_disagree(monkeypatch):
+    def measure_b_flipped(state, target, rng):
+        c, collapsed = measure_qubit(state, target, rng)
+        return (1 - c if target is QubitId.B else c), collapsed
+
+    monkeypatch.setattr(hyperdense, "measure_qubit", measure_b_flipped)
+    with pytest.raises(PairCorrelationError, match="half-pair measurements disagree"):
+        QubitPairSource().draw(RandomSource(1))
+
+
 def test_qubit_tally_reads_c_at_the_threshold(monkeypatch):
     # A1 = B1 = 0 in both slots: c = 0 collides, c = 1 leaves the slot idle;
     # B's word is skipped whatever it holds: a slot that read it would read
     # the next slot's bits off by one
-    threshold = hyperdense._QUBIT_C_THRESHOLD
+    threshold = hyperdense._QUBIT_C_THRESHOLD << 11
     for b_word in (0, 2**64 - 1):
         script_words(monkeypatch, [0, 0, 0, 0, threshold - 1, b_word,
                                    0, 0, 0, 0, threshold, b_word])

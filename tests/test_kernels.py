@@ -224,23 +224,23 @@ def test_each_protocol_program_is_one_both_evaluators_run(program, size):
     # one table entry per index the histogram counts, each a counter of the tally
     assert len(table) == sum(weights) + 1
     assert all(0 <= entry < size for entry in table)
-    # the compiled kernel takes each threshold T as T >> 11, which must lose nothing
-    assert all(t % 2**11 == 0 and 0 <= t <= 2**64 for t in thresholds)
+    # each threshold is in next_float's unit, within the compiled kernel's bound
+    assert all(0 <= t <= 2**53 for t in thresholds)
 
 
 def naive_histogram(n_slots, seed, thresholds, weights, skip):
-    """The word program run one next_u64 at a time."""
+    """The word program run one next_float at a time."""
     rng = RandomSource(seed)
     counts = [0] * (sum(weights) + 1)
     for _ in range(n_slots):
-        counts[sum(w for t, w in zip(thresholds, weights) if rng.next_u64() >= t)] += 1
+        counts[sum(w for t, w in zip(thresholds, weights) if rng.next_float() >= t * 2**-53)] += 1
         for _ in range(skip):
             rng.next_u64()
     return counts
 
 
-THRESHOLDS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64]),
-                       st.integers(0, 2**64))
+THRESHOLDS = st.one_of(st.sampled_from([0, 1, 2**52 - 1, 2**52, 2**53 - 1, 2**53]),
+                       st.integers(0, 2**53))
 #: weights small enough for one-byte index lanes, and large enough for wider ones
 WEIGHTS = st.one_of(st.integers(0, 31), st.integers(0, 2**20))
 
@@ -262,7 +262,7 @@ def test_word_program_histogram_matches_a_naive_loop(program, skip, seed, blocks
 
 
 def test_a_slot_longer_than_a_block_gets_a_block_of_its_own():
-    thresholds, weights = (1 << 63,) * 600, (1,) * 600
+    thresholds, weights = (1 << 52,) * 600, (1,) * 600
     assert pure._block(thresholds, weights, 2).slots == 1
     for seed in (0, 2**64 - 1):
         assert (pure._histogram(3, seed, thresholds, weights, 2)

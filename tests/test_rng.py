@@ -1,6 +1,9 @@
 """RandomSource: determinism, reference vectors, labelled child seeds."""
 
-from entmac.rng import RandomSource, derive_seed, fnv1a64, mix64
+from hypothesis import given
+from hypothesis import strategies as st
+
+from entmac.rng import RandomSource, _float_threshold, derive_seed, fnv1a64, mix64
 
 
 def test_splitmix64_reference_vector():
@@ -64,3 +67,16 @@ def test_derive_seed_stable_and_distinct():
 def test_mix64_stays_in_range():
     for z in (0, 1, 2**63, 2**64 - 1):
         assert 0 <= mix64(z) < 2**64
+
+
+@given(p=st.floats(0.0, 1.0))
+def test_float_threshold_is_p_rounded_up_to_next_floats_unit(p):
+    # next_float() < p exactly when next_float() * 2**53 < t
+    t = _float_threshold(p)
+    assert (t - 1) * 2**-53 < p <= t * 2**-53
+
+
+def test_float_threshold_ends():
+    assert _float_threshold(0.0) == 0
+    assert _float_threshold(1.0) == 2**53
+    assert _float_threshold(5e-324) == 1

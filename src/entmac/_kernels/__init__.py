@@ -8,12 +8,16 @@ GIL-free C loop built from ``_fast.c`` by ``python -m entmac._kernels.build``,
 takes the same arguments and gives it bit for bit by drawing the same words
 one at a time. Neither knows a protocol. The compiled backend runs exactly
 when ``_fast`` imported.
+
+``ThreadPoolExecutor`` is a module attribute that imports
+``concurrent.futures`` (and with it ``logging``) on first access, which
+only ``map_chunks`` starting a pool on the compiled backend makes: a run on
+the pure backend never loads it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .. import aloha, hyperdense, superdense
 from ..rng import derive_seed
@@ -59,14 +63,25 @@ def pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, n_chunks, _usable_cpus())
 
 
+def __getattr__(name: str):
+    """``ThreadPoolExecutor``, imported on first access and kept (PEP 562)."""
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+
+    globals()[name] = ThreadPoolExecutor
+    return ThreadPoolExecutor
+
+
 def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     """[fn(slot_count, seed) for each chunk of an n_slots run], in plan order.
 
     The chunk seeds derive from one draw off ``rng``. Chunks get a thread
     pool only on the compiled backend, whose loops release the GIL: a pure
-    kernel holds it, so its threads would add switching and no speed.
-    ``n_slots`` and ``workers`` must each be an int >= 1 (not a bool) on
-    either backend; both checks come before the draw.
+    kernel holds it, so its threads would add switching and no speed. Only
+    starting that pool imports ``concurrent.futures``. ``n_slots`` and
+    ``workers`` must each be an int >= 1 (not a bool) on either backend;
+    both checks come before the draw.
     """
     for name, value in (("n_slots", n_slots), ("workers", workers)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -74,6 +89,8 @@ def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     plan = chunk_plan(rng.next_u64(), n_slots)
     size = pool_size(workers, len(plan)) if _fast is not None else 1
     if size > 1:
+        from . import ThreadPoolExecutor  # this module's attribute, as tests may patch it
+
         with ThreadPoolExecutor(max_workers=size) as pool:
             return list(pool.map(lambda sc: fn(sc[1], sc[0]), plan))
     return [fn(count, seed) for seed, count in plan]

@@ -37,6 +37,7 @@ kernels the oracle in backend-parity tests.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import Counter
 from typing import NamedTuple
 
@@ -46,6 +47,31 @@ from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 
 #: words per block of the evaluator, unless one slot needs more; a block runs whole slots
 _BLOCK_WORDS = 512
+
+#: the largest sum(weights) ``_fast.histogram`` takes, PY_SSIZE_T_MAX / sizeof(Py_ssize_t) - 1:
+#: it sizes its count array by it
+_MAX_INDEX = sys.maxsize // ((sys.maxsize.bit_length() + 1) // 8) - 1
+
+
+def _check_u64s(values, top: int, name: str) -> None:
+    """Raise as ``_fast.histogram`` does for an entry that is not an int in [0, top]."""
+    for v in values:
+        if not isinstance(v, int):
+            raise TypeError(f"{name} must be an int, got {type(v).__name__}")
+        if not 0 <= v < 1 << 64:
+            raise OverflowError(f"{name} {v} is outside [0, 2**64)")
+        if v > top:
+            raise ValueError(f"{name} {v} must be <= {top}")
+
+
+def _check_count(value, name: str) -> None:
+    """Raise as ``_fast.histogram`` does for a count that is not an int in [0, sys.maxsize]."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if not -sys.maxsize - 1 <= value <= sys.maxsize:
+        raise OverflowError(f"{name} {value} does not fit a C ssize_t")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class _Block(NamedTuple):
@@ -62,14 +88,27 @@ class _Block(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], skip: int) -> _Block:
-    """Constants of the program, by its word period and thresholds; never by table."""
+    """Constants of the program, by its word period and thresholds; never by table.
+
+    Rejects a program as ``_fast.histogram`` does, with the same exception
+    type: a threshold outside [0, 2**53], a negative weight or skip, no
+    threshold, a weight count unlike the threshold count, or an index
+    (sum of the weights) too large to count.
+    """
+    _check_count(skip, "skip")
+    _check_u64s(thresholds, 1 << 53, "threshold")
+    _check_u64s(weights, _MAX_INDEX, "weight")
+    if not thresholds or len(thresholds) != len(weights):
+        raise ValueError(f"a program needs at least one threshold and one weight per "
+                         f"threshold, got {len(thresholds)} and {len(weights)}")
+    top = sum(weights)
+    if top > _MAX_INDEX:
+        raise OverflowError("sum(weights) is too large")
     period = len(thresholds) + skip
     lanes = max(_BLOCK_WORDS, period)
     slots = lanes // period
-    width = max(1, -(-sum(weights).bit_length() // 8))
-    # a threshold <= 0 passes every word and one >= 2**53 none, as w >> 11 >= t does
-    read = [((1 << 64) - (min(max(t, 0), 1 << 53) << 11)).to_bytes(16, "little")
-            for t in thresholds]
+    width = max(1, -(-top.bit_length() // 8))
+    read = [((1 << 64) - (t << 11)).to_bytes(16, "little") for t in thresholds]
     carry = b"".join(read + [bytes(16)] * skip) * slots
     poly = b"".join(w.to_bytes(width, "little") for w in reversed(weights + (0,) * skip))
     advance = (slots * period * _GOLDEN & _MASK64) * _lane_masks(lanes)[1]
@@ -121,9 +160,12 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     """[number of the n_slots slots of seed's stream with index i for each i <= sum(weights)].
 
     Runs the word program (thresholds, weights, skip) block by block; see
-    the module docstring.
+    the module docstring. Raises what ``_fast.histogram`` raises for the
+    same arguments.
     """
-    block = _block(thresholds, weights, skip)
+    _check_count(n_slots, "count")
+    _check_u64s((seed,), _MASK64, "seed")
+    block = _block(tuple(thresholds), tuple(weights), skip)
     low64, ones, steps = _lane_masks(block.lanes)
     counters = ((seed + _GOLDEN & _MASK64) * ones + steps) & low64
     counts = Counter()

@@ -11,7 +11,7 @@ slots, packets per slot and bits per slot coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rng import RandomSource, _float_threshold
 from .stats import RunStats
@@ -23,32 +23,27 @@ def _check_users(m) -> None:
         raise ValueError(f"user count must be an integer >= 1, got {m!r}")
 
 
-@dataclass(frozen=True)
-class AlohaParams:
+class AlohaParams(namedtuple("AlohaParams", "m p")):
     """User count M and per-user, per-slot transmit probability p."""
 
-    m: int
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_users(self.m)
-        if not (
-            isinstance(self.p, (int, float)) and not isinstance(self.p, bool)
-            and 0.0 <= self.p <= 1.0
-        ):
-            raise ValueError(f"transmit probability must be in [0, 1], got {self.p!r}")
+    def __new__(cls, m: int, p: float):
+        _check_users(m)
+        if not (isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0):
+            raise ValueError(f"transmit probability must be in [0, 1], got {p!r}")
+        return super().__new__(cls, m, p)
 
 
-@dataclass(frozen=True)
-class AlohaSlotResult:
+class AlohaSlotResult(namedtuple("AlohaSlotResult", "transmitters success")):
     """One slot: how many users transmitted and whether the slot succeeded."""
 
-    transmitters: int
-    success: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.success != (self.transmitters == 1):
+    def __new__(cls, transmitters: int, success: bool):
+        if success != (transmitters == 1):
             raise ValueError("success must hold exactly when one user transmitted")
+        return super().__new__(cls, transmitters, success)
 
 
 def success_probability(params: AlohaParams) -> float:

@@ -6,15 +6,15 @@ config and the format it is rendered in. Every protocol draws from its own
 labeled child stream of the master seed, so runs are byte-identical across
 repetitions, worker counts and backends, and changing one protocol's sample
 count cannot shift another protocol's stream.
+
+The configs, results and reports are immutable named tuples. ``_render``
+imports ``json`` or ``csv`` only when asked for that format, so a text run
+loads neither.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from . import aloha as aloha_mod
@@ -42,8 +42,7 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-@dataclass
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     protocol: str
     n_slots: int = 1_000_000
     seed: int = 42
@@ -73,8 +72,7 @@ class CampaignConfig:
         return self.p if self.p is not None else 1.0 / self.m
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     protocol: str
     config: dict
     analytic: dict
@@ -160,8 +158,7 @@ def _run_hyperdense(cfg: CampaignConfig, workers: int) -> CampaignResult:
     )
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Three-way report: hyperdense vs superdense vs slotted-Aloha (M=2)."""
 
     n_slots: int
@@ -310,8 +307,13 @@ def _statistic_rows(json_dict: dict) -> list[list]:
 def _render(json_dict: dict, output_format: str, text_fn, csv_rows=_statistic_rows) -> str:
     """The one serializer: json_dict as JSON, as ``csv_rows`` CSV, or as ``text_fn`` text."""
     if output_format == "json":
+        import json
+
         return json.dumps(json_dict, indent=2) + "\n"
     if output_format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         # str() each value: csv.writer would write None as an empty field
         csv.writer(buf, lineterminator="\n").writerows(

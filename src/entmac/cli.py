@@ -7,7 +7,6 @@ status is 0 on success and 2 on a configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -20,8 +19,8 @@ from .campaign import (
     run_campaign,
 )
 
-#: every config field's default, which is also its flag's default
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(CampaignConfig)}
+#: the default of every config field but protocol, which is also its flag's default
+_DEFAULTS = CampaignConfig._field_defaults
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,9 +24,9 @@ transmitter detecting that its own transmission collided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
 from .qubit import _U_ENDS, _independent_of_u, _OneUniform
@@ -60,43 +60,41 @@ class PairCorrelationError(RuntimeError):
     """The two halves of a shared pair measured to different bits."""
 
 
-@dataclass(frozen=True, slots=True)
-class PartyBits:
+class PartyBits(namedtuple("PartyBits", "first second")):
     """The two classical bits one party wants to deliver this slot."""
 
-    first: int
-    second: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.first not in (0, 1) or self.second not in (0, 1):
-            raise ValueError(f"party bits must be 0 or 1, got ({self.first}, {self.second})")
+    def __new__(cls, first: int, second: int):
+        if first not in (0, 1) or second not in (0, 1):
+            raise ValueError(f"party bits must be 0 or 1, got ({first}, {second})")
+        return super().__new__(cls, first, second)
 
 
-@dataclass(frozen=True, slots=True)
-class SharedOutcome:
+class SharedOutcome(namedtuple("SharedOutcome", "c")):
     """The common measurement result c (identical at both parties)."""
 
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c not in (0, 1):
-            raise ValueError(f"shared outcome must be 0 or 1, got {self.c}")
+    def __new__(cls, c: int):
+        if c not in (0, 1):
+            raise ValueError(f"shared outcome must be 0 or 1, got {c}")
+        return super().__new__(cls, c)
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelObservation:
+class ChannelObservation(namedtuple("ChannelObservation", "state payload sender")):
     """Slot-end channel state; Single carries the payload bit and its sender."""
 
-    state: ChannelState
-    payload: Optional[int] = None
-    sender: Optional[Party] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.state is ChannelState.SINGLE:
-            if self.payload is None or self.sender is None:
+    def __new__(cls, state: ChannelState, payload: Optional[int] = None,
+                sender: Optional[Party] = None):
+        if state is ChannelState.SINGLE:
+            if payload is None or sender is None:
                 raise ValueError("a single transmission needs a payload and a sender")
-        elif self.payload is not None or self.sender is not None:
-            raise ValueError(f"{self.state.value} channel cannot carry a payload")
+        elif payload is not None or sender is not None:
+            raise ValueError(f"{state.value} channel cannot carry a payload")
+        return super().__new__(cls, state, payload, sender)
 
     @classmethod
     def idle(cls) -> "ChannelObservation":
@@ -111,16 +109,14 @@ class ChannelObservation:
         return cls(ChannelState.SINGLE, payload=payload, sender=sender)
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedView:
+class DecodedView(NamedTuple):
     """What one party learns about the peer's bits at slot end."""
 
     peer_first: int
     peer_second: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     """Full record of one protocol slot."""
 
     scenario_index: int  # 1..8, position in the canonical (A1, B1, c) order
@@ -328,8 +324,7 @@ def _program(source):
     return (1 << 52,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), skip, _OUTCOME
 
 
-@dataclass(frozen=True, slots=True)
-class HyperdenseStats:
+class HyperdenseStats(NamedTuple):
     """Monte Carlo result: total delivered bits per slot and the two directions."""
 
     total: RunStats

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 from .rng import RandomSource
 
@@ -45,20 +46,18 @@ class QubitId(Enum):
     B = "B"
 
 
-@dataclass(frozen=True, slots=True)
-class BellIndex:
+class BellIndex(namedtuple("BellIndex", "k l")):
     """Index (k, l) of the Bell state |beta_kl>."""
 
-    k: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k not in (0, 1) or self.l not in (0, 1):
-            raise ValueError(f"Bell index bits must be 0 or 1, got ({self.k}, {self.l})")
+    def __new__(cls, k: int, l: int):
+        if k not in (0, 1) or l not in (0, 1):
+            raise ValueError(f"Bell index bits must be 0 or 1, got ({k}, {l})")
+        return super().__new__(cls, k, l)
 
 
-@dataclass(frozen=True, slots=True)
-class TwoQubitState:
+class TwoQubitState(namedtuple("TwoQubitState", "amps")):
     """Four complex amplitudes over |00>, |01>, |10>, |11>.
 
     The constructor checks finiteness only; normalization is the business of
@@ -68,20 +67,19 @@ class TwoQubitState:
     overflow raises here.
     """
 
-    amps: tuple[complex, complex, complex, complex]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.amps) != 4:
-            raise ValueError(f"expected 4 amplitudes, got {len(self.amps)}")
-        amps = tuple(complex(a) for a in self.amps)
+    def __new__(cls, amps: tuple[complex, complex, complex, complex]):
+        if len(amps) != 4:
+            raise ValueError(f"expected 4 amplitudes, got {len(amps)}")
+        amps = tuple(complex(a) for a in amps)
         for a in amps:
             if not cmath.isfinite(a):
                 raise ValueError(f"non-finite amplitude {a!r}")
-        object.__setattr__(self, "amps", amps)
+        return super().__new__(cls, amps)
 
 
-@dataclass(frozen=True, slots=True)
-class PauliOp:
+class PauliOp(NamedTuple):
     """Single-qubit unitary used by the superdense encoder alphabet."""
 
     tag: str

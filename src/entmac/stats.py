@@ -4,14 +4,12 @@ and the 95% confidence interval."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Z95 = 1.96
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     """Aggregate of n real-valued samples.
 
     variance is the unbiased sample variance (0 when n == 1),

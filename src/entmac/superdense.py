@@ -11,7 +11,7 @@ encode -> joint state -> measure pipeline is simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .qubit import (
     PAULI_I,
@@ -33,16 +33,15 @@ from .stats import RunStats
 BITS_PER_USE = 2
 
 
-@dataclass(frozen=True, slots=True)
-class Dibit:
+class Dibit(namedtuple("Dibit", "a1 a2")):
     """The classical bitpair (A1, A2) Alice wants to send."""
 
-    a1: int
-    a2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a1 not in (0, 1) or self.a2 not in (0, 1):
-            raise ValueError(f"dibit components must be 0 or 1, got ({self.a1}, {self.a2})")
+    def __new__(cls, a1: int, a2: int):
+        if a1 not in (0, 1) or a2 not in (0, 1):
+            raise ValueError(f"dibit components must be 0 or 1, got ({a1}, {a2})")
+        return super().__new__(cls, a1, a2)
 
 
 _ENCODING = {

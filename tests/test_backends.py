@@ -201,6 +201,47 @@ def test_compiled_rejects_out_of_range_input(compiled, case):
         getattr(_kernels if name.endswith("_tally") else compiled, name)(*args)
 
 
+#: histogram arguments outside what a word program allows, and the one
+#: exception type both evaluators raise for them
+BAD_PROGRAMS = {
+    "threshold-above-2**53": ((10, 1, (2**53 + 1,), (1,), 0), ValueError),
+    "threshold-negative": ((10, 1, (-5,), (1,), 0), OverflowError),
+    "threshold-above-64-bits": ((10, 1, (2**64,), (1,), 0), OverflowError),
+    "threshold-not-an-int": ((10, 1, (0.5,), (1,), 0), TypeError),
+    "thresholds-not-a-sequence": ((10, 1, None, (1,), 0), TypeError),
+    "no-thresholds": ((10, 1, (), (), 0), ValueError),
+    "more-thresholds-than-weights": ((10, 1, (0, 0), (1,), 0), ValueError),
+    "more-weights-than-thresholds": ((10, 1, (0,), (1, 1), 0), ValueError),
+    "weight-negative": ((10, 1, (0, 0), (1, -1), 0), OverflowError),
+    "weight-above-the-index-bound": ((10, 1, (0,), (2**62,), 0), ValueError),
+    "weights-sum-too-large": ((10, 1, (0, 0), (2**59, 2**59), 0), OverflowError),
+    "skip-negative": ((10, 1, (0,), (1,), -1), ValueError),
+    "count-negative": ((-1, 1, (0,), (1,), 0), ValueError),
+    "seed-negative": ((10, -1, (0,), (1,), 0), OverflowError),
+    "seed-above-64-bits": ((10, 2**64, (0,), (1,), 0), OverflowError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROGRAMS))
+@pytest.mark.parametrize("evaluator", ["pure", "compiled"])
+def test_both_evaluators_reject_a_bad_program_alike(compiled, evaluator, case):
+    args, error = BAD_PROGRAMS[case]
+    histogram = pure._histogram if evaluator == "pure" else compiled.histogram
+    with pytest.raises(error) as err:
+        histogram(*args)
+    assert type(err.value) is error
+
+
+@pytest.mark.parametrize("args", [
+    (100, 3, (0,), (1,), 0),
+    (100, 3, [2**53, 0], [1, 2], 0),
+    (100, 3, (2**53,) * 3, (1,) * 3, 2),
+    (0, 2**64 - 1, (2**52,), (1,), 0),
+], ids=["t-0", "lists-and-t-2**53", "skip", "empty-run"])
+def test_both_evaluators_accept_the_extreme_programs_alike(compiled, args):
+    assert pure._histogram(*args) == compiled.histogram(*args)
+
+
 def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
     # t = 0 passes every word and t = 2**53 none
     assert compiled.histogram(100, 3, (0,), (1,), 0) == [0, 100]

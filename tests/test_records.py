@@ -1,0 +1,174 @@
+"""The contract of every record type: keyword construction and defaults,
+read-only fields, the ``Name(field=value, ...)`` repr, equality and hashing
+by value, and each validation error's type and message."""
+
+import copy
+import math
+
+import pytest
+
+from entmac.aloha import AlohaParams, AlohaSlotResult
+from entmac.campaign import CampaignConfig, CampaignResult, ComparisonReport
+from entmac.hyperdense import (
+    ChannelObservation,
+    ChannelState,
+    DecodedView,
+    HyperdenseStats,
+    Party,
+    PartyBits,
+    SharedOutcome,
+    SlotOutcome,
+)
+from entmac.qubit import BellIndex, PauliOp, TwoQubitState
+from entmac.stats import RunStats
+from entmac.superdense import Dibit
+
+_RS = dict(n=4, mean=0.5, variance=0.25, std_error=0.25, ci95=(0.01, 0.99))
+_RS_REPR = "RunStats(n=4, mean=0.5, variance=0.25, std_error=0.25, ci95=(0.01, 0.99))"
+_IDLE_REPR = "ChannelObservation(state=<ChannelState.IDLE: 'idle'>, payload=None, sender=None)"
+
+#: (record type, keyword arguments, repr): one case per record type of the package
+RECORDS = [
+    (RunStats, _RS, _RS_REPR),
+    (AlohaParams, dict(m=2, p=0.5), "AlohaParams(m=2, p=0.5)"),
+    (AlohaSlotResult, dict(transmitters=1, success=True),
+     "AlohaSlotResult(transmitters=1, success=True)"),
+    (Dibit, dict(a1=1, a2=0), "Dibit(a1=1, a2=0)"),
+    (BellIndex, dict(k=0, l=1), "BellIndex(k=0, l=1)"),
+    (TwoQubitState, dict(amps=(1, 0, 0.5, -2j)),
+     "TwoQubitState(amps=((1+0j), 0j, (0.5+0j), (-0-2j)))"),
+    (PauliOp, dict(tag="X", matrix=((0, 1), (1, 0))), "PauliOp(tag='X', matrix=((0, 1), (1, 0)))"),
+    (PartyBits, dict(first=0, second=1), "PartyBits(first=0, second=1)"),
+    (SharedOutcome, dict(c=1), "SharedOutcome(c=1)"),
+    (ChannelObservation, dict(state=ChannelState.SINGLE, payload=1, sender=Party.BOB),
+     "ChannelObservation(state=<ChannelState.SINGLE: 'single'>, payload=1, "
+     "sender=<Party.BOB: 'bob'>)"),
+    (DecodedView, dict(peer_first=1, peer_second=0), "DecodedView(peer_first=1, peer_second=0)"),
+    (SlotOutcome,
+     dict(scenario_index=2, alice=PartyBits(0, 0), bob=PartyBits(0, 1), c=1, a_sent=None,
+          b_sent=None, channel=ChannelObservation(ChannelState.IDLE),
+          delivered_to_alice={"B1": 1}, delivered_to_bob={"A1": 1}, k=2),
+     "SlotOutcome(scenario_index=2, alice=PartyBits(first=0, second=0), "
+     "bob=PartyBits(first=0, second=1), c=1, a_sent=None, b_sent=None, "
+     f"channel={_IDLE_REPR}, delivered_to_alice={{'B1': 1}}, delivered_to_bob={{'A1': 1}}, k=2)"),
+    (HyperdenseStats,
+     dict(total=RunStats(**_RS), alice_to_bob=RunStats(**_RS), bob_to_alice=RunStats(**_RS),
+          channel_counts={"idle": 1}),
+     f"HyperdenseStats(total={_RS_REPR}, alice_to_bob={_RS_REPR}, bob_to_alice={_RS_REPR}, "
+     "channel_counts={'idle': 1})"),
+    (CampaignConfig, dict(protocol="hyperdense", n_slots=10, seed=3, m=4, p=0.25, c_source="coin"),
+     "CampaignConfig(protocol='hyperdense', n_slots=10, seed=3, m=4, p=0.25, c_source='coin')"),
+    (CampaignResult,
+     dict(protocol="aloha", config={"n_slots": 4}, analytic={"x": 0.5}, empirical=RunStats(**_RS),
+          directions={"a": RunStats(**_RS)}, channel_counts={"idle": 4}),
+     f"CampaignResult(protocol='aloha', config={{'n_slots': 4}}, analytic={{'x': 0.5}}, "
+     f"empirical={_RS_REPR}, directions={{'a': {_RS_REPR}}}, channel_counts={{'idle': 4}})"),
+    (ComparisonReport,
+     dict(n_slots=4, seed=1, analytic={}, hyperdense=None, superdense_bits=RunStats(**_RS),
+          aloha_m2=RunStats(**_RS)),
+     f"ComparisonReport(n_slots=4, seed=1, analytic={{}}, hyperdense=None, "
+     f"superdense_bits={_RS_REPR}, aloha_m2={_RS_REPR})"),
+]
+
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+def test_keyword_construction_and_repr(cls, kwargs, text):
+    record = cls(**kwargs)
+    assert repr(record) == text
+    for name, value in kwargs.items():
+        assert getattr(record, name) == value
+    assert cls(*kwargs.values()) == record
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+def test_fields_are_read_only(cls, kwargs, text):
+    record = cls(**kwargs)
+    for name, value in kwargs.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) == value
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=IDS)
+def test_equality_and_hashing_go_by_value(cls, kwargs, text):
+    record, twin = cls(**kwargs), cls(**copy.deepcopy(kwargs))
+    assert record == twin and not record != twin
+    try:
+        hash(tuple(kwargs.values()))
+    except TypeError:
+        # a dict field makes the record unhashable, as it makes a tuple
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+
+
+@pytest.mark.parametrize("record, defaults", [
+    (ChannelObservation(ChannelState.IDLE), dict(payload=None, sender=None)),
+    (ChannelObservation.idle(), dict(state=ChannelState.IDLE, payload=None, sender=None)),
+    (ChannelObservation.collision(), dict(state=ChannelState.COLLISION)),
+    (ChannelObservation.single(1, Party.ALICE),
+     dict(state=ChannelState.SINGLE, payload=1, sender=Party.ALICE)),
+    (DecodedView(peer_first=1), dict(peer_second=None)),
+    (CampaignConfig("aloha"),
+     dict(protocol="aloha", n_slots=1_000_000, seed=42, m=2, p=None, c_source="qubit")),
+    (CampaignResult("aloha", {}, {}, RunStats(**_RS)), dict(directions=None, channel_counts=None)),
+], ids=["observation", "idle", "collision", "single", "view", "config", "result"])
+def test_defaults(record, defaults):
+    assert {name: getattr(record, name) for name in defaults} == defaults
+
+
+def test_two_qubit_state_stores_a_tuple_of_complex():
+    state = TwoQubitState([1, 0, 0.5, -2j])
+    assert state.amps == (1, 0, 0.5, -2j)
+    assert type(state.amps) is tuple
+    assert [type(a) for a in state.amps] == [complex] * 4
+
+
+#: (constructor call, its exact error message); every error is a plain ValueError
+INVALID = [
+    (lambda: AlohaParams(0, 0.5), "user count must be an integer >= 1, got 0"),
+    (lambda: AlohaParams(True, 0.5), "user count must be an integer >= 1, got True"),
+    (lambda: AlohaParams(2.0, 0.5), "user count must be an integer >= 1, got 2.0"),
+    (lambda: AlohaParams(2, -0.1), "transmit probability must be in [0, 1], got -0.1"),
+    (lambda: AlohaParams(2, 1.5), "transmit probability must be in [0, 1], got 1.5"),
+    (lambda: AlohaParams(2, True), "transmit probability must be in [0, 1], got True"),
+    (lambda: AlohaParams(2, "0.5"), "transmit probability must be in [0, 1], got '0.5'"),
+    (lambda: AlohaParams(2, math.nan), "transmit probability must be in [0, 1], got nan"),
+    (lambda: AlohaSlotResult(1, False), "success must hold exactly when one user transmitted"),
+    (lambda: AlohaSlotResult(2, True), "success must hold exactly when one user transmitted"),
+    (lambda: AlohaSlotResult(0, True), "success must hold exactly when one user transmitted"),
+    (lambda: Dibit(2, 0), "dibit components must be 0 or 1, got (2, 0)"),
+    (lambda: Dibit(0, -1), "dibit components must be 0 or 1, got (0, -1)"),
+    (lambda: BellIndex(2, 0), "Bell index bits must be 0 or 1, got (2, 0)"),
+    (lambda: BellIndex(0, -1), "Bell index bits must be 0 or 1, got (0, -1)"),
+    (lambda: TwoQubitState((1, 0, 0)), "expected 4 amplitudes, got 3"),
+    (lambda: TwoQubitState((1, 0, 0, 0, 0)), "expected 4 amplitudes, got 5"),
+    (lambda: TwoQubitState((math.inf, 0, 0, 0)), "non-finite amplitude (inf+0j)"),
+    (lambda: TwoQubitState((0, complex(0, math.nan), 0, 0)), "non-finite amplitude nanj"),
+    (lambda: TwoQubitState((1, 0, "x", 0)), "complex() arg is a malformed string"),
+    (lambda: PartyBits(2, 0), "party bits must be 0 or 1, got (2, 0)"),
+    (lambda: PartyBits(0, 2), "party bits must be 0 or 1, got (0, 2)"),
+    (lambda: SharedOutcome(2), "shared outcome must be 0 or 1, got 2"),
+    (lambda: SharedOutcome(-1), "shared outcome must be 0 or 1, got -1"),
+    (lambda: ChannelObservation(ChannelState.SINGLE),
+     "a single transmission needs a payload and a sender"),
+    (lambda: ChannelObservation(ChannelState.SINGLE, payload=1),
+     "a single transmission needs a payload and a sender"),
+    (lambda: ChannelObservation(ChannelState.SINGLE, sender=Party.ALICE),
+     "a single transmission needs a payload and a sender"),
+    (lambda: ChannelObservation(ChannelState.IDLE, payload=1),
+     "idle channel cannot carry a payload"),
+    (lambda: ChannelObservation(ChannelState.COLLISION, sender=Party.BOB),
+     "collision channel cannot carry a payload"),
+]
+
+
+@pytest.mark.parametrize("build, message", INVALID, ids=[m for _, m in INVALID])
+def test_validation_errors_keep_their_type_and_message(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message

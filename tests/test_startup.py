@@ -1,0 +1,63 @@
+"""What a CLI run imports: only the modules the run uses.
+
+Each check runs in a fresh interpreter without ``site``, since the test
+process has long since imported the modules under test.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: prints, as a dict literal, which of WATCHED are loaded after each step
+CHILD = """
+import contextlib, io, sys
+WATCHED = ("dataclasses", "inspect", "concurrent.futures", "json", "csv")
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
+import entmac.cli
+after_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    status = entmac.cli.main(sys.argv[1:])
+from entmac import _kernels
+print(repr(dict(after_import=after_import, after_run=loaded(), status=status,
+                pure=_kernels._fast is None)))
+"""
+
+
+def imports_of(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", CHILD, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_thread_pool():
+    got = imports_of(["compare", "--slots", "1000", "--format", "text"])
+    assert got["after_import"] == []
+    assert got["status"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--slots", "1000", "--format", "text"],
+    # two chunks and two workers: still no pool on the pure backend
+    ["hyperdense", "--c-source", "coin", "--workers", "2", "--slots", "70000"],
+], ids=["compare", "hyperdense-workers-2"])
+def test_a_text_run_loads_no_json_csv_or_pool_it_does_not_use(argv):
+    got = imports_of(argv)
+    assert got["status"] == 0
+    assert {"dataclasses", "inspect", "json", "csv"}.isdisjoint(got["after_run"])
+    if got["pure"]:
+        assert "concurrent.futures" not in got["after_run"]
+
+
+@pytest.mark.parametrize("fmt, module", [("json", "json"), ("csv", "csv")])
+def test_each_format_loads_its_own_serializer(fmt, module):
+    got = imports_of(["aloha", "--slots", "1000", "--format", fmt])
+    assert got["status"] == 0
+    assert module in got["after_run"]

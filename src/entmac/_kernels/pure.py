@@ -163,9 +163,10 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     the module docstring. Raises what ``_fast.histogram`` raises for the
     same arguments.
     """
+    thresholds, weights = tuple(thresholds), tuple(weights)
     _check_count(n_slots, "count")
     _check_u64s((seed,), _MASK64, "seed")
-    block = _block(tuple(thresholds), tuple(weights), skip)
+    block = _block(thresholds, weights, skip)
     low64, ones, steps = _lane_masks(block.lanes)
     counters = ((seed + _GOLDEN & _MASK64) * ones + steps) & low64
     counts = Counter()

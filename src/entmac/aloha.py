@@ -11,8 +11,7 @@ slots, packets per slot and bits per slot coincide.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._records import checked_record
 from .rng import RandomSource, _float_threshold
 from .stats import RunStats
 
@@ -23,7 +22,7 @@ def _check_users(m) -> None:
         raise ValueError(f"user count must be an integer >= 1, got {m!r}")
 
 
-class AlohaParams(namedtuple("AlohaParams", "m p")):
+class AlohaParams(checked_record("AlohaParams", "m p")):
     """User count M and per-user, per-slot transmit probability p."""
 
     __slots__ = ()
@@ -35,7 +34,7 @@ class AlohaParams(namedtuple("AlohaParams", "m p")):
         return super().__new__(cls, m, p)
 
 
-class AlohaSlotResult(namedtuple("AlohaSlotResult", "transmitters success")):
+class AlohaSlotResult(checked_record("AlohaSlotResult", "transmitters success")):
     """One slot: how many users transmitted and whether the slot succeeded."""
 
     __slots__ = ()

@@ -85,11 +85,11 @@ class CampaignResult(NamedTuple):
             "protocol": self.protocol,
             "config": self.config,
             "analytic": self.analytic,
-            "empirical": self.empirical.as_dict(),
+            "empirical": self.empirical._asdict(),
         }
         if self.directions is not None:
             out["empirical_directions"] = {
-                name: stats.as_dict() for name, stats in self.directions.items()
+                name: stats._asdict() for name, stats in self.directions.items()
             }
         if self.channel_counts is not None:
             out["channel_counts"] = self.channel_counts
@@ -174,11 +174,11 @@ class ComparisonReport(NamedTuple):
             "config": {"n_slots": self.n_slots, "seed": self.seed},
             "analytic": self.analytic,
             "empirical": {
-                "hyperdense_total": self.hyperdense.total.as_dict(),
-                "hyperdense_alice_to_bob": self.hyperdense.alice_to_bob.as_dict(),
-                "hyperdense_bob_to_alice": self.hyperdense.bob_to_alice.as_dict(),
-                "superdense_per_slot": self.superdense_bits.as_dict(),
-                "aloha_m2_total": self.aloha_m2.as_dict(),
+                "hyperdense_total": self.hyperdense.total._asdict(),
+                "hyperdense_alice_to_bob": self.hyperdense.alice_to_bob._asdict(),
+                "hyperdense_bob_to_alice": self.hyperdense.bob_to_alice._asdict(),
+                "superdense_per_slot": self.superdense_bits._asdict(),
+                "aloha_m2_total": self.aloha_m2._asdict(),
             },
         }
 

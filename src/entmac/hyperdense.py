@@ -24,10 +24,10 @@ transmitter detecting that its own transmission collided.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from ._records import checked_record
 from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
 from .qubit import _U_ENDS, _independent_of_u, _OneUniform
 from .rng import RandomSource, _float_threshold
@@ -60,7 +60,7 @@ class PairCorrelationError(RuntimeError):
     """The two halves of a shared pair measured to different bits."""
 
 
-class PartyBits(namedtuple("PartyBits", "first second")):
+class PartyBits(checked_record("PartyBits", "first second")):
     """The two classical bits one party wants to deliver this slot."""
 
     __slots__ = ()
@@ -71,7 +71,7 @@ class PartyBits(namedtuple("PartyBits", "first second")):
         return super().__new__(cls, first, second)
 
 
-class SharedOutcome(namedtuple("SharedOutcome", "c")):
+class SharedOutcome(checked_record("SharedOutcome", "c")):
     """The common measurement result c (identical at both parties)."""
 
     __slots__ = ()
@@ -82,7 +82,7 @@ class SharedOutcome(namedtuple("SharedOutcome", "c")):
         return super().__new__(cls, c)
 
 
-class ChannelObservation(namedtuple("ChannelObservation", "state payload sender")):
+class ChannelObservation(checked_record("ChannelObservation", "state payload sender")):
     """Slot-end channel state; Single carries the payload bit and its sender."""
 
     __slots__ = ()
@@ -92,6 +92,11 @@ class ChannelObservation(namedtuple("ChannelObservation", "state payload sender"
         if state is ChannelState.SINGLE:
             if payload is None or sender is None:
                 raise ValueError("a single transmission needs a payload and a sender")
+            if payload not in (0, 1):
+                raise ValueError(f"a single transmission's payload must be 0 or 1, "
+                                 f"got {payload!r}")
+            if not isinstance(sender, Party):
+                raise ValueError(f"a single transmission's sender must be a Party, got {sender!r}")
         elif payload is not None or sender is not None:
             raise ValueError(f"{state.value} channel cannot carry a payload")
         return super().__new__(cls, state, payload, sender)
@@ -359,10 +364,7 @@ def simulate(
         lambda count, seed: _kernels.hyperdense_tally(count, seed, source), n_slots, rng, workers
     )
 
-    collision = sum(t[0] for t in tallies)
-    idle = sum(t[1] for t in tallies)
-    single_alice = sum(t[2] for t in tallies)
-    single_bob = sum(t[3] for t in tallies)
+    collision, idle, single_alice, single_bob = map(sum, zip(*tallies))
     n_single = single_alice + single_bob
 
     return HyperdenseStats(

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
 
+from ._records import checked_record
 from .rng import RandomSource
 
 #: probabilities below this are treated as exactly zero when sampling
@@ -46,7 +46,7 @@ class QubitId(Enum):
     B = "B"
 
 
-class BellIndex(namedtuple("BellIndex", "k l")):
+class BellIndex(checked_record("BellIndex", "k l")):
     """Index (k, l) of the Bell state |beta_kl>."""
 
     __slots__ = ()
@@ -57,7 +57,7 @@ class BellIndex(namedtuple("BellIndex", "k l")):
         return super().__new__(cls, k, l)
 
 
-class TwoQubitState(namedtuple("TwoQubitState", "amps")):
+class TwoQubitState(checked_record("TwoQubitState", "amps")):
     """Four complex amplitudes over |00>, |01>, |10>, |11>.
 
     The constructor checks finiteness only; normalization is the business of

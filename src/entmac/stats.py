@@ -55,15 +55,6 @@ class RunStats(NamedTuple):
         sum_sq_dev = (hi - lo) ** 2 * (n * p * (1.0 - p))
         return cls.from_moments(n, mean, sum_sq_dev)
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "variance": self.variance,
-            "std_error": self.std_error,
-            "ci95": [self.ci95[0], self.ci95[1]],
-        }
-
 
 def aggregate(samples: Iterable[float]) -> RunStats:
     """Single-pass Welford aggregation of a sample stream."""

@@ -11,8 +11,7 @@ encode -> joint state -> measure pipeline is simulated.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._records import checked_record
 from .qubit import (
     PAULI_I,
     PAULI_IY,
@@ -33,7 +32,7 @@ from .stats import RunStats
 BITS_PER_USE = 2
 
 
-class Dibit(namedtuple("Dibit", "a1 a2")):
+class Dibit(checked_record("Dibit", "a1 a2")):
     """The classical bitpair (A1, A2) Alice wants to send."""
 
     __slots__ = ()

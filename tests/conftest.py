@@ -15,7 +15,7 @@ def pools(monkeypatch):
     the backend compiled, which suffices for chunks that never call it.
     """
     RecordingPool.sizes = []
-    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     if _kernels._fast is None:
         monkeypatch.setattr(_kernels, "_fast", object())

@@ -242,6 +242,14 @@ def test_both_evaluators_accept_the_extreme_programs_alike(compiled, args):
     assert pure._histogram(*args) == compiled.histogram(*args)
 
 
+def test_both_evaluators_read_iterator_arguments_alike(compiled):
+    def args():
+        return 10, 1, iter((2**52, 2**52)), iter((2, 1)), 0
+
+    assert (pure._histogram(*args()) == compiled.histogram(*args())
+            == pure._histogram(10, 1, (2**52, 2**52), (2, 1), 0))
+
+
 def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
     # t = 0 passes every word and t = 2**53 none
     assert compiled.histogram(100, 3, (0,), (1,), 0) == [0, 100]

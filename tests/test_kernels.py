@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from entmac import _kernels, aloha, hyperdense, qubit, superdense
 from entmac._kernels import pure
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
-from entmac.rng import RandomSource
+from entmac.rng import RandomSource, derive_seed
 
 
 def test_chunk_plan_covers_exactly():
@@ -20,6 +20,13 @@ def test_chunk_plan_covers_exactly():
     seeds = [seed for seed, _ in plan]
     assert len(set(seeds)) == len(seeds)
     assert _kernels.chunk_plan(123, 200_000) == plan
+    chunk = _kernels.CHUNK_SLOTS
+    assert _kernels.chunk_plan(123, 2 * chunk + 5) == [
+        (derive_seed(123, "chunk:0"), chunk),
+        (derive_seed(123, "chunk:1"), chunk),
+        (derive_seed(123, "chunk:2"), 5),
+    ]
+    assert _kernels.chunk_plan(123, 2 * chunk) == plan[:2]
 
 
 def chunk_echo(n_chunks, workers):
@@ -29,17 +36,12 @@ def chunk_echo(n_chunks, workers):
                                workers)
 
 
-#: the CPU count pool_size reads, kept before the pools fixture replaces it
+#: the CPU count map_chunks reads, kept before the pools fixture replaces it
 usable_cpus = _kernels._usable_cpus
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, pools):
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
-    assert _kernels.pool_size(1, 10) == 1
-    assert _kernels.pool_size(2, 2) == 2
-    assert _kernels.pool_size(3, 10) == 3
-    assert _kernels.pool_size(1_000_000, 3) == 3
-    assert _kernels.pool_size(1_000_000, 1_000_000) == 4
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     for n_chunks, workers in ((10, 1), (2, 2), (10, 3), (3, 1_000_000), (10, 1_000_000)):
         chunk_echo(n_chunks, workers)
@@ -51,7 +53,6 @@ def test_pool_size_without_a_cpu_count(monkeypatch, pools):
     monkeypatch.setattr(_kernels, "_usable_cpus", usable_cpus)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _kernels.pool_size(8, 8) == 1
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     chunk_echo(8, 8)
     assert pools == []
@@ -62,7 +63,6 @@ def test_pool_size_counts_only_the_cpus_this_process_may_run_on(monkeypatch, poo
     monkeypatch.setattr(_kernels, "_usable_cpus", usable_cpus)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _kernels.pool_size(2, 16) == 1
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     chunk_echo(16, 2)
     assert pools == []
@@ -71,7 +71,6 @@ def test_pool_size_counts_only_the_cpus_this_process_may_run_on(monkeypatch, poo
 def test_pool_size_keeps_two_threads_for_two_chunks_on_two_cpus(monkeypatch, pools):
     # `hyperdense --workers 2` over two 65536-slot chunks
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
-    assert _kernels.pool_size(2, 2) == 2
     chunk_echo(2, 2)
     assert pools == [2]
 
@@ -173,7 +172,7 @@ def no_pool(monkeypatch):
         raise AssertionError("a thread pool was started for GIL-bound chunks")
 
     monkeypatch.setattr(_kernels, "_fast", None)
-    monkeypatch.setattr(_kernels, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
 
 

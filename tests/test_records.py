@@ -127,48 +127,72 @@ def test_two_qubit_state_stores_a_tuple_of_complex():
     assert [type(a) for a in state.amps] == [complex] * 4
 
 
-#: (constructor call, its exact error message); every error is a plain ValueError
+#: (record type, every field's value, the constructor's exact error message);
+#: every error is a plain ValueError
 INVALID = [
-    (lambda: AlohaParams(0, 0.5), "user count must be an integer >= 1, got 0"),
-    (lambda: AlohaParams(True, 0.5), "user count must be an integer >= 1, got True"),
-    (lambda: AlohaParams(2.0, 0.5), "user count must be an integer >= 1, got 2.0"),
-    (lambda: AlohaParams(2, -0.1), "transmit probability must be in [0, 1], got -0.1"),
-    (lambda: AlohaParams(2, 1.5), "transmit probability must be in [0, 1], got 1.5"),
-    (lambda: AlohaParams(2, True), "transmit probability must be in [0, 1], got True"),
-    (lambda: AlohaParams(2, "0.5"), "transmit probability must be in [0, 1], got '0.5'"),
-    (lambda: AlohaParams(2, math.nan), "transmit probability must be in [0, 1], got nan"),
-    (lambda: AlohaSlotResult(1, False), "success must hold exactly when one user transmitted"),
-    (lambda: AlohaSlotResult(2, True), "success must hold exactly when one user transmitted"),
-    (lambda: AlohaSlotResult(0, True), "success must hold exactly when one user transmitted"),
-    (lambda: Dibit(2, 0), "dibit components must be 0 or 1, got (2, 0)"),
-    (lambda: Dibit(0, -1), "dibit components must be 0 or 1, got (0, -1)"),
-    (lambda: BellIndex(2, 0), "Bell index bits must be 0 or 1, got (2, 0)"),
-    (lambda: BellIndex(0, -1), "Bell index bits must be 0 or 1, got (0, -1)"),
-    (lambda: TwoQubitState((1, 0, 0)), "expected 4 amplitudes, got 3"),
-    (lambda: TwoQubitState((1, 0, 0, 0, 0)), "expected 4 amplitudes, got 5"),
-    (lambda: TwoQubitState((math.inf, 0, 0, 0)), "non-finite amplitude (inf+0j)"),
-    (lambda: TwoQubitState((0, complex(0, math.nan), 0, 0)), "non-finite amplitude nanj"),
-    (lambda: TwoQubitState((1, 0, "x", 0)), "complex() arg is a malformed string"),
-    (lambda: PartyBits(2, 0), "party bits must be 0 or 1, got (2, 0)"),
-    (lambda: PartyBits(0, 2), "party bits must be 0 or 1, got (0, 2)"),
-    (lambda: SharedOutcome(2), "shared outcome must be 0 or 1, got 2"),
-    (lambda: SharedOutcome(-1), "shared outcome must be 0 or 1, got -1"),
-    (lambda: ChannelObservation(ChannelState.SINGLE),
+    (AlohaParams, dict(m=0, p=0.5), "user count must be an integer >= 1, got 0"),
+    (AlohaParams, dict(m=True, p=0.5), "user count must be an integer >= 1, got True"),
+    (AlohaParams, dict(m=2.0, p=0.5), "user count must be an integer >= 1, got 2.0"),
+    (AlohaParams, dict(m=2, p=-0.1), "transmit probability must be in [0, 1], got -0.1"),
+    (AlohaParams, dict(m=2, p=1.5), "transmit probability must be in [0, 1], got 1.5"),
+    (AlohaParams, dict(m=2, p=True), "transmit probability must be in [0, 1], got True"),
+    (AlohaParams, dict(m=2, p="0.5"), "transmit probability must be in [0, 1], got '0.5'"),
+    (AlohaParams, dict(m=2, p=math.nan), "transmit probability must be in [0, 1], got nan"),
+    (AlohaSlotResult, dict(transmitters=1, success=False),
+     "success must hold exactly when one user transmitted"),
+    (AlohaSlotResult, dict(transmitters=2, success=True),
+     "success must hold exactly when one user transmitted"),
+    (AlohaSlotResult, dict(transmitters=0, success=True),
+     "success must hold exactly when one user transmitted"),
+    (Dibit, dict(a1=2, a2=0), "dibit components must be 0 or 1, got (2, 0)"),
+    (Dibit, dict(a1=0, a2=-1), "dibit components must be 0 or 1, got (0, -1)"),
+    (BellIndex, dict(k=2, l=0), "Bell index bits must be 0 or 1, got (2, 0)"),
+    (BellIndex, dict(k=0, l=-1), "Bell index bits must be 0 or 1, got (0, -1)"),
+    (TwoQubitState, dict(amps=(1, 0, 0)), "expected 4 amplitudes, got 3"),
+    (TwoQubitState, dict(amps=(1, 0, 0, 0, 0)), "expected 4 amplitudes, got 5"),
+    (TwoQubitState, dict(amps=[1, 2]), "expected 4 amplitudes, got 2"),
+    (TwoQubitState, dict(amps=(math.inf, 0, 0, 0)), "non-finite amplitude (inf+0j)"),
+    (TwoQubitState, dict(amps=(0, complex(0, math.nan), 0, 0)), "non-finite amplitude nanj"),
+    (TwoQubitState, dict(amps=(1, 0, "x", 0)), "complex() arg is a malformed string"),
+    (PartyBits, dict(first=2, second=0), "party bits must be 0 or 1, got (2, 0)"),
+    (PartyBits, dict(first=0, second=2), "party bits must be 0 or 1, got (0, 2)"),
+    (SharedOutcome, dict(c=2), "shared outcome must be 0 or 1, got 2"),
+    (SharedOutcome, dict(c=-1), "shared outcome must be 0 or 1, got -1"),
+    (ChannelObservation, dict(state=ChannelState.SINGLE, payload=None, sender=None),
      "a single transmission needs a payload and a sender"),
-    (lambda: ChannelObservation(ChannelState.SINGLE, payload=1),
+    (ChannelObservation, dict(state=ChannelState.SINGLE, payload=1, sender=None),
      "a single transmission needs a payload and a sender"),
-    (lambda: ChannelObservation(ChannelState.SINGLE, sender=Party.ALICE),
+    (ChannelObservation, dict(state=ChannelState.SINGLE, payload=None, sender=Party.ALICE),
      "a single transmission needs a payload and a sender"),
-    (lambda: ChannelObservation(ChannelState.IDLE, payload=1),
+    (ChannelObservation, dict(state=ChannelState.SINGLE, payload=7, sender=Party.BOB),
+     "a single transmission's payload must be 0 or 1, got 7"),
+    (ChannelObservation, dict(state=ChannelState.SINGLE, payload=0, sender="bob"),
+     "a single transmission's sender must be a Party, got 'bob'"),
+    (ChannelObservation, dict(state=ChannelState.IDLE, payload=1, sender=None),
      "idle channel cannot carry a payload"),
-    (lambda: ChannelObservation(ChannelState.COLLISION, sender=Party.BOB),
+    (ChannelObservation, dict(state=ChannelState.COLLISION, payload=None, sender=Party.BOB),
      "collision channel cannot carry a payload"),
 ]
 
+INVALID_IDS = [message for _, _, message in INVALID]
 
-@pytest.mark.parametrize("build, message", INVALID, ids=[m for _, m in INVALID])
-def test_validation_errors_keep_their_type_and_message(build, message):
+#: one valid record of each type, for _replace to start from
+VALID = {cls: cls(**kwargs) for cls, kwargs, _ in RECORDS}
+
+
+def assert_plain_value_error(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert type(err.value) is ValueError
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cls, fields, message", INVALID, ids=INVALID_IDS)
+def test_validation_errors_keep_their_type_and_message(cls, fields, message):
+    assert_plain_value_error(lambda: cls(**fields), message)
+
+
+@pytest.mark.parametrize("cls, fields, message", INVALID, ids=INVALID_IDS)
+def test_make_and_replace_check_fields_as_the_constructor_does(cls, fields, message):
+    assert_plain_value_error(lambda: cls._make(fields.values()), message)
+    assert_plain_value_error(lambda: VALID[cls]._replace(**fields), message)

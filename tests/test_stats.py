@@ -93,14 +93,6 @@ def test_from_two_valued_validation():
         RunStats.from_two_valued(5, -1, 0.0, 1.0)
 
 
-def test_as_dict_round_trip():
-    stats = RunStats.from_two_valued(100, 25, lo=0.0, hi=1.0)
-    d = stats.as_dict()
-    assert d["n"] == 100
-    assert d["mean"] == stats.mean
-    assert d["ci95"] == [stats.ci95[0], stats.ci95[1]]
-
-
 @settings(max_examples=100)
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200))
 def test_aggregate_matches_two_pass_property(samples):

@@ -12,17 +12,31 @@ holds a protocol's table or threshold: ``aloha._program``,
 ``hyperdense._program`` and ``superdense._program``.
 
 No word is drawn one at a time. SplitMix64 is counter-based: word j (from
-0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block of
-``_BLOCK_WORDS`` words is one Python int with one 128-bit lane per word,
-word j in bits 128 j .. 128 j + 63, and each step of ``mix64`` is one
-operation on the whole int: a lane's 64-bit value times a 64-bit constant
-fits in its 128 bits, and masking every lane to its low 64 bits after each
-xorshift drops the bits the shift brought in from the next lane. Adding
-2**64 - (t_i << 11) to a word's lane (0 to a skipped word's) carries into
-bit 64 exactly when word >> 11 >= t_i, so byte 8 of each lane is that
-word's bit. Those bytes, spread over lanes as many bytes wide as the largest
-index needs and multiplied by the weights read as a polynomial, give each
-slot's index in the lane of its last word, and one slice picks them out.
+0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block is
+one Python int of 128-bit lanes, one per word the program reads: lane
+s k + i holds the counter of stream word s (k + skip) + i, read word i of
+the block's slot s, and a skipped word is never mixed. Each step of
+``mix64`` is one operation on the whole int: a lane's 64-bit value times a
+64-bit constant fits in its 128 bits, and masking every lane to its low 64
+bits after each multiply, and after each xorshift but the last, drops the
+product's high half and the bits the shift brought in from the next lane.
+Adding 2**64 - (t_i << 11) to read word i's lane carries into bit 64
+exactly when word >> 11 >= t_i, so byte 8 of each lane is that word's bit.
+Those bytes, spread over lanes as many bytes wide as the largest index
+needs and multiplied by the weights read as a polynomial, give each slot's
+index in the lane of its last read word, and one slice picks them out.
+
+A block does no work its program does not read. mix64's last step,
+w = z ^ z >> 31, changes only bits 0..32 of z. When t is a multiple of
+2**22, w >> 11 >= t and w >> 33 >= t >> 22 both say w >= t << 11, and the
+second reads only bits 33..63 of w, which equal those of z. So when every
+threshold of a program is a multiple of 2**22 (``_Block.tail`` is false),
+a block compares z itself against the same carry. When it does take that
+step, it skips the last mask: the shift brings the next lane's bits 0..30
+into bits 97..127, and a carry into bit 64, whose bits 64..96 are clear,
+stops at bit 64. The indices of a whole chunk are gathered first and
+counted once: by one ``bytes.count`` pass per index when there are few,
+else by one ``Counter``.
 
 The compiled kernel's one loop, ``_fast.histogram``, takes the same
 arguments as ``_histogram`` and runs the same programs a word at a time:
@@ -45,8 +59,13 @@ from .. import aloha, hyperdense
 from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 
 
-#: words per block of the evaluator, unless one slot needs more; a block runs whole slots
+#: lanes per block, one per read word (a skipped word gets none), unless one slot reads more;
+#: a block runs whole slots
 _BLOCK_WORDS = 512
+
+#: sum(weights) below which a chunk's indices are counted one ``bytes.count`` pass per index;
+#: from about 48 indices on, one ``Counter`` pass over the chunk is faster
+_COUNT_PASSES = 32
 
 #: the largest sum(weights) ``_fast.histogram`` takes, PY_SSIZE_T_MAX / sizeof(Py_ssize_t) - 1:
 #: it sizes its count array by it
@@ -77,13 +96,17 @@ def _check_count(value, name: str) -> None:
 class _Block(NamedTuple):
     """Per-block constants of one word program."""
 
-    period: int  # words per slot, skipped ones included
-    lanes: int  # words per block
+    reads: int  # words a slot reads, k
+    lanes: int  # read words per block
     slots: int  # whole slots per block
     width: int  # bytes per index lane
-    carry: int  # 2**64 - (t_i << 11) in the lane of each read word, 0 in a skipped one
-    weights: int  # w_i in index lane period - 1 - i
+    tail: bool  # whether a threshold is no multiple of 2**22, so needs mix64's last step
+    low64: int  # 2**64 - 1 in each lane
+    ones: int  # 1 in each lane
+    steps: int  # (s * (k + skip) + i) * GOLDEN mod 2**64 in lane s * k + i
     advance: int  # what one block adds to each lane's counter, mod 2**64
+    carry: int  # 2**64 - (t_i << 11) in lane s * k + i
+    weights: int  # w_i in index lane k - 1 - i
 
 
 @functools.lru_cache(maxsize=32)
@@ -104,77 +127,87 @@ def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], skip: int) -> 
     top = sum(weights)
     if top > _MAX_INDEX:
         raise OverflowError("sum(weights) is too large")
-    period = len(thresholds) + skip
-    lanes = max(_BLOCK_WORDS, period)
-    slots = lanes // period
+    reads, period = len(thresholds), len(thresholds) + skip
+    slots = max(1, _BLOCK_WORDS // reads)
+    lanes = slots * reads
     width = max(1, -(-top.bit_length() // 8))
-    read = [((1 << 64) - (t << 11)).to_bytes(16, "little") for t in thresholds]
-    carry = b"".join(read + [bytes(16)] * skip) * slots
-    poly = b"".join(w.to_bytes(width, "little") for w in reversed(weights + (0,) * skip))
-    advance = (slots * period * _GOLDEN & _MASK64) * _lane_masks(lanes)[1]
-    return _Block(period, lanes, slots, width, int.from_bytes(carry, "little"),
-                  int.from_bytes(poly, "little"), advance)
+    tail = any(t % (1 << 22) for t in thresholds)
+    low64, ones = (int.from_bytes(lane * lanes, "little")
+                   for lane in (b"\xff" * 8 + bytes(8), b"\x01" + bytes(15)))
+    # the number s * period + i of the stream word in lane s * reads + i, times GOLDEN
+    read = b"".join(i.to_bytes(16, "little") for i in range(reads)) * slots
+    slot = b"".join((s * period).to_bytes(16, "little") * reads for s in range(slots))
+    steps = (int.from_bytes(read, "little") + int.from_bytes(slot, "little")) * _GOLDEN & low64
+    carry = b"".join(((1 << 64) - (t << 11)).to_bytes(16, "little") for t in thresholds)
+    poly = b"".join(w.to_bytes(width, "little") for w in reversed(weights))
+    return _Block(reads, lanes, slots, width, tail, low64, ones, steps,
+                  (slots * period * _GOLDEN & _MASK64) * ones,
+                  int.from_bytes(carry * slots, "little"), int.from_bytes(poly, "little"))
 
 
-@functools.lru_cache(maxsize=4)
-def _lane_masks(lanes: int) -> tuple[int, int, int]:
-    """(2**64 - 1, 1, j * GOLDEN mod 2**64) in each lane j of ``lanes`` 128-bit lanes."""
-    low64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
-    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
-    steps = b"".join((j * _GOLDEN & _MASK64).to_bytes(16, "little") for j in range(lanes))
-    return low64, ones, int.from_bytes(steps, "little")
+def _mix(z: int, low64: int, tail: bool) -> int:
+    """``rng.mix64`` of the counter in each 128-bit lane of z, all lanes at once.
 
-
-def _mix(z: int, low64: int) -> int:
-    """``rng.mix64`` of the counter in each 128-bit lane of z, all lanes at once."""
+    Each lane's result is in its bits 0..63. Without ``tail`` it is the
+    value before mix64's last step, z ^ z >> 31; with it, bits 97..127 of
+    each lane hold junk from the next lane, which no carry into bit 64
+    reaches.
+    """
     z = (z ^ z >> 30) & low64
     z = z * _MIX1 & low64
     z = (z ^ z >> 27) & low64
     z = z * _MIX2 & low64
-    return (z ^ z >> 31) & low64
+    return z ^ z >> 31 if tail else z
 
 
 def _slot_indices(words: int, n_slots: int, block: _Block):
-    """Index of each of the first n_slots slots whose words fill ``words``'s lanes.
+    """Index of each of the first n_slots slots whose read words fill ``words``'s lanes.
 
-    ``words`` holds one word below 2**64 per 128-bit lane, slot 0's first
-    word in lane 0, in at most ``block.lanes`` lanes; n_slots is at most
-    ``block.slots``. The indices come as bytes when they fit one byte.
+    ``words`` holds one word per 128-bit lane, in its bits 0..63 with bits
+    64..96 clear, slot 0's first read word in lane 0, in at most
+    ``block.lanes`` lanes; n_slots is at most ``block.slots``. The indices
+    come as bytes when they fit one byte.
     """
     bits = (words + block.carry).to_bytes(16 * block.lanes, "little")[8::16]
-    width, period = block.width, block.period
+    width, reads = block.width, block.reads
     if width > 1:
         spread = bytearray(width * block.lanes)
         spread[::width] = bits
         bits = spread
     sums = (int.from_bytes(bits, "little") * block.weights).to_bytes(
-        width * (block.lanes + period), "little")
+        width * (block.lanes + reads), "little")
     if width == 1:
-        return sums[period - 1:period * n_slots:period]
+        return sums[reads - 1:reads * n_slots:reads]
     return [int.from_bytes(sums[at:at + width], "little")
-            for at in range(width * (period - 1), width * period * n_slots, width * period)]
+            for at in range(width * (reads - 1), width * reads * n_slots, width * reads)]
 
 
 def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
                weights: tuple[int, ...], skip: int) -> list[int]:
     """[number of the n_slots slots of seed's stream with index i for each i <= sum(weights)].
 
-    Runs the word program (thresholds, weights, skip) block by block; see
-    the module docstring. Raises what ``_fast.histogram`` raises for the
-    same arguments.
+    Runs the word program (thresholds, weights, skip) block by block and
+    counts the chunk's indices once; see the module docstring. Raises what
+    ``_fast.histogram`` raises for the same arguments.
     """
     thresholds, weights = tuple(thresholds), tuple(weights)
     _check_count(n_slots, "count")
     _check_u64s((seed,), _MASK64, "seed")
     block = _block(thresholds, weights, skip)
-    low64, ones, steps = _lane_masks(block.lanes)
-    counters = ((seed + _GOLDEN & _MASK64) * ones + steps) & low64
-    counts = Counter()
+    low64, tail, advance = block.low64, block.tail, block.advance
+    counters = ((seed + _GOLDEN & _MASK64) * block.ones + block.steps) & low64
+    chunk = bytearray() if block.width == 1 else []
     for first in range(0, n_slots, block.slots):
-        counts.update(_slot_indices(_mix(counters, low64), min(block.slots, n_slots - first),
-                                    block))
-        counters = (counters + block.advance) & low64
-    return [counts[index] for index in range(sum(weights) + 1)]
+        chunk += _slot_indices(_mix(counters, low64, tail), min(block.slots, n_slots - first),
+                               block)
+        counters = (counters + advance) & low64
+    top = sum(weights)
+    if top < _COUNT_PASSES:
+        return [chunk.count(index) for index in range(top + 1)]
+    counts = [0] * (top + 1)
+    for index, count in Counter(chunk).items():
+        counts[index] = count
+    return counts
 
 
 def _tally(histogram, n_slots: int, seed: int, program, size: int = 2) -> list[int]:
@@ -182,12 +215,21 @@ def _tally(histogram, n_slots: int, seed: int, program, size: int = 2) -> list[i
 
     ``program`` is (thresholds, weights, skip, table); ``histogram`` runs its
     first three over the chunk: ``_histogram`` here, or ``_fast.histogram``,
-    which takes the same arguments. This fold is the same on both.
+    which takes the same arguments. This fold is the same on both. Raises
+    ValueError, before folding, for a table that does not hold one entry per
+    index, sum(weights) + 1 in all, each an int (not a bool) in range(size).
     """
     thresholds, weights, skip, table = program
+    by_index = histogram(n_slots, seed, thresholds, weights, skip)
+    if len(table) != len(by_index):
+        raise ValueError(f"a table needs sum(weights) + 1 = {len(by_index)} entries, "
+                         f"got {len(table)}")
+    for entry in table:
+        if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < size:
+            raise ValueError(f"table entry {entry!r} is not an int in range({size})")
     counts = [0] * size
-    for index, count in enumerate(histogram(n_slots, seed, thresholds, weights, skip)):
-        counts[table[index]] += count
+    for entry, count in zip(table, by_index):
+        counts[entry] += count
     return counts
 
 

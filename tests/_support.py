@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from entmac._kernels import pure
 from entmac.hyperdense import PartyBits, SharedOutcome, run_slot
-from entmac.rng import RandomSource
+from entmac.rng import _GOLDEN, RandomSource
 
 
 class ScriptedRng:
@@ -33,14 +33,27 @@ class ScriptedRng:
         return self._bits.pop(0)
 
 
-def script_words(monkeypatch, words) -> None:
-    """Make each block of the pure kernels read ``words``, slot 0's first word first.
+def script_words(monkeypatch, words, seed) -> None:
+    """Make the pure evaluator read ``words[j]`` as word j of seed's stream, 0 past the list.
 
-    The words replace what ``pure._mix`` computes from the chunk stream, so
-    they go straight to the evaluator's bit and index stage.
+    The words replace what ``pure._mix`` computes from a block's counters,
+    so they go straight to the evaluator's bit and index stage. Each lane's
+    counter c = seed + (j + 1) * GOLDEN mod 2**64 maps back to the stream
+    word j it stands for, since GOLDEN is odd: the evaluator's own lane map
+    still picks which words a slot reads and which it skips.
     """
-    lanes = sum(word << 128 * j for j, word in enumerate(words))
-    monkeypatch.setattr(pure, "_mix", lambda counters, low64: lanes)
+    inverse = pow(_GOLDEN, -1, 1 << 64)
+
+    def mix(counters, low64, tail):
+        lanes = counters.to_bytes(low64.bit_length() // 8 + 8, "little")
+        scripted = 0
+        for lane in range(0, len(lanes), 16):
+            j = ((int.from_bytes(lanes[lane:lane + 8], "little") - seed) * inverse - 1) % (1 << 64)
+            if j < len(words):
+                scripted |= words[j] << 8 * lane
+        return scripted
+
+    monkeypatch.setattr(pure, "_mix", mix)
 
 
 class RecordingPool(ThreadPoolExecutor):

@@ -232,6 +232,29 @@ def test_both_evaluators_reject_a_bad_program_alike(compiled, evaluator, case):
     assert type(err.value) is error
 
 
+#: tables that do not fold the histogram of the program ((2**52, 2**52), (2, 1), 0), whose
+#: indices are 0 .. 3, into a tally of size 2
+BAD_TABLES = {
+    "entry-negative": (0, 1, 1, -1),
+    "entry-equal-to-size": (0, 1, 2, 1),
+    "entry-a-bool": (0, True, 1, 0),
+    "entry-a-float": (0, 1.0, 1, 0),
+    "one-entry-too-many": (0, 1, 1, 0, 0),
+    "one-entry-too-few": (0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+@pytest.mark.parametrize("evaluator", ["pure", "compiled"])
+def test_the_fold_rejects_a_bad_table_on_both_backends(compiled, evaluator, case):
+    histogram = pure._histogram if evaluator == "pure" else compiled.histogram
+    program = (2**52, 2**52), (2, 1), 0, BAD_TABLES[case]
+    with pytest.raises(ValueError, match="table"):
+        pure._tally(histogram, 100, 1, program)
+    # the same program with a good table folds
+    assert sum(pure._tally(histogram, 100, 1, program[:3] + ((0, 1, 1, 0),))) == 100
+
+
 @pytest.mark.parametrize("args", [
     (100, 3, (0,), (1,), 0),
     (100, 3, [2**53, 0], [1, 2], 0),

@@ -340,7 +340,7 @@ def test_qubit_tally_reads_c_at_the_threshold(monkeypatch):
     threshold = hyperdense._QUBIT_C_THRESHOLD << 11
     for b_word in (0, 2**64 - 1):
         script_words(monkeypatch, [0, 0, 0, 0, threshold - 1, b_word,
-                                   0, 0, 0, 0, threshold, b_word])
+                                   0, 0, 0, 0, threshold, b_word], 0)
         assert _kernels.pure.hyperdense_tally(2, 0, QubitPairSource()) == (1, 1, 0, 0), b_word
 
 

@@ -242,14 +242,27 @@ THRESHOLDS = st.one_of(st.sampled_from([0, 1, 2**52 - 1, 2**52, 2**53 - 1, 2**53
                        st.integers(0, 2**53))
 #: weights small enough for one-byte index lanes, and large enough for wider ones
 WEIGHTS = st.one_of(st.integers(0, 31), st.integers(0, 2**20))
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+#: thresholds at a drawn word's w >> 11: on it and one above, where that word
+#: passes and fails; on the multiples of 2**22 either side, the only thresholds
+#: with which a block may leave out mix64's last step; and on an odd multiple of
+#: 2**21 next to it, the coarsest threshold that reads a bit that step changes
+EDGES = {
+    "on": lambda t: t,
+    "above": lambda t: t + 1,
+    "multiple-of-2**22-below": lambda t: t >> 22 << 22,
+    "multiple-of-2**22-above": lambda t: (t >> 22) + 1 << 22,
+    "odd-multiple-of-2**21": lambda t: (t >> 21 | 1) << 21,
+}
 
 
 @settings(max_examples=100, deadline=None)
 @given(program=st.integers(1, 10).flatmap(lambda k: st.tuples(
            st.lists(THRESHOLDS, min_size=k, max_size=k),
            st.lists(WEIGHTS, min_size=k, max_size=k))),
-       skip=st.integers(0, 2),
-       seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+       skip=st.integers(0, 7),
+       seed=SEEDS,
        blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]))
 def test_word_program_histogram_matches_a_naive_loop(program, skip, seed, blocks):
     # n_slots falls on and either side of a block boundary of the evaluator
@@ -258,6 +271,28 @@ def test_word_program_histogram_matches_a_naive_loop(program, skip, seed, blocks
     n_slots = whole * pure._block(thresholds, weights, skip).slots + extra
     assert (pure._histogram(n_slots, seed, thresholds, weights, skip)
             == naive_histogram(n_slots, seed, thresholds, weights, skip))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10), skip=st.integers(0, 7), coarse=st.booleans(),
+       seed=SEEDS)
+def test_word_program_histogram_matches_a_naive_loop_at_drawn_words(data, k, skip, coarse,
+                                                                    seed):
+    # each threshold sits at a word of the first slot, of the slot after it
+    # (after a skip when skip > 0) or of the first slot of the second block;
+    # ``coarse`` keeps every threshold a multiple of 2**21
+    weights = tuple(data.draw(st.lists(WEIGHTS, min_size=k, max_size=k)))
+    slots = pure._block((0,) * k, weights, skip).slots
+    period = k + skip
+    rng = RandomSource(seed)
+    stream = [rng.next_u64() for _ in range((slots + 1) * period)]
+    edges = sorted(name for name in EDGES if "multiple" in name or not coarse)
+    thresholds = tuple(
+        EDGES[data.draw(st.sampled_from(edges))](
+            stream[data.draw(st.sampled_from([0, 1, slots])) * period + i] >> 11)
+        for i in range(k))
+    assert (pure._histogram(slots + 1, seed, thresholds, weights, skip)
+            == naive_histogram(slots + 1, seed, thresholds, weights, skip))
 
 
 def test_a_slot_longer_than_a_block_gets_a_block_of_its_own():

@@ -98,7 +98,7 @@ def test_trial_reads_two_dibit_words_and_skips_the_third(monkeypatch, k):
     words = []
     for t in range(12):
         words += [(t >> 1 & 1) << 63, (t & 1) << 63, 2**64 - 1]
-    script_words(monkeypatch, words)
+    script_words(monkeypatch, words, 0)
     monkeypatch.setattr(superdense, "_SD_OK", tuple(int(i == k) for i in range(4)))
     assert superdense.trial_successes(12, 0) == 3
 

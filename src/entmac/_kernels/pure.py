@@ -18,25 +18,36 @@ s k + i holds the counter of stream word s (k + skip) + i, read word i of
 the block's slot s, and a skipped word is never mixed. Each step of
 ``mix64`` is one operation on the whole int: a lane's 64-bit value times a
 64-bit constant fits in its 128 bits, and masking every lane to its low 64
-bits after each multiply, and after each xorshift but the last, drops the
-product's high half and the bits the shift brought in from the next lane.
-Adding 2**64 - (t_i << 11) to read word i's lane carries into bit 64
-exactly when word >> 11 >= t_i, so byte 8 of each lane is that word's bit.
-Those bytes, spread over lanes as many bytes wide as the largest index
-needs and multiplied by the weights read as a polynomial, give each slot's
-index in the lane of its last read word, and one slice picks them out.
+bits after each step drops the product's high half and the bits a shift
+brought in from the next lane.
 
 A block does no work its program does not read. mix64's last step,
 w = z ^ z >> 31, changes only bits 0..32 of z. When t is a multiple of
 2**22, w >> 11 >= t and w >> 33 >= t >> 22 both say w >= t << 11, and the
 second reads only bits 33..63 of w, which equal those of z. So when every
 threshold of a program is a multiple of 2**22 (``_Block.tail`` is false),
-a block compares z itself against the same carry. When it does take that
-step, it skips the last mask: the shift brings the next lane's bits 0..30
-into bits 97..127, and a carry into bit 64, whose bits 64..96 are clear,
-stops at bit 64. The indices of a whole chunk are gathered first and
-counted once: by one ``bytes.count`` pass per index when there are few,
-else by one ``Counter``.
+a block compares z itself and leaves out that step and its mask.
+
+A chunk's blocks go in groups of eight, and one ``to_bytes`` turns a
+whole group's bits into bytes. Block b of a group (b = 0..7) adds
+C_b = 2**(64 + 8 b) - (t_i << 11) to read word i's lane, whose word w is
+in bits 0..63 with the rest of the lane clear; t_i << 11 is at most 2**64.
+If w >= t_i << 11, the sum is 2**(64 + 8 b) plus less than 2**64: the
+carry out of bit 63 runs through the ones C_b holds in bits
+64 .. 64 + 8 b - 1 and sets bit 64 + 8 b. Otherwise the sum is
+2**(64 + 8 b) less at most 2**64, below 2**(64 + 8 b), so that bit is
+clear. Either way the sum is below 2**121 and stays in its lane. A lane
+must be clear above bit 63 for this, and mix64's last step brings the next
+lane's bits 0..30 into bits 97..127, where the ones of b >= 5 reach, so
+``_mix`` masks after that step too. Masking each sum to bit 64 + 8 b of
+every lane and OR-ing the group's eight blocks leaves block b's bits at
+byte 8 + b of each lane, so one conversion and the slice [8 + b::16] give
+block b's bits, one byte per read word. Those bytes, spread over lanes as
+many bytes wide as the largest index needs and multiplied by the weights
+read as a polynomial, give each slot's index in the lane of its last read
+word, and one slice picks them out. The indices of a whole chunk are
+gathered first and counted once: by one ``bytes.count`` pass per index
+when there are few, else by one ``Counter``.
 
 The compiled kernel's one loop, ``_fast.histogram``, takes the same
 arguments as ``_histogram`` and runs the same programs a word at a time:
@@ -63,9 +74,13 @@ from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 #: a block runs whole slots
 _BLOCK_WORDS = 512
 
+#: blocks whose bits one ``to_bytes`` converts, one per byte 8..15 of a 128-bit lane
+_GROUP_BLOCKS = 8
+
 #: sum(weights) below which a chunk's indices are counted one ``bytes.count`` pass per index;
-#: from about 48 indices on, one ``Counter`` pass over the chunk is faster
-_COUNT_PASSES = 32
+#: one ``Counter`` pass over the chunk is faster from about 64 indices on when they are
+#: uniform, and from about 80 when they are as skewed as Aloha's binomial
+_COUNT_PASSES = 64
 
 #: the largest sum(weights) ``_fast.histogram`` takes, PY_SSIZE_T_MAX / sizeof(Py_ssize_t) - 1:
 #: it sizes its count array by it
@@ -148,27 +163,23 @@ def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], skip: int) -> 
 def _mix(z: int, low64: int, tail: bool) -> int:
     """``rng.mix64`` of the counter in each 128-bit lane of z, all lanes at once.
 
-    Each lane's result is in its bits 0..63. Without ``tail`` it is the
-    value before mix64's last step, z ^ z >> 31; with it, bits 97..127 of
-    each lane hold junk from the next lane, which no carry into bit 64
-    reaches.
+    Each lane's result is in its bits 0..63, and its other bits are clear.
+    Without ``tail`` it is the value before mix64's last step, z ^ z >> 31.
     """
     z = (z ^ z >> 30) & low64
     z = z * _MIX1 & low64
     z = (z ^ z >> 27) & low64
     z = z * _MIX2 & low64
-    return z ^ z >> 31 if tail else z
+    return (z ^ z >> 31) & low64 if tail else z
 
 
-def _slot_indices(words: int, n_slots: int, block: _Block):
-    """Index of each of the first n_slots slots whose read words fill ``words``'s lanes.
+def _slot_indices(bits: bytes, n_slots: int, block: _Block):
+    """Index of each of the first n_slots slots of a block whose read words gave ``bits``.
 
-    ``words`` holds one word per 128-bit lane, in its bits 0..63 with bits
-    64..96 clear, slot 0's first read word in lane 0, in at most
-    ``block.lanes`` lanes; n_slots is at most ``block.slots``. The indices
-    come as bytes when they fit one byte.
+    ``bits`` holds one byte per lane of the block, slot 0's first read word
+    first: 1 where that word passes its threshold, else 0. n_slots is at
+    most ``block.slots``. The indices come as bytes when they fit one byte.
     """
-    bits = (words + block.carry).to_bytes(16 * block.lanes, "little")[8::16]
     width, reads = block.width, block.reads
     if width > 1:
         spread = bytearray(width * block.lanes)
@@ -186,7 +197,7 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
                weights: tuple[int, ...], skip: int) -> list[int]:
     """[number of the n_slots slots of seed's stream with index i for each i <= sum(weights)].
 
-    Runs the word program (thresholds, weights, skip) block by block and
+    Runs the word program (thresholds, weights, skip) in groups of blocks and
     counts the chunk's indices once; see the module docstring. Raises what
     ``_fast.histogram`` raises for the same arguments.
     """
@@ -194,13 +205,23 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     _check_count(n_slots, "count")
     _check_u64s((seed,), _MASK64, "seed")
     block = _block(thresholds, weights, skip)
-    low64, tail, advance = block.low64, block.tail, block.advance
-    counters = ((seed + _GOLDEN & _MASK64) * block.ones + block.steps) & low64
+    low64, tail, advance, ones, slots = (block.low64, block.tail, block.advance, block.ones,
+                                         block.slots)
+    # block b of a group: C_b, the carry plus ones in lane bits 64 .. 64 + 8b - 1, and the
+    # mask of lane bit 64 + 8b, where the sum leaves that block's bits
+    runs = [(block.carry + ((1 << 8 * b) - 1 << 64) * ones, ones << 64 + 8 * b)
+            for b in range(_GROUP_BLOCKS)]
+    counters = ((seed + _GOLDEN & _MASK64) * ones + block.steps) & low64
     chunk = bytearray() if block.width == 1 else []
-    for first in range(0, n_slots, block.slots):
-        chunk += _slot_indices(_mix(counters, low64, tail), min(block.slots, n_slots - first),
-                               block)
-        counters = (counters + advance) & low64
+    for group in range(0, n_slots, _GROUP_BLOCKS * slots):
+        firsts = range(group, min(n_slots, group + _GROUP_BLOCKS * slots), slots)
+        bits = 0
+        for _, (carry, bit) in zip(firsts, runs):
+            bits |= (_mix(counters, low64, tail) + carry) & bit
+            counters = (counters + advance) & low64
+        raw = bits.to_bytes(16 * block.lanes, "little")
+        for b, first in enumerate(firsts):
+            chunk += _slot_indices(raw[8 + b::16], min(slots, n_slots - first), block)
     top = sum(weights)
     if top < _COUNT_PASSES:
         return [chunk.count(index) for index in range(top + 1)]

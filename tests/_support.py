@@ -14,6 +14,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from entmac._kernels import pure
 from entmac.hyperdense import PartyBits, SharedOutcome, run_slot
 from entmac.rng import _GOLDEN, RandomSource
@@ -86,6 +88,10 @@ class CountingRng:
     def next_u64(self) -> int:
         self.u64_calls += 1
         return self.inner.next_u64()
+
+
+#: word-program weights small enough for one-byte index lanes, and large enough for wider ones
+WEIGHTS = st.one_of(st.integers(0, 31), st.integers(0, 2**20))
 
 
 # largest float below 1.0 that next_float can produce

@@ -10,6 +10,7 @@ the Python headers.
 
 import hashlib
 import importlib.util
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +22,8 @@ from entmac.aloha import AlohaParams, simulate as aloha_simulate
 from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
 from entmac.rng import RandomSource, _float_threshold
+
+from _support import WEIGHTS
 
 CHUNK = _kernels.CHUNK_SLOTS
 
@@ -83,8 +86,8 @@ THRESHOLDS = st.one_of(st.sampled_from([0, 2**52, 2**53, None]), st.integers(0, 
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(program=st.integers(1, 10).flatmap(lambda k: st.tuples(
            st.lists(THRESHOLDS, min_size=k, max_size=k),
-           st.lists(st.integers(0, 31), min_size=k, max_size=k))),
-       skip=st.integers(0, 2),
+           st.lists(WEIGHTS, min_size=k, max_size=k))),
+       skip=st.integers(0, 7),
        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
 def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, skip, seed):
     thresholds, weights = program
@@ -92,7 +95,10 @@ def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, skip, 
     first_slot = [rng.next_u64() for _ in thresholds]
     thresholds = tuple(w >> 11 if t is None else t for t, w in zip(thresholds, first_slot))
     weights = tuple(weights)
-    for n_slots in (0, 1, CHUNK):
+    # the pure evaluator converts the bits of a group of blocks at once: end a run on a
+    # group boundary and one slot either side
+    group = pure._GROUP_BLOCKS * pure._block(thresholds, weights, skip).slots
+    for n_slots in (0, 1, group - 1, group, group + 1, CHUNK):
         assert (compiled.histogram(n_slots, seed, thresholds, weights, skip)
                 == pure._histogram(n_slots, seed, thresholds, weights, skip)), n_slots
 
@@ -230,6 +236,79 @@ def test_both_evaluators_reject_a_bad_program_alike(compiled, evaluator, case):
     with pytest.raises(error) as err:
         histogram(*args)
     assert type(err.value) is error
+
+
+#: values that neither evaluator takes for an int
+NOT_INTS = st.sampled_from([0.5, float(2**52), "1", None, b"\x01"])
+#: counts (n_slots and skip) that are negative, beyond a C ssize_t or no int
+BAD_COUNTS = st.one_of(st.integers(max_value=-1), st.integers(min_value=sys.maxsize + 1),
+                       NOT_INTS)
+BAD_SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64), NOT_INTS)
+#: weights that are negative, above the largest index _fast.histogram counts, not 64-bit
+#: or no int
+BAD_WEIGHTS = st.one_of(st.integers(max_value=-1), st.integers(pure._MAX_INDEX + 1, 2**64 - 1),
+                        st.integers(min_value=2**64), NOT_INTS)
+BAD_THRESHOLDS = st.one_of(st.integers(2**53 + 1, 2**64 - 1), st.integers(max_value=-1),
+                           st.integers(min_value=2**64), NOT_INTS)
+
+
+def replace_one(data, values, bad):
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(bad)
+
+
+def too_heavy(data, args):
+    """Every weight at the largest index, and at least two of them: their sum is too large."""
+    if len(args["weights"]) == 1:
+        args["thresholds"].append(0)
+        args["weights"].append(0)
+    args["weights"][:] = [pure._MAX_INDEX] * len(args["weights"])
+
+
+def uneven(data, args):
+    """One threshold more than the weights, or one weight more than the thresholds."""
+    args[data.draw(st.sampled_from(["thresholds", "weights"]))].append(0)
+
+
+#: each turns a good program's arguments into a bad one, in this order; none undoes another
+FAULTS = {
+    "weights-sum": too_heavy,
+    "threshold": lambda data, args: replace_one(data, args["thresholds"], BAD_THRESHOLDS),
+    "weight": lambda data, args: replace_one(data, args["weights"], BAD_WEIGHTS),
+    "count": lambda data, args: args.update(count=data.draw(BAD_COUNTS)),
+    "skip": lambda data, args: args.update(skip=data.draw(BAD_COUNTS)),
+    "seed": lambda data, args: args.update(seed=data.draw(BAD_SEEDS)),
+    "lengths": uneven,
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), k=st.integers(1, 4),
+       faults=st.sets(st.sampled_from(sorted(FAULTS)), min_size=1))
+def test_both_evaluators_reject_a_drawn_bad_program_alike(compiled, data, k, faults):
+    # both check count, seed, skip, the thresholds, the weights, their lengths and the
+    # weights' sum in that order, so the first fault decides the exception of each
+    args = {"count": data.draw(st.integers(0, 100)),
+            "seed": data.draw(st.integers(0, 2**64 - 1)),
+            "thresholds": data.draw(st.lists(st.integers(0, 2**53), min_size=k, max_size=k)),
+            "weights": data.draw(st.lists(st.integers(0, 31), min_size=k, max_size=k)),
+            "skip": data.draw(st.integers(0, 7))}
+    for name, fault in FAULTS.items():
+        if name in faults:
+            fault(data, args)
+    call = (args["count"], args["seed"], tuple(args["thresholds"]), tuple(args["weights"]),
+            args["skip"])
+    with pytest.raises((TypeError, ValueError, OverflowError)) as fast:
+        compiled.histogram(*call)
+
+    def no_work(*_):
+        raise AssertionError("the pure evaluator mixed words of a bad program")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pure, "_mix", no_work)
+        with pytest.raises((TypeError, ValueError, OverflowError)) as ref:
+            pure._histogram(*call)
+    assert type(ref.value) is type(fast.value)
 
 
 #: tables that do not fold the histogram of the program ((2**52, 2**52), (2, 1), 0), whose

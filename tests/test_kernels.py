@@ -4,13 +4,15 @@ each protocol's word program, and the proof the pure kernels' tables rest on."""
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmac import _kernels, aloha, hyperdense, qubit, superdense
 from entmac._kernels import pure
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
 from entmac.rng import RandomSource, derive_seed
+
+from _support import WEIGHTS
 
 
 def test_chunk_plan_covers_exactly():
@@ -240,8 +242,6 @@ def naive_histogram(n_slots, seed, thresholds, weights, skip):
 
 THRESHOLDS = st.one_of(st.sampled_from([0, 1, 2**52 - 1, 2**52, 2**53 - 1, 2**53]),
                        st.integers(0, 2**53))
-#: weights small enough for one-byte index lanes, and large enough for wider ones
-WEIGHTS = st.one_of(st.integers(0, 31), st.integers(0, 2**20))
 SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 #: thresholds at a drawn word's w >> 11: on it and one above, where that word
@@ -263,9 +263,14 @@ EDGES = {
            st.lists(WEIGHTS, min_size=k, max_size=k))),
        skip=st.integers(0, 7),
        seed=SEEDS,
-       blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]))
+       blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7), (7, -1), (7, 1), (8, 0),
+                               (8, 1), (16, -1), (17, 3)]))
+# a threshold no multiple of 2**22 over a full group of blocks: mix64's last step runs and
+# the carries of group positions 5..7 cross lane bits 97..127
+@example(program=([2**52 + 1, 3 << 50, 12345], [1, 2, 4]), skip=1, seed=2**64 - 1, blocks=(8, 0))
 def test_word_program_histogram_matches_a_naive_loop(program, skip, seed, blocks):
-    # n_slots falls on and either side of a block boundary of the evaluator
+    # n_slots falls on and either side of a block boundary of the evaluator, and of a
+    # group of _GROUP_BLOCKS blocks, whose bits one conversion turns into bytes
     thresholds, weights = map(tuple, program)
     whole, extra = blocks
     n_slots = whole * pure._block(thresholds, weights, skip).slots + extra
@@ -293,6 +298,18 @@ def test_word_program_histogram_matches_a_naive_loop_at_drawn_words(data, k, ski
         for i in range(k))
     assert (pure._histogram(slots + 1, seed, thresholds, weights, skip)
             == naive_histogram(slots + 1, seed, thresholds, weights, skip))
+
+
+@pytest.mark.parametrize("top", [pure._COUNT_PASSES - 1, pure._COUNT_PASSES])
+def test_histogram_counts_alike_on_either_side_of_the_count_pass_bound(top):
+    # below the bound a chunk is counted one bytes.count pass per index, from it on by one
+    # Counter; words of weights 1, 2, 4, .. and the rest reach every index 0..top
+    powers = [1 << i for i in range(top.bit_length() - 1)]
+    weights = (*powers, top - sum(powers))
+    thresholds = (2**52,) * len(weights)
+    for n_slots in (1, 3000):
+        assert (pure._histogram(n_slots, 11, thresholds, weights, 0)
+                == naive_histogram(n_slots, 11, thresholds, weights, 0))
 
 
 def test_a_slot_longer_than_a_block_gets_a_block_of_its_own():

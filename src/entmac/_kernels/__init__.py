@@ -7,12 +7,15 @@ histogram in plain Python, always available. ``_fast.histogram``, one
 GIL-free C loop built from ``_fast.c`` by ``python -m entmac._kernels.build``,
 takes the same arguments and gives it bit for bit by drawing the same words
 one at a time. Neither knows a protocol. The compiled backend runs exactly
-when ``_fast`` imported.
+when ``_fast`` imported. ``map_chunks`` runs a run's chunks, on either
+backend, in this process and in up to ``workers - 1`` children it forks.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
+import sys
 
 from .. import aloha, hyperdense, superdense
 from ..rng import derive_seed
@@ -49,25 +52,78 @@ def _usable_cpus() -> int:
 def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     """[fn(slot_count, seed) for each chunk of an n_slots run], in plan order.
 
-    The chunk seeds derive from one draw off ``rng``. Chunks get a thread
-    pool only on the compiled backend, whose loops release the GIL: a pure
-    kernel holds it, so its threads would add switching and no speed. A pool
-    gets no more threads than there are chunks or usable CPUs, and only
-    starting one imports ``concurrent.futures``. ``n_slots`` and
-    ``workers`` must each be an int >= 1 (not a bool) on either backend;
-    both checks come before the draw.
+    The chunk seeds derive from one draw off ``rng``. Up to ``workers``
+    processes run the chunks, on either backend: this one and children it
+    forks, no more than there are chunks or usable CPUs. Each result must
+    be a value ``marshal`` writes (ints and tuples of ints are), and an
+    exception ``fn`` raises in a child's share is raised here as ``fn``
+    raises it. The chunks run in this process alone where ``os.fork`` is
+    missing or another thread is running, since forking a process with
+    threads is unsafe. ``n_slots`` and ``workers`` must each be an int >= 1
+    (not a bool); both checks come before the draw.
     """
     for name, value in (("n_slots", n_slots), ("workers", workers)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     seeds, counts = zip(*chunk_plan(rng.next_u64(), n_slots))
-    size = min(workers, len(counts), _usable_cpus()) if _fast is not None else 1
-    if size > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=size) as pool:
-            return list(pool.map(fn, counts, seeds))
+    size = min(workers, len(counts), _usable_cpus())
+    threading = sys.modules.get("threading")
+    if size > 1 and hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
+        return _run_forked(fn, counts, seeds, size)
     return list(map(fn, counts, seeds))
+
+
+def _run_forked(fn, counts, seeds, size: int) -> list:
+    """Chunks k, k + size, .. in forked child k for 0 < k < size, and share 0 here.
+
+    A child that fails has its share re-run here, so its exception reaches
+    the caller as ``fn`` raises it. No child outlives this call: any still
+    running when this process's own share raises is killed and reaped.
+    """
+    children = []  # [pid, read end of its pipe] per child; pid is None once reaped
+    try:
+        for k in range(1, size):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(fn, counts[k::size], seeds[k::size], write_end)
+            os.close(write_end)
+            children.append([pid, read_end])
+        results = [None] * len(counts)
+        results[::size] = map(fn, counts[::size], seeds[::size])
+        for k, child in enumerate(children, 1):
+            with open(child[1], "rb", closefd=False) as pipe:  # read until the child closes it
+                data = pipe.read()
+            status = os.waitpid(child[0], 0)[1]
+            child[0] = None
+            results[k::size] = (marshal.loads(data) if status == 0
+                                else map(fn, counts[k::size], seeds[k::size]))
+        return results
+    finally:
+        for pid, read_end in children:
+            if pid is not None:
+                from signal import SIGKILL  # only a run that failed here loads signal
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read_end)
+
+
+def _run_child(fn, counts, seeds, write_end: int) -> None:
+    """Write the marshalled results of one share to ``write_end``; never returns.
+
+    The child leaves by ``os._exit``, so it runs none of the parent's exit
+    handlers and flushes none of its buffers: status 0 once every result is
+    written, 1 on any exception.
+    """
+    status = 1
+    try:
+        data = marshal.dumps(list(map(fn, counts, seeds)))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:

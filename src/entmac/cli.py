@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (default %(default)s)")
         add_format(p)
         p.add_argument("--workers", type=int, default=1, metavar="W",
-                       help="worker threads; never changes the reported numbers")
+                       help="worker processes; never changes the reported numbers")
         for opt in protocol.options:
             p.add_argument(opt.flag, dest=opt.field, default=_DEFAULTS[opt.field], **opt.kwargs)
 

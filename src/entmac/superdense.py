@@ -109,8 +109,8 @@ def trial_successes(n_trials: int, seed: int) -> int:
 def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:
     """Total roundtrip successes over n_trials uniformly random dibits.
 
-    The chunks run on up to ``workers`` threads on the compiled backend and
-    in this thread on the pure one.
+    The chunks run in up to ``workers`` processes on either backend (see
+    ``_kernels.map_chunks``); the count never depends on ``workers``.
     """
     from . import _kernels
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: scripted random sources, a recording thread pool, a
-per-slot hyperdense replay and independent oracles.
+"""Shared test helpers: scripted random sources, a per-slot hyperdense replay
+and independent oracles.
 
 The oracles here recompute expected values by brute force (pattern
 enumeration, explicit tensor products, two-pass statistics, the exact law
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -56,16 +55,6 @@ def script_words(monkeypatch, words, seed) -> None:
         return scripted
 
     monkeypatch.setattr(pure, "_mix", mix)
-
-
-class RecordingPool(ThreadPoolExecutor):
-    """A real thread pool that records the size of every pool started."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
 
 
 class CountingRng:

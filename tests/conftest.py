@@ -1,22 +1,33 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
 
 from entmac import _kernels
 
-from _support import RecordingPool
-
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Sizes of the thread pools map_chunks starts on the compiled backend, on two CPUs.
+def forks(monkeypatch):
+    """Children forked by each map_chunks call, one count per call, on two CPUs.
 
-    A test routed to a compiled module keeps it; otherwise a stand-in marks
-    the backend compiled, which suffices for chunks that never call it.
+    Tests that need more CPUs patch ``_usable_cpus`` again, to at most four,
+    so that no call forks more than three children.
     """
-    RecordingPool.sizes = []
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+    calls = []
+    fork, map_chunks = os.fork, _kernels.map_chunks
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            calls[-1] += 1
+        return pid
+
+    def counting_map_chunks(*args):
+        calls.append(0)
+        return map_chunks(*args)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(_kernels, "map_chunks", counting_map_chunks)
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
-    if _kernels._fast is None:
-        monkeypatch.setattr(_kernels, "_fast", object())
-    return RecordingPool.sizes
+    return calls

@@ -362,16 +362,31 @@ def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
     assert compiled.words(3, 0) == []
 
 
-def test_compiled_hyperdense_runs_on_a_two_thread_pool(pools):
+@pytest.fixture(params=["pure", "compiled"])
+def either_backend(request, monkeypatch):
+    """Each backend in turn: the pure one, then the compiled kernel."""
+    if request.param == "pure":
+        monkeypatch.setattr(_kernels, "_fast", None)
+
+
+@pytest.mark.parametrize("source_cls", [QubitPairSource, CoinPairSource])
+def test_hyperdense_runs_on_two_processes(either_backend, forks, source_cls):
     n = 2 * CHUNK
-    two = hd_simulate(n, RandomSource(4), source=CoinPairSource(), workers=2)
-    assert pools == [2]
-    one = hd_simulate(n, RandomSource(4), source=CoinPairSource())
-    assert pools == [2]
-    assert two.channel_counts == one.channel_counts
+    two = hd_simulate(n, RandomSource(4), source=source_cls(), workers=2)
+    one = hd_simulate(n, RandomSource(4), source=source_cls())
+    assert forks == [1, 0]
+    assert two == one
 
 
-def test_compiled_superdense_runs_on_a_two_thread_pool(pools, monkeypatch):
+def test_superdense_runs_on_two_processes(either_backend, forks, monkeypatch):
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
     assert superdense.count_successes(100, RandomSource(3), workers=2) == 100
-    assert pools == [2]
+    assert forks == [1]
+
+
+def test_aloha_runs_on_two_processes(either_backend, forks, monkeypatch):
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
+    params = AlohaParams(2, 0.5)
+    assert (aloha_simulate(params, 100, RandomSource(3), workers=2)
+            == aloha_simulate(params, 100, RandomSource(3)))
+    assert forks == [1, 0]

@@ -2,6 +2,9 @@
 each protocol's word program, and the proof the pure kernels' tables rest on."""
 
 import os
+import threading
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,54 +41,132 @@ def chunk_echo(n_chunks, workers):
                                workers)
 
 
-#: the CPU count map_chunks reads, kept before the pools fixture replaces it
+#: the CPU count map_chunks reads, kept before the forks fixture replaces it
 usable_cpus = _kernels._usable_cpus
 
 
-def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch, pools):
+def test_process_count_is_capped_by_chunks_and_cpus(monkeypatch, forks):
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     for n_chunks, workers in ((10, 1), (2, 2), (10, 3), (3, 1_000_000), (10, 1_000_000)):
         chunk_echo(n_chunks, workers)
-    # one chunk per thread at most, and no pool at all for a single thread
-    assert pools == [2, 3, 3, 4]
+    # one chunk per process at most, and no fork at all for a single process
+    assert forks == [0, 1, 2, 2, 3]
 
 
-def test_pool_size_without_a_cpu_count(monkeypatch, pools):
+def test_process_count_without_a_cpu_count(monkeypatch, forks):
     monkeypatch.setattr(_kernels, "_usable_cpus", usable_cpus)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     chunk_echo(8, 8)
-    assert pools == []
+    assert forks == [0]
 
 
-def test_pool_size_counts_only_the_cpus_this_process_may_run_on(monkeypatch, pools):
+def test_process_count_counts_only_the_cpus_this_process_may_run_on(monkeypatch, forks):
     # pinned to one CPU of four, as under `taskset -c 0`
     monkeypatch.setattr(_kernels, "_usable_cpus", usable_cpus)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     chunk_echo(16, 2)
-    assert pools == []
+    assert forks == [0]
 
 
-def test_pool_size_keeps_two_threads_for_two_chunks_on_two_cpus(monkeypatch, pools):
+def test_process_count_keeps_two_processes_for_two_chunks_on_two_cpus(monkeypatch, forks):
     # `hyperdense --workers 2` over two 65536-slot chunks
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     chunk_echo(2, 2)
-    assert pools == [2]
+    assert forks == [1]
 
 
-def test_map_chunks_keeps_plan_order(monkeypatch, pools):
+def test_map_chunks_keeps_plan_order(monkeypatch, forks):
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
     plan = _kernels.chunk_plan(RandomSource(5).next_u64(), 33)
     expected = [(count, seed) for seed, count in plan]
     assert [count for count, _ in expected] == [8, 8, 8, 8, 1]
-    for workers in (1, 2):
+    # two shares of three and two chunks, then four shares of two, one, one and one
+    for workers in (1, 2, 4):
         assert chunk_echo(5, workers) == expected
-    assert pools == [2]
+    assert forks == [0, 1, 3]
+
+
+def test_a_result_marshal_cannot_write_is_computed_in_the_parent(monkeypatch, forks):
+    # the child fails to write its share, so the parent runs that share itself
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    plan = _kernels.chunk_plan(RandomSource(5).next_u64(), 16)
+    assert (_kernels.map_chunks(lambda count, seed: Fraction(seed, count), 16, RandomSource(5), 2)
+            == [Fraction(seed, count) for seed, count in plan])
+    assert forks == [1]
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_exception_in_a_childs_share_reaches_the_caller(monkeypatch, forks):
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    (_, count), (seed, _) = _kernels.chunk_plan(RandomSource(5).next_u64(), 16)
+
+    def fn(count, chunk_seed):
+        if chunk_seed == seed:
+            raise LookupError(f"chunk {chunk_seed} of {count} slots")
+        return count
+
+    with pytest.raises(LookupError, match=f"^chunk {seed} of {count} slots$"):
+        _kernels.map_chunks(fn, 16, RandomSource(5), 2)
+    assert forks == [1]
+    assert_no_child_is_left()
+
+
+#: how the parent's own share ends; when it raises, the children are still asleep
+PARENT_ENDINGS = {"returns": None, "raises": ValueError, "is-interrupted": KeyboardInterrupt}
+
+
+@pytest.mark.parametrize("ending", sorted(PARENT_ENDINGS))
+def test_no_child_outlives_map_chunks(monkeypatch, forks, ending):
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    parent, error = os.getpid(), PARENT_ENDINGS[ending]
+    first = _kernels.chunk_plan(RandomSource(5).next_u64(), 24)[0][0]
+
+    def fn(count, seed):
+        if os.getpid() != parent and error is not None:
+            time.sleep(60)  # outlives the test unless the parent kills it
+        if seed == first and error is not None:
+            raise error("in the parent's share")
+        return count
+
+    start = time.monotonic()
+    if error is None:
+        assert _kernels.map_chunks(fn, 24, RandomSource(5), 3) == [8, 8, 8]
+    else:
+        with pytest.raises(error, match="in the parent's share"):
+            _kernels.map_chunks(fn, 24, RandomSource(5), 3)
+    assert time.monotonic() - start < 30
+    assert forks == [2]
+    assert_no_child_is_left()
+
+
+def test_no_fork_while_another_thread_runs(forks):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert chunk_echo(2, 2) == chunk_echo(2, 1)
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert forks == [0, 0]
+
+
+def test_no_fork_where_the_os_has_none(monkeypatch, forks):
+    monkeypatch.delattr(os, "fork")
+    assert chunk_echo(2, 2) == chunk_echo(2, 1)
+    assert forks == [0, 0]
 
 
 def test_map_chunks_rejects_an_empty_run():
@@ -164,35 +245,6 @@ def test_only_the_two_built_in_pair_sources_are_accepted(monkeypatch, backend, c
         TALLY_CALLERS[caller](source_cls(), rng)
     # simulate checks before the run's one draw
     assert rng.next_u64() == RandomSource(1).next_u64()
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    """Pure backend, 16-slot chunks, and a thread pool that fails if started."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread pool was started for GIL-bound chunks")
-
-    monkeypatch.setattr(_kernels, "_fast", None)
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 16)
-
-
-def test_pure_aloha_starts_no_pool(no_pool):
-    params = aloha.AlohaParams(2, 0.5)
-    assert (aloha.simulate(params, 100, RandomSource(3), workers=2)
-            == aloha.simulate(params, 100, RandomSource(3)))
-
-
-def test_pure_superdense_starts_no_pool(no_pool):
-    assert superdense.count_successes(100, RandomSource(3), workers=2) == 100
-
-
-@pytest.mark.parametrize("source_cls", [hyperdense.QubitPairSource, hyperdense.CoinPairSource])
-def test_pure_hyperdense_starts_no_pool(no_pool, source_cls):
-    two = hyperdense.simulate(100, RandomSource(3), source=source_cls(), workers=2)
-    one = hyperdense.simulate(100, RandomSource(3), source=source_cls())
-    assert two.channel_counts == one.channel_counts
 
 
 def test_independent_of_u_returns_a_result_that_holds_for_every_uniform():

@@ -17,16 +17,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: prints, as a dict literal, which of WATCHED are loaded after each step
 CHILD = """
 import contextlib, io, sys
-WATCHED = ("dataclasses", "inspect", "concurrent.futures", "json", "csv")
+WATCHED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "json", "csv")
 def loaded():
     return [name for name in WATCHED if name in sys.modules]
 import entmac.cli
 after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     status = entmac.cli.main(sys.argv[1:])
-from entmac import _kernels
-print(repr(dict(after_import=after_import, after_run=loaded(), status=status,
-                pure=_kernels._fast is None)))
+print(repr(dict(after_import=after_import, after_run=loaded(), status=status)))
 """
 
 
@@ -45,15 +43,13 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_thread_pool():
 
 @pytest.mark.parametrize("argv", [
     ["compare", "--slots", "1000", "--format", "text"],
-    # two chunks and two workers: still no pool on the pure backend
+    # two chunks and two workers: one forked child, on either backend
     ["hyperdense", "--c-source", "coin", "--workers", "2", "--slots", "70000"],
 ], ids=["compare", "hyperdense-workers-2"])
 def test_a_text_run_loads_no_json_csv_or_pool_it_does_not_use(argv):
     got = imports_of(argv)
     assert got["status"] == 0
-    assert {"dataclasses", "inspect", "json", "csv"}.isdisjoint(got["after_run"])
-    if got["pure"]:
-        assert "concurrent.futures" not in got["after_run"]
+    assert got["after_run"] == []
 
 
 @pytest.mark.parametrize("fmt, module", [("json", "json"), ("csv", "csv")])

@@ -9,28 +9,4 @@ ones from seeded, reproducible Monte Carlo with interchangeable pure-Python
 and compiled kernels.
 """
 
-from . import aloha, campaign, hyperdense, qubit, stats, superdense
-from .campaign import CampaignConfig, ComparisonReport, compare, enumerate_table, run_campaign
-from .rng import RandomSource, derive_seed
-from .stats import RunStats, aggregate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "aloha",
-    "campaign",
-    "hyperdense",
-    "qubit",
-    "stats",
-    "superdense",
-    "CampaignConfig",
-    "ComparisonReport",
-    "compare",
-    "enumerate_table",
-    "run_campaign",
-    "RandomSource",
-    "derive_seed",
-    "RunStats",
-    "aggregate",
-    "__version__",
-]

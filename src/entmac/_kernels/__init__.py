@@ -78,17 +78,21 @@ def _run_forked(fn, counts, seeds, size: int) -> list:
 
     A child that fails has its share re-run here, so its exception reaches
     the caller as ``fn`` raises it. No child outlives this call: any still
-    running when this process's own share raises is killed and reaped.
+    running when this process's own share or a later ``os.fork`` raises is
+    killed and reaped. No pipe end outlives it either.
     """
-    children = []  # [pid, read end of its pipe] per child; pid is None once reaped
+    children = []  # [pid, read end of its pipe] per child; pid is None unforked or reaped
     try:
         for k in range(1, size):
             read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(fn, counts[k::size], seeds[k::size], write_end)
-            os.close(write_end)
-            children.append([pid, read_end])
+            children.append([None, read_end])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(fn, counts[k::size], seeds[k::size], write_end)
+            finally:
+                os.close(write_end)  # in this process only: a child leaves by os._exit
+            children[-1][0] = pid
         results = [None] * len(counts)
         results[::size] = map(fn, counts[::size], seeds[::size])
         for k, child in enumerate(children, 1):

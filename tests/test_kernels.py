@@ -1,6 +1,7 @@
 """Kernel helpers: the chunk plan, the chunk runner map_chunks, the shape of
 each protocol's word program, and the proof the pure kernels' tables rest on."""
 
+import errno
 import os
 import threading
 import time
@@ -147,6 +148,34 @@ def test_no_child_outlives_map_chunks(monkeypatch, forks, ending):
             _kernels.map_chunks(fn, 24, RandomSource(5), 3)
     assert time.monotonic() - start < 30
     assert forks == [2]
+    assert_no_child_is_left()
+
+
+def test_a_fork_that_fails_leaves_no_pipe_or_child(monkeypatch, forks):
+    # the second of two forks fails, as under a process limit
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
+    fork, pipe, fds = os.fork, os.pipe, []
+    error = BlockingIOError(errno.EAGAIN, "fork refused")
+
+    def fork_once():
+        if forks[-1]:
+            raise error
+        return fork()
+
+    def recording_pipe():
+        ends = pipe()
+        fds.extend(ends)
+        return ends
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    with pytest.raises(BlockingIOError) as raised:
+        chunk_echo(3, 3)
+    assert raised.value is error
+    assert forks == [1] and len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     assert_no_child_is_left()
 
 

@@ -1,4 +1,4 @@
-"""What a CLI run imports: only the modules the run uses.
+"""What importing entmac and a CLI run load: only the modules they use.
 
 Each check runs in a fresh interpreter without ``site``, since the test
 process has long since imported the modules under test.
@@ -28,11 +28,26 @@ print(repr(dict(after_import=after_import, after_run=loaded(), status=status)))
 """
 
 
-def imports_of(argv):
+def run_fresh(code, argv=()):
+    """The literal a fresh interpreter without ``site`` prints running ``code``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-S", "-c", CHILD, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return ast.literal_eval(proc.stdout)
+
+
+def imports_of(argv):
+    return run_fresh(CHILD, argv)
+
+
+@pytest.mark.parametrize("module, loaded", [
+    # the package root imports no submodule, so each module loads only its own imports
+    ("entmac", ["entmac"]),
+    ("entmac.aloha", ["entmac", "entmac._records", "entmac.aloha", "entmac.rng", "entmac.stats"]),
+])
+def test_importing_a_module_loads_only_its_own_imports(module, loaded):
+    listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'entmac'))"
+    assert run_fresh(f"import sys, {module}\n{listing}") == loaded
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_thread_pool():

@@ -1,9 +1,10 @@
 """Simulation kernel backends and the one runner of chunked Monte Carlo runs.
 
-Every tally kernel folds the index histogram of its protocol's word program
-(``aloha._program``, ``hyperdense._program``, ``superdense._program``; see
-``pure``) into a tally with ``pure._tally``. ``pure._histogram`` gives that
-histogram in plain Python, always available. ``_fast.histogram``, one
+Every tally kernel folds the index histogram of its protocol's word program,
+a ``_records.Program`` checked where it is built (``aloha._program``,
+``hyperdense._program``, ``superdense._program``; see ``pure``), into a
+tally with ``pure._tally``. ``pure._histogram`` gives that histogram in
+plain Python, always available. ``_fast.histogram``, one
 GIL-free C loop built from ``_fast.c`` by ``python -m entmac._kernels.build``,
 takes the same arguments and gives it bit for bit by drawing the same words
 one at a time. Neither knows a protocol. The compiled backend runs exactly
@@ -18,6 +19,7 @@ import os
 import sys
 
 from .. import aloha, hyperdense, superdense
+from .._records import is_int
 from ..rng import derive_seed
 from . import pure
 
@@ -63,7 +65,7 @@ def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     (not a bool); both checks come before the draw.
     """
     for name, value in (("n_slots", n_slots), ("workers", workers)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not is_int(value, 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     seeds, counts = zip(*chunk_plan(rng.next_u64(), n_slots))
     size = min(workers, len(counts), _usable_cpus())
@@ -146,7 +148,7 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     if _fast is None:
         return pure.hyperdense_tally(n_slots, seed, source)
     program = hyperdense._program(source)  # raises for any other source, before the kernel runs
-    return tuple(pure._tally(_fast.histogram, n_slots, seed, program, 4))
+    return tuple(pure._tally(_fast.histogram, n_slots, seed, program))
 
 
 def superdense_tally(n_trials: int, seed: int) -> int:

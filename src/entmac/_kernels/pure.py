@@ -1,15 +1,18 @@
 """Pure-Python kernels: the reference the compiled backend must match.
 
-Every kernel runs one word program (thresholds t_0 .. t_{k-1}, weights
-w_0 .. w_{k-1}, skip s, table) over its chunk stream: a slot reads k words,
-then draws s more it ignores, and its index is the sum of w_i * [word_i >> 11
->= t_i]. A threshold is in ``next_float``'s unit, 2**-53, as
-``rng._float_threshold`` states it. ``_histogram`` counts each index over a
-chunk's slots, and ``_tally`` folds those counts through the table. Each
-protocol module states its own program, built from its public operations
-at import, so no kernel calls the statevector engine and neither evaluator
-holds a protocol's table or threshold: ``aloha._program``,
-``hyperdense._program`` and ``superdense._program``.
+Every kernel runs one word program, a ``_records.Program`` (thresholds
+t_0 .. t_{k-1}, weights w_0 .. w_{k-1}, skip s, table, size), over its
+chunk stream: a slot reads k words, then draws s more it ignores, and its
+index is the sum of w_i * [word_i >> 11 >= t_i]. A threshold is in
+``next_float``'s unit, 2**-53, as ``rng._float_threshold`` states it.
+``_histogram`` counts each index over a chunk's slots, and ``_tally`` folds
+those counts through the table into ``size`` counters. Each protocol module
+states its own program, built from its public operations, so no kernel
+calls the statevector engine and neither evaluator holds a protocol's table
+or threshold: ``aloha._program``, ``hyperdense._program`` and
+``superdense._program``. ``Program`` checks a program where it is built,
+so the fold checks nothing; ``_histogram`` still rejects raw arguments as
+``_fast.histogram`` does, by the same ``_records.check_program``.
 
 No word is drawn one at a time. SplitMix64 is counter-based: word j (from
 0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block is
@@ -62,11 +65,11 @@ kernels the oracle in backend-parity tests.
 from __future__ import annotations
 
 import functools
-import sys
 from collections import Counter
 from typing import NamedTuple
 
 from .. import aloha, hyperdense
+from .._records import check_count, check_program, check_u64s
 from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 
 
@@ -81,32 +84,6 @@ _GROUP_BLOCKS = 8
 #: one ``Counter`` pass over the chunk is faster from about 64 indices on when they are
 #: uniform, and from about 80 when they are as skewed as Aloha's binomial
 _COUNT_PASSES = 64
-
-#: the largest sum(weights) ``_fast.histogram`` takes, PY_SSIZE_T_MAX / sizeof(Py_ssize_t) - 1:
-#: it sizes its count array by it
-_MAX_INDEX = sys.maxsize // ((sys.maxsize.bit_length() + 1) // 8) - 1
-
-
-def _check_u64s(values, top: int, name: str) -> None:
-    """Raise as ``_fast.histogram`` does for an entry that is not an int in [0, top]."""
-    for v in values:
-        if not isinstance(v, int):
-            raise TypeError(f"{name} must be an int, got {type(v).__name__}")
-        if not 0 <= v < 1 << 64:
-            raise OverflowError(f"{name} {v} is outside [0, 2**64)")
-        if v > top:
-            raise ValueError(f"{name} {v} must be <= {top}")
-
-
-def _check_count(value, name: str) -> None:
-    """Raise as ``_fast.histogram`` does for a count that is not an int in [0, sys.maxsize]."""
-    if not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if not -sys.maxsize - 1 <= value <= sys.maxsize:
-        raise OverflowError(f"{name} {value} does not fit a C ssize_t")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
 
 class _Block(NamedTuple):
     """Per-block constants of one word program."""
@@ -128,20 +105,9 @@ class _Block(NamedTuple):
 def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], skip: int) -> _Block:
     """Constants of the program, by its word period and thresholds; never by table.
 
-    Rejects a program as ``_fast.histogram`` does, with the same exception
-    type: a threshold outside [0, 2**53], a negative weight or skip, no
-    threshold, a weight count unlike the threshold count, or an index
-    (sum of the weights) too large to count.
+    The caller has checked the program with ``_records.check_program``.
     """
-    _check_count(skip, "skip")
-    _check_u64s(thresholds, 1 << 53, "threshold")
-    _check_u64s(weights, _MAX_INDEX, "weight")
-    if not thresholds or len(thresholds) != len(weights):
-        raise ValueError(f"a program needs at least one threshold and one weight per "
-                         f"threshold, got {len(thresholds)} and {len(weights)}")
     top = sum(weights)
-    if top > _MAX_INDEX:
-        raise OverflowError("sum(weights) is too large")
     reads, period = len(thresholds), len(thresholds) + skip
     slots = max(1, _BLOCK_WORDS // reads)
     lanes = slots * reads
@@ -201,9 +167,9 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     counts the chunk's indices once; see the module docstring. Raises what
     ``_fast.histogram`` raises for the same arguments.
     """
-    thresholds, weights = tuple(thresholds), tuple(weights)
-    _check_count(n_slots, "count")
-    _check_u64s((seed,), _MASK64, "seed")
+    check_count(n_slots, "count")
+    check_u64s((seed,), _MASK64, "seed")
+    thresholds, weights = check_program(thresholds, weights, skip)
     block = _block(thresholds, weights, skip)
     low64, tail, advance, ones, slots = (block.low64, block.tail, block.advance, block.ones,
                                          block.slots)
@@ -231,25 +197,17 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     return counts
 
 
-def _tally(histogram, n_slots: int, seed: int, program, size: int = 2) -> list[int]:
-    """[number of the n_slots slots whose index has table entry k, for each k < size].
+def _tally(histogram, n_slots: int, seed: int, program) -> list[int]:
+    """[number of the n_slots slots whose index has table entry k, for each k < program.size].
 
-    ``program`` is (thresholds, weights, skip, table); ``histogram`` runs its
-    first three over the chunk: ``_histogram`` here, or ``_fast.histogram``,
-    which takes the same arguments. This fold is the same on both. Raises
-    ValueError, before folding, for a table that does not hold one entry per
-    index, sum(weights) + 1 in all, each an int (not a bool) in range(size).
+    ``histogram`` runs the ``Program``'s thresholds, weights and skip over
+    the chunk: ``_histogram`` here, or ``_fast.histogram``, which takes the
+    same arguments. This fold is the same on both, and it checks nothing:
+    ``Program`` checked the table where it was built.
     """
-    thresholds, weights, skip, table = program
-    by_index = histogram(n_slots, seed, thresholds, weights, skip)
-    if len(table) != len(by_index):
-        raise ValueError(f"a table needs sum(weights) + 1 = {len(by_index)} entries, "
-                         f"got {len(table)}")
-    for entry in table:
-        if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < size:
-            raise ValueError(f"table entry {entry!r} is not an int in range({size})")
-    counts = [0] * size
-    for entry, count in zip(table, by_index):
+    counts = [0] * program.size
+    by_index = histogram(n_slots, seed, program.thresholds, program.weights, program.skip)
+    for entry, count in zip(program.table, by_index):
         counts[entry] += count
     return counts
 
@@ -261,4 +219,4 @@ def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
     """(collision, idle, single_alice, single_bob) counts for one chunk."""
-    return tuple(_tally(_histogram, n_slots, seed, hyperdense._program(source), 4))
+    return tuple(_tally(_histogram, n_slots, seed, hyperdense._program(source)))

@@ -11,14 +11,14 @@ slots, packets per slot and bits per slot coincide.
 
 from __future__ import annotations
 
-from ._records import checked_record
+from ._records import Program, checked_record, is_int, is_probability
 from .rng import RandomSource, _float_threshold
 from .stats import RunStats
 
 
 def _check_users(m) -> None:
     """Reject a user count that is not an int >= 1 (bools included)."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not is_int(m, 1):
         raise ValueError(f"user count must be an integer >= 1, got {m!r}")
 
 
@@ -29,7 +29,7 @@ class AlohaParams(checked_record("AlohaParams", "m p")):
 
     def __new__(cls, m: int, p: float):
         _check_users(m)
-        if not (isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0):
+        if not is_probability(p):
             raise ValueError(f"transmit probability must be in [0, 1], got {p!r}")
         return super().__new__(cls, m, p)
 
@@ -78,16 +78,16 @@ def run_slot(params: AlohaParams, rng: RandomSource) -> AlohaSlotResult:
     return AlohaSlotResult(transmitters=transmitters, success=transmitters == 1)
 
 
-def _program(m: int, p: float):
-    """The word program of one slot (see ``entmac._kernels``).
+def _program(m: int, p: float) -> Program:
+    """The word program of one slot (see ``entmac._kernels.pure``).
 
     Each of the m users reads one word w and transmits when w >> 11 is below
     ``_float_threshold(p)``, as ``run_slot`` does when ``next_float() < p``.
     Every weight is 1 and no word is skipped, so the index counts the silent
     users, and the table counts a success (1) at index m - 1: one user
-    transmitting.
+    transmitting, of two counters.
     """
-    return (_float_threshold(p),) * m, (1,) * m, 0, (0,) * (m - 1) + (1, 0)
+    return Program((_float_threshold(p),) * m, (1,) * m, 0, (0,) * (m - 1) + (1, 0), 2)
 
 
 def simulate(params: AlohaParams, n_slots: int, rng: RandomSource, workers: int = 1) -> RunStats:

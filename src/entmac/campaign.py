@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 from . import aloha as aloha_mod
 from . import hyperdense as hd
 from . import superdense as sd
+from ._records import is_int, is_probability
 from .rng import RandomSource, derive_seed
 from .stats import RunStats
 
@@ -27,11 +28,6 @@ FORMATS = ("json", "csv", "text")
 C_SOURCES = ("qubit", "coin")
 
 _MAX_SEED = (1 << 64) - 1
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool (bool subclasses int)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -54,16 +50,13 @@ class CampaignConfig(NamedTuple):
         if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
             raise ConfigError("protocol",
                               f"must be one of {tuple(PROTOCOLS)}, got {self.protocol!r}")
-        if not _is_int(self.n_slots) or self.n_slots < 1:
+        if not is_int(self.n_slots, 1):
             raise ConfigError("n_slots", f"must be an integer >= 1, got {self.n_slots!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed <= _MAX_SEED:
+        if not is_int(self.seed, 0, _MAX_SEED):
             raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not _is_int(self.m) or self.m < 1:
+        if not is_int(self.m, 1):
             raise ConfigError("m", f"must be an integer >= 1, got {self.m!r}")
-        if self.p is not None and not (
-            isinstance(self.p, (int, float)) and not isinstance(self.p, bool)
-            and 0.0 <= self.p <= 1.0
-        ):
+        if self.p is not None and not is_probability(self.p):
             raise ConfigError("p", f"must be in [0, 1], got {self.p!r}")
         if self.c_source not in C_SOURCES:
             raise ConfigError("c_source", f"must be one of {C_SOURCES}, got {self.c_source!r}")
@@ -104,7 +97,7 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1):
 
     ``workers`` affects scheduling only, never the reported numbers.
     """
-    if not _is_int(workers) or workers < 1:
+    if not is_int(workers, 1):
         raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
     cfg.validate()
     return PROTOCOLS[cfg.protocol].run(cfg, workers)

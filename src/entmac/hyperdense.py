@@ -27,7 +27,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from ._records import checked_record
+from ._records import Program, checked_record, is_int
 from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
 from .qubit import _U_ENDS, _independent_of_u, _OneUniform
 from .rng import RandomSource, _float_threshold
@@ -66,7 +66,7 @@ class PartyBits(checked_record("PartyBits", "first second")):
     __slots__ = ()
 
     def __new__(cls, first: int, second: int):
-        if first not in (0, 1) or second not in (0, 1):
+        if not (is_int(first, 0, 1) and is_int(second, 0, 1)):
             raise ValueError(f"party bits must be 0 or 1, got ({first}, {second})")
         return super().__new__(cls, first, second)
 
@@ -77,7 +77,7 @@ class SharedOutcome(checked_record("SharedOutcome", "c")):
     __slots__ = ()
 
     def __new__(cls, c: int):
-        if c not in (0, 1):
+        if not is_int(c, 0, 1):
             raise ValueError(f"shared outcome must be 0 or 1, got {c}")
         return super().__new__(cls, c)
 
@@ -92,7 +92,7 @@ class ChannelObservation(checked_record("ChannelObservation", "state payload sen
         if state is ChannelState.SINGLE:
             if payload is None or sender is None:
                 raise ValueError("a single transmission needs a payload and a sender")
-            if payload not in (0, 1):
+            if not is_int(payload, 0, 1):
                 raise ValueError(f"a single transmission's payload must be 0 or 1, "
                                  f"got {payload!r}")
             if not isinstance(sender, Party):
@@ -305,28 +305,31 @@ def _qubit_c_threshold() -> int:
 
 _QUBIT_C_THRESHOLD = _qubit_c_threshold()
 
-#: (c's threshold, words skipped after c) for each pair source, by exact type:
-#: a coin's c is its word's top bit, and a qubit pair's B measurement draws
-#: one more word, which gives c again
-_C_WORDS = {QubitPairSource: (_QUBIT_C_THRESHOLD, 1), CoinPairSource: (1 << 52, 0)}
+#: the word program of one slot, by exact pair-source type: a coin's c is its word's top bit,
+#: and a qubit pair's B measurement draws one more word, which gives c again
+_PROGRAMS = {
+    source: Program((1 << 52,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), skip, _OUTCOME, 4)
+    for source, c_threshold, skip in ((QubitPairSource, _QUBIT_C_THRESHOLD, 1),
+                                      (CoinPairSource, 1 << 52, 0))
+}
 
 
-def _program(source):
-    """The word program of one slot with c from ``source`` (see ``entmac._kernels``).
+def _program(source) -> Program:
+    """The word program of one slot with c from ``source`` (see ``entmac._kernels.pure``).
 
     A1, A2, B1, B2 are the top bits of four words and c is 1 exactly when the
     next word reaches the source's threshold; the index is the five-bit
-    number A1 A2 B1 B2 c and the table is ``_OUTCOME``. Raises TypeError for
-    any source but a ``QubitPairSource`` or a ``CoinPairSource``, a subclass
-    of either included: the kernels read c off a threshold and never call
-    ``draw``.
+    number A1 A2 B1 B2 c and the table is ``_OUTCOME``, into the four
+    counters (collision, idle, single_alice, single_bob). Raises TypeError
+    for any source but a ``QubitPairSource`` or a ``CoinPairSource``, a
+    subclass of either included: the kernels read c off a threshold and
+    never call ``draw``.
     """
     try:
-        c_threshold, skip = _C_WORDS[type(source)]
+        return _PROGRAMS[type(source)]
     except KeyError:
         raise TypeError(f"source must be a QubitPairSource or a CoinPairSource, "
                         f"got {type(source).__name__}") from None
-    return (1 << 52,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), skip, _OUTCOME
 
 
 class HyperdenseStats(NamedTuple):

@@ -23,7 +23,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from ._records import checked_record
+from ._records import checked_record, is_int
 from .rng import RandomSource
 
 #: probabilities below this are treated as exactly zero when sampling
@@ -52,7 +52,7 @@ class BellIndex(checked_record("BellIndex", "k l")):
     __slots__ = ()
 
     def __new__(cls, k: int, l: int):
-        if k not in (0, 1) or l not in (0, 1):
+        if not (is_int(k, 0, 1) and is_int(l, 0, 1)):
             raise ValueError(f"Bell index bits must be 0 or 1, got ({k}, {l})")
         return super().__new__(cls, k, l)
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
+from ._records import is_int
+
 Z95 = 1.96
 
 
@@ -44,11 +46,12 @@ class RunStats(NamedTuple):
         For such samples the centered sum of squares is
         (hi - lo)^2 * n * p * (1 - p) with p = n_hi / n, exactly, which is
         what makes sharded Monte Carlo runs reproducible from integer
-        tallies alone.
+        tallies alone. n must be an int >= 1 and n_hi an int in [0, n],
+        neither a bool.
         """
-        if n < 1:
+        if not is_int(n, 1):
             raise ValueError("need at least one sample")
-        if not 0 <= n_hi <= n:
+        if not is_int(n_hi, 0, n):
             raise ValueError(f"n_hi={n_hi} outside [0, {n}]")
         p = n_hi / n
         mean = lo + (hi - lo) * p

@@ -11,7 +11,7 @@ encode -> joint state -> measure pipeline is simulated.
 
 from __future__ import annotations
 
-from ._records import checked_record
+from ._records import Program, checked_record, is_int
 from .qubit import (
     PAULI_I,
     PAULI_IY,
@@ -38,7 +38,7 @@ class Dibit(checked_record("Dibit", "a1 a2")):
     __slots__ = ()
 
     def __new__(cls, a1: int, a2: int):
-        if a1 not in (0, 1) or a2 not in (0, 1):
+        if not (is_int(a1, 0, 1) and is_int(a2, 0, 1)):
             raise ValueError(f"dibit components must be 0 or 1, got ({a1}, {a2})")
         return super().__new__(cls, a1, a2)
 
@@ -83,14 +83,14 @@ def _decodes(a1: int, a2: int) -> int:
 _SD_OK = tuple(_decodes(a1, a2) for a1 in (0, 1) for a2 in (0, 1))
 
 
-def _program():
-    """The word program of one trial (see ``entmac._kernels``).
+def _program() -> Program:
+    """The word program of one trial (see ``entmac._kernels.pure``).
 
     A1 and A2 are the top bits of two words, weighted as the two-bit number
     A1 A2, and the Bell measurement's uniform is drawn and skipped. The table
-    is ``_SD_OK``, read at each call.
+    is ``_SD_OK``, read at each call, and counter 1 counts a success.
     """
-    return (1 << 52, 1 << 52), (2, 1), 1, _SD_OK
+    return Program((1 << 52, 1 << 52), (2, 1), 1, _SD_OK, 2)
 
 
 def trial_successes(n_trials: int, seed: int) -> int:

@@ -99,25 +99,24 @@ def chi_square(observed, expected) -> float:
     return sum((o - e) ** 2 / e for o, e in zip(observed, expected, strict=True))
 
 
-def law(program, size=2) -> list[Fraction]:
-    """[P(a slot of ``program`` adds to counter k) for each k < size].
+def law(program) -> list[Fraction]:
+    """[P(a slot of ``program`` adds to counter k) for each k < program.size].
 
     The index law is the convolution over the read words of bit i, worth
     w_i, being 1 with probability 1 - t_i / 2**53; skipped words do not
     matter. The table then folds it as ``pure._tally`` folds a histogram.
     """
-    thresholds, weights, _skip, table = program
     index_law = [Fraction(1)]
-    for threshold, weight in zip(thresholds, weights):
+    for threshold, weight in zip(program.thresholds, program.weights):
         one = 1 - Fraction(threshold, 2**53)
         step = [Fraction(0)] * (len(index_law) + weight)
         for index, p in enumerate(index_law):
             step[index] += p * (1 - one)
             step[index + weight] += p * one
         index_law = step
-    counters = [Fraction(0)] * size
+    counters = [Fraction(0)] * program.size
     for index, p in enumerate(index_law):
-        counters[table[index]] += p
+        counters[program.table[index]] += p
     return counters
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from entmac import _kernels, aloha, hyperdense, superdense
 from entmac._kernels import build, pure
+from entmac._records import MAX_INDEX, Program
 from entmac.aloha import AlohaParams, simulate as aloha_simulate
 from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
@@ -114,7 +115,7 @@ def test_aloha_tally_parity(seed, m, p):
 @pytest.mark.parametrize("source_cls,c_source", [(QubitPairSource, "qubit"),
                                                  (CoinPairSource, "coin")])
 def test_hyperdense_tally_parity(seed, source_cls, c_source):
-    assert hyperdense._program(source_cls())[0][4] == C_THRESHOLD[c_source]
+    assert hyperdense._program(source_cls()).thresholds[4] == C_THRESHOLD[c_source]
     assert (pure.hyperdense_tally(CHUNK, seed, source_cls())
             == _kernels.hyperdense_tally(CHUNK, seed, source_cls()))
 
@@ -164,7 +165,8 @@ def test_aloha_with_many_users_is_identical_across_backends(monkeypatch, compile
     # and the compiled loop sizes 300 thresholds, 300 weights and 301 counts
     # from the program
     params = AlohaParams(300, 1 / 300)
-    assert pure._block(*aloha._program(300, 1 / 300)[:3]).width == 2
+    program = aloha._program(300, 1 / 300)
+    assert pure._block(program.thresholds, program.weights, program.skip).width == 2
     monkeypatch.setattr(_kernels, "_fast", None)
     pure_stats = aloha_simulate(params, 10_000, RandomSource(8))
     monkeypatch.setattr(_kernels, "_fast", compiled)
@@ -215,6 +217,10 @@ BAD_PROGRAMS = {
     "threshold-above-64-bits": ((10, 1, (2**64,), (1,), 0), OverflowError),
     "threshold-not-an-int": ((10, 1, (0.5,), (1,), 0), TypeError),
     "thresholds-not-a-sequence": ((10, 1, None, (1,), 0), TypeError),
+    # the count, then the skip, then the thresholds come before a later argument's type
+    "count-negative-thresholds-not-a-sequence": ((-1, 1, None, (1,), 0), ValueError),
+    "skip-negative-weights-not-a-sequence": ((10, 1, (0,), None, -1), ValueError),
+    "threshold-negative-weights-not-a-sequence": ((10, 1, (-1,), None, 0), OverflowError),
     "no-thresholds": ((10, 1, (), (), 0), ValueError),
     "more-thresholds-than-weights": ((10, 1, (0, 0), (1,), 0), ValueError),
     "more-weights-than-thresholds": ((10, 1, (0,), (1, 1), 0), ValueError),
@@ -246,7 +252,7 @@ BAD_COUNTS = st.one_of(st.integers(max_value=-1), st.integers(min_value=sys.maxs
 BAD_SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64), NOT_INTS)
 #: weights that are negative, above the largest index _fast.histogram counts, not 64-bit
 #: or no int
-BAD_WEIGHTS = st.one_of(st.integers(max_value=-1), st.integers(pure._MAX_INDEX + 1, 2**64 - 1),
+BAD_WEIGHTS = st.one_of(st.integers(max_value=-1), st.integers(MAX_INDEX + 1, 2**64 - 1),
                         st.integers(min_value=2**64), NOT_INTS)
 BAD_THRESHOLDS = st.one_of(st.integers(2**53 + 1, 2**64 - 1), st.integers(max_value=-1),
                            st.integers(min_value=2**64), NOT_INTS)
@@ -261,7 +267,7 @@ def too_heavy(data, args):
     if len(args["weights"]) == 1:
         args["thresholds"].append(0)
         args["weights"].append(0)
-    args["weights"][:] = [pure._MAX_INDEX] * len(args["weights"])
+    args["weights"][:] = [MAX_INDEX] * len(args["weights"])
 
 
 def uneven(data, args):
@@ -296,8 +302,8 @@ def test_both_evaluators_reject_a_drawn_bad_program_alike(compiled, data, k, fau
     for name, fault in FAULTS.items():
         if name in faults:
             fault(data, args)
-    call = (args["count"], args["seed"], tuple(args["thresholds"]), tuple(args["weights"]),
-            args["skip"])
+    program = tuple(args["thresholds"]), tuple(args["weights"]), args["skip"]
+    call = (args["count"], args["seed"], *program)
     with pytest.raises((TypeError, ValueError, OverflowError)) as fast:
         compiled.histogram(*call)
 
@@ -309,6 +315,14 @@ def test_both_evaluators_reject_a_drawn_bad_program_alike(compiled, data, k, fau
         with pytest.raises((TypeError, ValueError, OverflowError)) as ref:
             pure._histogram(*call)
     assert type(ref.value) is type(fast.value)
+    if faults - {"count", "seed"}:
+        # the program's own fault raises where it is built, before any table check, as the
+        # compiled loop raises it for a good count and seed
+        with pytest.raises((TypeError, ValueError, OverflowError)) as fast:
+            compiled.histogram(0, 0, *program)
+        with pytest.raises((TypeError, ValueError, OverflowError)) as built:
+            Program(*program, (0,), 1)
+        assert type(built.value) is type(fast.value)
 
 
 #: tables that do not fold the histogram of the program ((2**52, 2**52), (2, 1), 0), whose
@@ -324,14 +338,14 @@ BAD_TABLES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TABLES))
-@pytest.mark.parametrize("evaluator", ["pure", "compiled"])
-def test_the_fold_rejects_a_bad_table_on_both_backends(compiled, evaluator, case):
-    histogram = pure._histogram if evaluator == "pure" else compiled.histogram
-    program = (2**52, 2**52), (2, 1), 0, BAD_TABLES[case]
+def test_a_program_rejects_a_bad_table_where_it_is_built(compiled, case):
     with pytest.raises(ValueError, match="table"):
-        pure._tally(histogram, 100, 1, program)
-    # the same program with a good table folds
-    assert sum(pure._tally(histogram, 100, 1, program[:3] + ((0, 1, 1, 0),))) == 100
+        Program((2**52, 2**52), (2, 1), 0, BAD_TABLES[case], 2)
+    # the same program with a good table builds, and folds on either backend
+    program = Program([2**52, 2**52], [2, 1], 0, [0, 1, 1, 0], 2)
+    assert program == ((2**52, 2**52), (2, 1), 0, (0, 1, 1, 0), 2)
+    for histogram in (pure._histogram, compiled.histogram):
+        assert sum(pure._tally(histogram, 100, 1, program)) == 100
 
 
 @pytest.mark.parametrize("args", [

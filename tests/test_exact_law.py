@@ -25,10 +25,10 @@ SINGLE_ALICE, SINGLE_BOB = 2, 3
 
 def hyperdense_law(source, c_threshold=None) -> list[Fraction]:
     """P(each tally) of one hyperdense slot, optionally with c's threshold replaced."""
-    thresholds, weights, skip, table = hyperdense._program(source)
+    program = hyperdense._program(source)
     if c_threshold is not None:
-        thresholds = thresholds[:4] + (c_threshold,)
-    return law((thresholds, weights, skip, table), 4)
+        program = program._replace(thresholds=program.thresholds[:4] + (c_threshold,))
+    return law(program)
 
 
 def test_single_transmission_has_probability_one_half_for_either_c():

@@ -400,7 +400,7 @@ def test_channel_counts_fit_uniform_quarters(monkeypatch, source_cls, n):
     monkeypatch.setattr(_kernels, "_fast", None)
     source = source_cls()
     counts = simulate(n, RandomSource(2012), source=source).channel_counts
-    expected = [n * float(q) for q in law(hyperdense._program(source), 4)]
+    expected = [n * float(q) for q in law(hyperdense._program(source))]
     statistic = chi_square(counts.values(), expected)
     assert statistic < CHI2_CRITICAL_0_001[3], (counts, statistic)
 

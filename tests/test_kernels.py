@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from entmac import _kernels, aloha, hyperdense, qubit, superdense
 from entmac._kernels import pure
+from entmac._records import Program
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
 from entmac.rng import RandomSource, derive_seed
 
@@ -301,13 +302,10 @@ PROGRAMS = [
 
 @pytest.mark.parametrize("program,size", PROGRAMS)
 def test_each_protocol_program_is_one_both_evaluators_run(program, size):
-    thresholds, weights, skip, table = program
-    assert len(thresholds) == len(weights)
-    # one table entry per index the histogram counts, each a counter of the tally
-    assert len(table) == sum(weights) + 1
-    assert all(0 <= entry < size for entry in table)
-    # each threshold is in next_float's unit, within the compiled kernel's bound
-    assert all(0 <= t <= 2**53 for t in thresholds)
+    # a Program was checked where it was built: thresholds within the compiled kernel's
+    # bound, one table entry per index the histogram counts, each a counter of the tally
+    assert type(program) is Program
+    assert program.size == size
 
 
 def naive_histogram(n_slots, seed, thresholds, weights, skip):

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from entmac._records import Program
 from entmac.aloha import AlohaParams, AlohaSlotResult
 from entmac.campaign import CampaignConfig, CampaignResult, ComparisonReport
 from entmac.hyperdense import (
@@ -38,6 +39,9 @@ RECORDS = [
     (TwoQubitState, dict(amps=(1, 0, 0.5, -2j)),
      "TwoQubitState(amps=((1+0j), 0j, (0.5+0j), (-0-2j)))"),
     (PauliOp, dict(tag="X", matrix=((0, 1), (1, 0))), "PauliOp(tag='X', matrix=((0, 1), (1, 0)))"),
+    (Program, dict(thresholds=(0, 2**53), weights=(1, 1), skip=1, table=(0, 1, 0), size=2),
+     "Program(thresholds=(0, 9007199254740992), weights=(1, 1), skip=1, table=(0, 1, 0), "
+     "size=2)"),
     (PartyBits, dict(first=0, second=1), "PartyBits(first=0, second=1)"),
     (SharedOutcome, dict(c=1), "SharedOutcome(c=1)"),
     (ChannelObservation, dict(state=ChannelState.SINGLE, payload=1, sender=Party.BOB),
@@ -154,6 +158,12 @@ INVALID = [
     (TwoQubitState, dict(amps=(math.inf, 0, 0, 0)), "non-finite amplitude (inf+0j)"),
     (TwoQubitState, dict(amps=(0, complex(0, math.nan), 0, 0)), "non-finite amplitude nanj"),
     (TwoQubitState, dict(amps=(1, 0, "x", 0)), "complex() arg is a malformed string"),
+    (Program, dict(thresholds=(0,), weights=(1,), skip=0, table=(0, 2), size=2),
+     "table entry 2 is not an int in range(2)"),
+    (Program, dict(thresholds=(0,), weights=(1,), skip=0, table=(0, 0), size=0),
+     "a tally size must be an int >= 1, got 0"),
+    (Program, dict(thresholds=(0,), weights=(1,), skip=0, table=(0, 0), size=True),
+     "a tally size must be an int >= 1, got True"),
     (PartyBits, dict(first=2, second=0), "party bits must be 0 or 1, got (2, 0)"),
     (PartyBits, dict(first=0, second=2), "party bits must be 0 or 1, got (0, 2)"),
     (SharedOutcome, dict(c=2), "shared outcome must be 0 or 1, got 2"),
@@ -196,3 +206,22 @@ def test_validation_errors_keep_their_type_and_message(cls, fields, message):
 def test_make_and_replace_check_fields_as_the_constructor_does(cls, fields, message):
     assert_plain_value_error(lambda: cls._make(fields.values()), message)
     assert_plain_value_error(lambda: VALID[cls]._replace(**fields), message)
+
+
+#: each bit field, built with a value in place of its bit
+BIT_FIELDS = {
+    "PartyBits.first": lambda bit: PartyBits(bit, 0),
+    "SharedOutcome.c": lambda bit: SharedOutcome(bit),
+    "Dibit.a2": lambda bit: Dibit(0, bit),
+    "BellIndex.k": lambda bit: BellIndex(bit, 1),
+    "ChannelObservation.payload": lambda bit: ChannelObservation.single(bit, Party.BOB),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize("field", sorted(BIT_FIELDS))
+def test_a_bit_field_takes_only_the_ints_0_and_1(field, value):
+    with pytest.raises(ValueError) as err:
+        BIT_FIELDS[field](value)
+    assert type(err.value) is ValueError
+    assert BIT_FIELDS[field](1) == BIT_FIELDS[field](int(value))

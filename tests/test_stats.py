@@ -93,6 +93,13 @@ def test_from_two_valued_validation():
         RunStats.from_two_valued(5, -1, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("n, n_hi", [(3.5, 1), (4.0, 1), (True, 1), (4, 1.0), (4, True),
+                                     (4, "1")])
+def test_from_two_valued_takes_only_integer_counts(n, n_hi):
+    with pytest.raises(ValueError):
+        RunStats.from_two_valued(n, n_hi, 0.0, 1.0)
+
+
 @settings(max_examples=100)
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200))
 def test_aggregate_matches_two_pass_property(samples):

@@ -1,14 +1,15 @@
 /* Compiled tally kernel: the word-program evaluator of entmac._kernels.pure, in C.
  *
- * One loop runs any word program (thresholds t_0 .. t_{k-1}, weights w_0 ..
- * w_{k-1}, skip s) over n slots of a SplitMix64 stream (Steele, Lea & Flood,
- * OOPSLA 2014): a slot reads k words, then draws s more it ignores, and its
- * index is the sum of w_i * [(word_i >> 11) >= t_i]. It returns how many
- * slots had each index. The programs and the tables that fold an index
- * histogram into a tally stay on the Python side, so nothing here knows the
- * physics and both backends share one source of truth. The loop releases
- * the GIL. Every argument is range-checked and every array sized from the
- * program before it starts, so no index can leave the count array.
+ * The module exports one function, histogram. Its one loop runs any word
+ * program (thresholds t_0 .. t_{k-1}, weights w_0 .. w_{k-1}, skip s) over n
+ * slots of a SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014): a slot
+ * reads k words, then draws s more it ignores, and its index is the sum of
+ * w_i * [(word_i >> 11) >= t_i]. It returns how many slots had each index.
+ * The programs and the tables that fold an index histogram into a tally stay
+ * on the Python side, so nothing here knows the physics and both backends
+ * share one source of truth. The loop releases the GIL. Every argument is
+ * range-checked and every array sized from the program before it starts, so
+ * no index can leave the count array.
  *
  * Build with `python -m entmac._kernels.build`.
  */
@@ -75,23 +76,6 @@ static uint64_t *u64_array(PyObject *obj, uint64_t max, const char *name, Py_ssi
     return ok ? out : NULL;
 }
 
-static PyObject *words(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    Py_ssize_t n;
-    uint64_t s;
-    if (!PyArg_ParseTuple(args, "O&O&:words", u64_arg, &s, count_arg, &n))
-        return NULL;
-    PyObject *out = PyList_New(n);
-    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
-        PyObject *w = PyLong_FromUnsignedLongLong(next_u64(&s));
-        if (w == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, w);
-    }
-    return out;
-}
-
 static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t n, skip, k, k_weights;
@@ -149,7 +133,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"words", words, METH_VARARGS, "words(seed, n): the first n SplitMix64 words from seed."},
     {"histogram", histogram, METH_VARARGS,
      "histogram(n, seed, thresholds, weights, skip): [number of the n slots with index i\n"
      "for each i <= sum(weights)], where a slot reads one word per threshold t, then\n"
@@ -161,7 +144,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_fast",
-    .m_doc = "The compiled word-program evaluator that replays the pure backend's words.",
+    .m_doc = "The compiled word-program evaluator: one function, histogram, that replays\n"
+             "the pure backend's word programs.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -26,8 +26,11 @@ class RunStats(NamedTuple):
 
     @classmethod
     def from_moments(cls, n: int, mean: float, sum_sq_dev: float) -> "RunStats":
-        """Build from n, mean and the centered sum of squares."""
-        if n < 1:
+        """Build from n, mean and the centered sum of squares.
+
+        n must be an int >= 1, not a bool.
+        """
+        if not is_int(n, 1):
             raise ValueError("need at least one sample")
         variance = sum_sq_dev / (n - 1) if n > 1 else 0.0
         std_error = math.sqrt(variance / n)

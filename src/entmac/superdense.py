@@ -71,16 +71,11 @@ def roundtrip(d: Dibit, rng: RandomSource) -> Dibit:
     return Dibit(idx.k, idx.l)
 
 
-def _decodes(a1: int, a2: int) -> int:
-    """1 when Bob's Bell measurement of the encoded (a1, a2) reads (a1, a2), for every uniform."""
-    idx = _independent_of_u(measure_bell, channel_state_after_encoding(Dibit(a1, a2)))
-    return int(idx.k == a1 and idx.l == a2)
-
-
 #: 1 where ``roundtrip`` returns its dibit (A1, A2), read as the two-bit
 #: number A1 A2; built by the engine and proved free of the Bell uniform by
 #: ``qubit._independent_of_u``
-_SD_OK = tuple(_decodes(a1, a2) for a1 in (0, 1) for a2 in (0, 1))
+_SD_OK = tuple(int(_independent_of_u(roundtrip, d) == d)
+               for d in (Dibit(a1, a2) for a1 in (0, 1) for a2 in (0, 1)))
 
 
 def _program() -> Program:

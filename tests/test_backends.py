@@ -22,7 +22,7 @@ from entmac._records import MAX_INDEX, Program
 from entmac.aloha import AlohaParams, simulate as aloha_simulate
 from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
-from entmac.rng import RandomSource, _float_threshold
+from entmac.rng import _GOLDEN, RandomSource
 
 from _support import WEIGHTS
 
@@ -58,23 +58,33 @@ def compiled(compiled_module, monkeypatch):
 SEEDS = [0, 1, 42, 999, 2**64 - 1]
 
 
+def first_draw(histogram, seed):
+    """w >> 11 of the first word from seed, by bisection on a one-threshold program.
+
+    A slot counts exactly when its word's w >> 11 reaches the threshold, so the
+    largest threshold it reaches is w >> 11 itself; 2**53 is reached by no word.
+    """
+    low, high = 0, 2**53
+    while high - low > 1:
+        mid = (low + high) // 2
+        if histogram(1, seed, (mid,), (1,), 0)[1]:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+def test_the_compiled_kernel_exports_only_histogram(compiled):
+    assert [name for name in dir(compiled) if not name.startswith("_")] == ["histogram"]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_u64_stream_parity(compiled, seed):
+    # word j from seed is word 0 from seed + j * golden. The low 11 bits of a word reach no
+    # output of the compiled kernel, so w >> 11 is all there is to compare
     rng = RandomSource(seed)
-    assert [rng.next_u64() for _ in range(2000)] == compiled.words(seed, 2000)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_float_stream_parity(compiled, seed):
-    # the compiled kernels draw no floats: they compare w >> 11 with an integer
-    # threshold, which must decide every draw as next_float() < p does
-    rng = RandomSource(seed)
-    floats = [rng.next_float() for _ in range(2000)]
-    draws = [w >> 11 for w in compiled.words(seed, 2000)]
-    assert floats == [d * 2.0**-53 for d in draws]
-    for p in (0.0, 1 / 3, 0.5, 0.999, 1.0, floats[0], floats[-1]):
-        t = _float_threshold(p)
-        assert [f < p for f in floats] == [d < t for d in draws], p
+    draws = [first_draw(compiled.histogram, (seed + j * _GOLDEN) % 2**64) for j in range(256)]
+    assert draws == [rng.next_u64() >> 11 for _ in range(256)]
 
 
 #: a threshold t in next_float's unit, so 0, 2**52 and 2**53 among them; None
@@ -188,9 +198,6 @@ BAD_CALLS = {
     "thresholds-not-a-sequence": ("histogram", (10, 1, None, (1,), 0), TypeError),
     "weights-not-a-sequence": ("histogram", (10, 1, (0,), 1, 0), TypeError),
     "histogram-seed-above-64-bits": ("histogram", (10, 2**64, (0,), (1,), 0), OverflowError),
-    "words-negative-n": ("words", (1, -1), ValueError),
-    "seed-negative": ("words", (-1, 3), OverflowError),
-    "seed-above-64-bits": ("words", (2**64, 3), OverflowError),
     # the same checks, reached through a dispatcher's program
     "aloha-m-0": ("aloha_tally", (0, 0.5, 10, 1), ValueError),
     "aloha-m-negative": ("aloha_tally", (-1, 0.5, 10, 1), ValueError),
@@ -373,7 +380,6 @@ def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
     assert _kernels.aloha_tally(1, 1.0, 100, 3) == 100
     assert _kernels.aloha_tally(3, 0.0, 100, 3) == 0
     assert compiled.histogram(0, 1, (2**53,), (1,), 2) == [0, 0]
-    assert compiled.words(3, 0) == []
 
 
 @pytest.fixture(params=["pure", "compiled"])

@@ -1,5 +1,6 @@
 """RandomSource: determinism, reference vectors, labelled child seeds."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -80,3 +81,16 @@ def test_float_threshold_ends():
     assert _float_threshold(0.0) == 0
     assert _float_threshold(1.0) == 2**53
     assert _float_threshold(5e-324) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 999, 2**64 - 1])
+def test_float_threshold_decides_each_draw_as_next_float_does(seed):
+    # the kernels draw no floats: they compare w >> 11 with an integer threshold
+    rng = RandomSource(seed)
+    floats = [rng.next_float() for _ in range(2000)]
+    rng = RandomSource(seed)
+    draws = [rng.next_u64() >> 11 for _ in range(2000)]
+    assert floats == [d * 2.0**-53 for d in draws]
+    for p in (0.0, 1 / 3, 0.5, 0.999, 1.0, floats[0], floats[-1]):
+        t = _float_threshold(p)
+        assert [f < p for f in floats] == [d < t for d in draws], p

@@ -100,6 +100,12 @@ def test_from_two_valued_takes_only_integer_counts(n, n_hi):
         RunStats.from_two_valued(n, n_hi, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, True, "2"])
+def test_from_moments_takes_only_a_positive_integer_count(n):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        RunStats.from_moments(n, 0.5, 1.0)
+
+
 @settings(max_examples=100)
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=200))
 def test_aggregate_matches_two_pass_property(samples):

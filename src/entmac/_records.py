@@ -9,14 +9,14 @@ from collections import namedtuple
 MAX_INDEX = sys.maxsize // ((sys.maxsize.bit_length() + 1) // 8) - 1
 
 
-def checked_record(typename: str, field_names: str):
-    """``namedtuple(typename, field_names)`` whose ``_make`` calls the subclass.
+def checked_record(typename: str, field_names: str, defaults=None):
+    """``namedtuple(typename, field_names, defaults=defaults)`` whose ``_make`` calls the subclass.
 
     A record subclasses it and checks its fields in ``__new__``. A plain
     namedtuple's ``_make``, and ``_replace``, which builds through
     ``_make``, would skip that check; this one runs it.
     """
-    base = namedtuple(typename, field_names)
+    base = namedtuple(typename, field_names, defaults=defaults)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 

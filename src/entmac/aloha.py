@@ -40,6 +40,10 @@ class AlohaSlotResult(checked_record("AlohaSlotResult", "transmitters success"))
     __slots__ = ()
 
     def __new__(cls, transmitters: int, success: bool):
+        if not is_int(transmitters, 0):
+            raise ValueError(f"transmitter count must be an integer >= 0, got {transmitters!r}")
+        if not isinstance(success, bool):
+            raise ValueError(f"success must be a bool, got {success!r}")
         if success != (transmitters == 1):
             raise ValueError("success must hold exactly when one user transmitted")
         return super().__new__(cls, transmitters, success)

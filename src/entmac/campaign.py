@@ -2,10 +2,10 @@
 comparison report, and the scenario table, serialized as text, JSON or CSV.
 
 Reproducibility contract: a campaign's output is a pure function of its
-config and the format it is rendered in. Every protocol draws from its own
-labeled child stream of the master seed, so runs are byte-identical across
-repetitions, worker counts and backends, and changing one protocol's sample
-count cannot shift another protocol's stream.
+config without ``workers``, and of the format it is rendered in. Every
+protocol draws from its own labeled child stream of the master seed, so runs
+are byte-identical across repetitions, worker counts and backends, and
+changing one protocol's sample count cannot shift another protocol's stream.
 
 The configs, results and reports are immutable named tuples. ``_render``
 imports ``json`` or ``csv`` only when asked for that format, so a text run
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 from . import aloha as aloha_mod
 from . import hyperdense as hd
 from . import superdense as sd
-from ._records import is_int, is_probability
+from ._records import checked_record, is_int, is_probability
 from .rng import RandomSource, derive_seed
 from .stats import RunStats
 
@@ -38,28 +38,34 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-class CampaignConfig(NamedTuple):
-    protocol: str
-    n_slots: int = 1_000_000
-    seed: int = 42
-    m: int = 2  # aloha only
-    p: Optional[float] = None  # aloha only; defaults to 1/M
-    c_source: str = "qubit"  # hyperdense only
+class CampaignConfig(checked_record("CampaignConfig", "protocol n_slots seed m p c_source workers",
+                                    defaults=(1_000_000, 42, 2, None, "qubit", 1))):
+    """One campaign; ``m`` and ``p`` (None: 1/M) are Aloha's, ``c_source`` hyperdense's.
 
-    def validate(self) -> None:
-        if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
+    Building one, by ``_make`` and ``_replace`` too, raises a ConfigError naming the
+    first bad field, ``workers`` first. ``workers`` never changes the output.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if not is_int(cfg.workers, 1):
+            raise ConfigError("workers", f"must be an integer >= 1, got {cfg.workers!r}")
+        if not isinstance(cfg.protocol, str) or cfg.protocol not in PROTOCOLS:
             raise ConfigError("protocol",
-                              f"must be one of {tuple(PROTOCOLS)}, got {self.protocol!r}")
-        if not is_int(self.n_slots, 1):
-            raise ConfigError("n_slots", f"must be an integer >= 1, got {self.n_slots!r}")
-        if not is_int(self.seed, 0, _MAX_SEED):
-            raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not is_int(self.m, 1):
-            raise ConfigError("m", f"must be an integer >= 1, got {self.m!r}")
-        if self.p is not None and not is_probability(self.p):
-            raise ConfigError("p", f"must be in [0, 1], got {self.p!r}")
-        if self.c_source not in C_SOURCES:
-            raise ConfigError("c_source", f"must be one of {C_SOURCES}, got {self.c_source!r}")
+                              f"must be one of {tuple(PROTOCOLS)}, got {cfg.protocol!r}")
+        if not is_int(cfg.n_slots, 1):
+            raise ConfigError("n_slots", f"must be an integer >= 1, got {cfg.n_slots!r}")
+        if not is_int(cfg.seed, 0, _MAX_SEED):
+            raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {cfg.seed!r}")
+        if not is_int(cfg.m, 1):
+            raise ConfigError("m", f"must be an integer >= 1, got {cfg.m!r}")
+        if cfg.p is not None and not is_probability(cfg.p):
+            raise ConfigError("p", f"must be in [0, 1], got {cfg.p!r}")
+        if cfg.c_source not in C_SOURCES:
+            raise ConfigError("c_source", f"must be one of {C_SOURCES}, got {cfg.c_source!r}")
+        return cfg
 
     def resolved_p(self) -> float:
         return self.p if self.p is not None else 1.0 / self.m
@@ -92,24 +98,18 @@ class CampaignResult(NamedTuple):
         return _render(self.to_json_dict(), output_format, _campaign_text)
 
 
-def run_campaign(cfg: CampaignConfig, workers: int = 1):
-    """Run one campaign; returns a CampaignResult (or ComparisonReport).
-
-    ``workers`` affects scheduling only, never the reported numbers.
-    """
-    if not is_int(workers, 1):
-        raise ConfigError("workers", f"must be an integer >= 1, got {workers!r}")
-    cfg.validate()
-    return PROTOCOLS[cfg.protocol].run(cfg, workers)
+def run_campaign(cfg: CampaignConfig):
+    """Run one campaign; returns a CampaignResult (or ComparisonReport)."""
+    return PROTOCOLS[cfg.protocol].run(cfg)
 
 
-def _run_aloha(cfg: CampaignConfig, workers: int) -> CampaignResult:
+def _run_aloha(cfg: CampaignConfig) -> CampaignResult:
     params = aloha_mod.AlohaParams(cfg.m, cfg.resolved_p())
     stream = RandomSource(derive_seed(cfg.seed, "aloha"))
     return CampaignResult(
         protocol="aloha",
         config={"n_slots": cfg.n_slots, "seed": cfg.seed, "m": cfg.m, "p": params.p},
-        empirical=aloha_mod.simulate(params, cfg.n_slots, stream, workers=workers),
+        empirical=aloha_mod.simulate(params, cfg.n_slots, stream, workers=cfg.workers),
         analytic={
             "success_probability": aloha_mod.success_probability(params),
             "total_throughput": aloha_mod.total_throughput(params),
@@ -119,20 +119,20 @@ def _run_aloha(cfg: CampaignConfig, workers: int) -> CampaignResult:
     )
 
 
-def _run_superdense(cfg: CampaignConfig, workers: int) -> CampaignResult:
+def _run_superdense(cfg: CampaignConfig) -> CampaignResult:
     stream = RandomSource(derive_seed(cfg.seed, "superdense"))
     return CampaignResult(
         protocol="superdense",
         config={"n_slots": cfg.n_slots, "seed": cfg.seed},
-        empirical=sd.simulate(cfg.n_slots, stream, workers=workers),
+        empirical=sd.simulate(cfg.n_slots, stream, workers=cfg.workers),
         analytic={"success_rate": 1.0, "bits_per_slot": float(sd.BITS_PER_USE)},
     )
 
 
-def _run_hyperdense(cfg: CampaignConfig, workers: int) -> CampaignResult:
+def _run_hyperdense(cfg: CampaignConfig) -> CampaignResult:
     source = hd.QubitPairSource() if cfg.c_source == "qubit" else hd.CoinPairSource()
     stream = RandomSource(derive_seed(cfg.seed, "hyperdense"))
-    result = hd.simulate(cfg.n_slots, stream, source=source, workers=workers)
+    result = hd.simulate(cfg.n_slots, stream, source=source, workers=cfg.workers)
     per_direction = hd.expected_bits_per_direction()
     return CampaignResult(
         protocol="hyperdense",
@@ -187,10 +187,11 @@ def compare(n_slots: int, seed: int, workers: int = 1) -> ComparisonReport:
     individual runs by construction. Superdense is reported in delivered
     bits, 0 or 2 per slot, from its own labeled stream.
     """
-    hyper = run_campaign(CampaignConfig("hyperdense", n_slots, seed, c_source="qubit"), workers)
+    hyper = run_campaign(CampaignConfig("hyperdense", n_slots, seed, c_source="qubit",
+                                        workers=workers))
     sd_stream = RandomSource(derive_seed(seed, "superdense"))
     sd_successes = sd.count_successes(n_slots, sd_stream, workers=workers)
-    aloha = run_campaign(CampaignConfig("aloha", n_slots, seed, m=2, p=0.5), workers)
+    aloha = run_campaign(CampaignConfig("aloha", n_slots, seed, m=2, p=0.5, workers=workers))
     return ComparisonReport(
         n_slots=n_slots,
         seed=seed,
@@ -220,7 +221,7 @@ class Protocol(NamedTuple):
     """A simulation subcommand: its help, its own options and its runner."""
 
     help: str
-    run: Callable[[CampaignConfig, int], object]
+    run: Callable[[CampaignConfig], object]
     options: tuple[Option, ...] = ()
 
 
@@ -239,7 +240,7 @@ PROTOCOLS = {
             help="where the shared slot bit comes from (default %(default)s)")),
     )),
     "compare": Protocol("three-way throughput comparison report",
-                        lambda cfg, workers: compare(cfg.n_slots, cfg.seed, workers)),
+                        lambda cfg: compare(cfg.n_slots, cfg.seed, cfg.workers)),
 }
 
 

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], metavar="S",
                        help="master seed (default %(default)s)")
         add_format(p)
-        p.add_argument("--workers", type=int, default=1, metavar="W",
+        p.add_argument("--workers", type=int, default=_DEFAULTS["workers"], metavar="W",
                        help="worker processes; never changes the reported numbers")
         for opt in protocol.options:
             p.add_argument(opt.flag, dest=opt.field, default=_DEFAULTS[opt.field], **opt.kwargs)
@@ -67,8 +67,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "table":
             out = enumerate_table(args.format)
         else:
-            result = run_campaign(_config_from_args(args), workers=args.workers)
-            out = result.render(args.format)
+            out = run_campaign(_config_from_args(args)).render(args.format)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -89,6 +89,8 @@ class ChannelObservation(checked_record("ChannelObservation", "state payload sen
 
     def __new__(cls, state: ChannelState, payload: Optional[int] = None,
                 sender: Optional[Party] = None):
+        if not isinstance(state, ChannelState):
+            raise ValueError(f"a channel state must be a ChannelState, got {state!r}")
         if state is ChannelState.SINGLE:
             if payload is None or sender is None:
                 raise ValueError("a single transmission needs a payload and a sender")
@@ -158,8 +160,10 @@ def decode(
     """Recover the peer's first bit (always) and second bit (when it arrived).
 
     Raises ProtocolViolationError when the observation is impossible given
-    this party's own action.
+    this party's own action, and TypeError for a ``self_id`` that is not a Party.
     """
+    if not isinstance(self_id, Party):
+        raise TypeError(f"self_id must be a Party, got {self_id!r}")
     i_sent = own_sent is not None
     if obs.state is ChannelState.IDLE and i_sent:
         raise ProtocolViolationError("I transmitted but the channel reads idle")

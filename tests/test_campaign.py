@@ -48,12 +48,15 @@ def parse_csv(text):
         (dict(protocol="aloha", p=False), "p"),
         # an unhashable name must not escape as TypeError from the protocol lookup
         (dict(protocol=["aloha"]), "protocol"),
+        *((dict(protocol="aloha", workers=workers), "workers")
+          for workers in (0, -1, 2.0, "2", True, False, None)),
+        # workers is checked before every other field
+        (dict(protocol="nope", seed=-1, workers=0), "workers"),
     ],
 )
 def test_config_validation_reports_field(kwargs, field):
-    cfg = CampaignConfig(**kwargs)
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        CampaignConfig(**kwargs)
     assert err.value.field == field
     assert field in str(err.value)
 
@@ -135,9 +138,9 @@ def test_campaign_output_is_byte_identical(protocol, fmt):
 
 def test_worker_count_does_not_change_output():
     cfg = CampaignConfig(protocol="hyperdense", n_slots=150_000, seed=9)
-    lone = run_campaign(cfg, workers=1).render("json")
+    lone = run_campaign(cfg).render("json")
     for workers in (2, 4, 7):
-        assert run_campaign(cfg, workers=workers).render("json") == lone
+        assert run_campaign(cfg._replace(workers=workers)).render("json") == lone
 
 
 def test_prefix_stability_when_extending_slot_count():
@@ -332,11 +335,7 @@ def test_table_rejects_unknown_format():
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True, False, None])
-def test_run_campaign_validates_workers(workers):
-    cfg = CampaignConfig(protocol="aloha", n_slots=10)
-    with pytest.raises(ConfigError) as err:
-        run_campaign(cfg, workers=workers)
-    assert err.value.field == "workers"
+def test_compare_validates_workers(workers):
     with pytest.raises(ConfigError) as err:
         compare(10, 1, workers=workers)
     assert err.value.field == "workers"

@@ -136,6 +136,15 @@ def test_decode_rejects_inconsistent_observations(own_sent, obs, who):
         decode(own_sent, SharedOutcome(0), obs, who)
 
 
+@pytest.mark.parametrize("self_id", ["bob", "alice", None, 1])
+def test_decode_rejects_a_self_id_that_is_not_a_party(self_id):
+    # with "bob" in place of Party.BOB, the channel's credit to Bob would read as the peer's
+    # payload and hand Bob's own bit back to him
+    obs = ChannelObservation.single(1, Party.BOB)
+    with pytest.raises(TypeError, match="self_id must be a Party"):
+        decode(None, SharedOutcome(0), obs, self_id)
+
+
 # --- single slot ---------------------------------------------------------
 
 

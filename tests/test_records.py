@@ -9,7 +9,7 @@ import pytest
 
 from entmac._records import Program
 from entmac.aloha import AlohaParams, AlohaSlotResult
-from entmac.campaign import CampaignConfig, CampaignResult, ComparisonReport
+from entmac.campaign import CampaignConfig, CampaignResult, ComparisonReport, ConfigError
 from entmac.hyperdense import (
     ChannelObservation,
     ChannelState,
@@ -60,8 +60,10 @@ RECORDS = [
           channel_counts={"idle": 1}),
      f"HyperdenseStats(total={_RS_REPR}, alice_to_bob={_RS_REPR}, bob_to_alice={_RS_REPR}, "
      "channel_counts={'idle': 1})"),
-    (CampaignConfig, dict(protocol="hyperdense", n_slots=10, seed=3, m=4, p=0.25, c_source="coin"),
-     "CampaignConfig(protocol='hyperdense', n_slots=10, seed=3, m=4, p=0.25, c_source='coin')"),
+    (CampaignConfig,
+     dict(protocol="hyperdense", n_slots=10, seed=3, m=4, p=0.25, c_source="coin", workers=2),
+     "CampaignConfig(protocol='hyperdense', n_slots=10, seed=3, m=4, p=0.25, c_source='coin', "
+     "workers=2)"),
     (CampaignResult,
      dict(protocol="aloha", config={"n_slots": 4}, analytic={"x": 0.5}, empirical=RunStats(**_RS),
           directions={"a": RunStats(**_RS)}, channel_counts={"idle": 4}),
@@ -117,7 +119,8 @@ def test_equality_and_hashing_go_by_value(cls, kwargs, text):
      dict(state=ChannelState.SINGLE, payload=1, sender=Party.ALICE)),
     (DecodedView(peer_first=1), dict(peer_second=None)),
     (CampaignConfig("aloha"),
-     dict(protocol="aloha", n_slots=1_000_000, seed=42, m=2, p=None, c_source="qubit")),
+     dict(protocol="aloha", n_slots=1_000_000, seed=42, m=2, p=None, c_source="qubit",
+          workers=1)),
     (CampaignResult("aloha", {}, {}, RunStats(**_RS)), dict(directions=None, channel_counts=None)),
 ], ids=["observation", "idle", "collision", "single", "view", "config", "result"])
 def test_defaults(record, defaults):
@@ -148,6 +151,13 @@ INVALID = [
      "success must hold exactly when one user transmitted"),
     (AlohaSlotResult, dict(transmitters=0, success=True),
      "success must hold exactly when one user transmitted"),
+    (AlohaSlotResult, dict(transmitters=2.5, success=False),
+     "transmitter count must be an integer >= 0, got 2.5"),
+    (AlohaSlotResult, dict(transmitters=-3, success=False),
+     "transmitter count must be an integer >= 0, got -3"),
+    (AlohaSlotResult, dict(transmitters=True, success=True),
+     "transmitter count must be an integer >= 0, got True"),
+    (AlohaSlotResult, dict(transmitters=1, success=1), "success must be a bool, got 1"),
     (Dibit, dict(a1=2, a2=0), "dibit components must be 0 or 1, got (2, 0)"),
     (Dibit, dict(a1=0, a2=-1), "dibit components must be 0 or 1, got (0, -1)"),
     (BellIndex, dict(k=2, l=0), "Bell index bits must be 0 or 1, got (2, 0)"),
@@ -178,6 +188,12 @@ INVALID = [
      "a single transmission's payload must be 0 or 1, got 7"),
     (ChannelObservation, dict(state=ChannelState.SINGLE, payload=0, sender="bob"),
      "a single transmission's sender must be a Party, got 'bob'"),
+    # a state given by its value matches no state in decode, which then reads the slot as
+    # a single transmission from the peer, even to a party that transmitted
+    (ChannelObservation, dict(state="idle", payload=None, sender=None),
+     "a channel state must be a ChannelState, got 'idle'"),
+    (ChannelObservation, dict(state=None, payload=None, sender=None),
+     "a channel state must be a ChannelState, got None"),
     (ChannelObservation, dict(state=ChannelState.IDLE, payload=1, sender=None),
      "idle channel cannot carry a payload"),
     (ChannelObservation, dict(state=ChannelState.COLLISION, payload=None, sender=Party.BOB),
@@ -206,6 +222,24 @@ def test_validation_errors_keep_their_type_and_message(cls, fields, message):
 def test_make_and_replace_check_fields_as_the_constructor_does(cls, fields, message):
     assert_plain_value_error(lambda: cls._make(fields.values()), message)
     assert_plain_value_error(lambda: VALID[cls]._replace(**fields), message)
+
+
+@pytest.mark.parametrize("fields, field", [
+    (dict(n_slots=0), "n_slots"),
+    (dict(protocol="nope"), "protocol"),
+    (dict(workers=0), "workers"),
+    (dict(c_source="dice", workers=True), "workers"),
+])
+def test_config_make_and_replace_raise_the_constructors_config_error(fields, field):
+    valid = CampaignConfig("aloha")
+    with pytest.raises(ConfigError) as built:
+        CampaignConfig(**{**valid._asdict(), **fields})
+    with pytest.raises(ConfigError) as made:
+        CampaignConfig._make({**valid._asdict(), **fields}.values())
+    with pytest.raises(ConfigError) as replaced:
+        valid._replace(**fields)
+    assert built.value.field == made.value.field == replaced.value.field == field
+    assert str(built.value) == str(made.value) == str(replaced.value)
 
 
 #: each bit field, built with a value in place of its bit

@@ -54,34 +54,34 @@ def _usable_cpus() -> int:
 def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
     """[fn(slot_count, seed) for each chunk of an n_slots run], in plan order.
 
-    The chunk seeds derive from one draw off ``rng``. Up to ``workers``
-    processes run the chunks, on either backend: this one and children it
-    forks, no more than there are chunks or usable CPUs. Each result must
-    be a value ``marshal`` writes (ints and tuples of ints are), and an
+    The chunk seeds derive from one draw off ``rng``. ``_run_shares`` runs
+    every run's chunks, on either backend, in up to ``workers`` processes:
+    this one and children it forks, no more than there are chunks or usable
+    CPUs, and this one alone where ``os.fork`` is missing or another thread
+    is running, since forking a process with threads is unsafe. Each result
+    must be a value ``marshal`` writes (ints and tuples of ints are), and an
     exception ``fn`` raises in a child's share is raised here as ``fn``
-    raises it. The chunks run in this process alone where ``os.fork`` is
-    missing or another thread is running, since forking a process with
-    threads is unsafe. ``n_slots`` and ``workers`` must each be an int >= 1
-    (not a bool); both checks come before the draw.
+    raises it. ``n_slots`` and ``workers`` must each be an int >= 1 (not a
+    bool); both checks come before the draw.
     """
     for name, value in (("n_slots", n_slots), ("workers", workers)):
         if not is_int(value, 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     seeds, counts = zip(*chunk_plan(rng.next_u64(), n_slots))
-    size = min(workers, len(counts), _usable_cpus())
     threading = sys.modules.get("threading")
-    if size > 1 and hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
-        return _run_forked(fn, counts, seeds, size)
-    return list(map(fn, counts, seeds))
+    forkable = hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+    size = min(workers, len(counts), _usable_cpus()) if forkable else 1
+    return _run_shares(fn, counts, seeds, size)
 
 
-def _run_forked(fn, counts, seeds, size: int) -> list:
+def _run_shares(fn, counts, seeds, size: int) -> list:
     """Chunks k, k + size, .. in forked child k for 0 < k < size, and share 0 here.
 
-    A child that fails has its share re-run here, so its exception reaches
-    the caller as ``fn`` raises it. No child outlives this call: any still
-    running when this process's own share or a later ``os.fork`` raises is
-    killed and reaped. No pipe end outlives it either.
+    Size 1 forks nothing, opens no pipe and runs every chunk here in plan
+    order. A child that fails has its share re-run here, so its exception
+    reaches the caller as ``fn`` raises it. No child outlives this call, and
+    no pipe end: a child still running when this process's own share or a
+    later ``os.fork`` raises is killed and reaped.
     """
     children = []  # [pid, read end of its pipe] per child; pid is None unforked or reaped
     try:

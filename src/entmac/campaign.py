@@ -43,7 +43,8 @@ class CampaignConfig(checked_record("CampaignConfig", "protocol n_slots seed m p
     """One campaign; ``m`` and ``p`` (None: 1/M) are Aloha's, ``c_source`` hyperdense's.
 
     Building one, by ``_make`` and ``_replace`` too, raises a ConfigError naming the
-    first bad field, ``workers`` first. ``workers`` never changes the output.
+    first bad field, ``workers`` first; a protocol's config must leave the fields its
+    protocol never reads at their defaults. ``workers`` never changes the output.
     """
 
     __slots__ = ()
@@ -65,6 +66,12 @@ class CampaignConfig(checked_record("CampaignConfig", "protocol n_slots seed m p
             raise ConfigError("p", f"must be in [0, 1], got {cfg.p!r}")
         if cfg.c_source not in C_SOURCES:
             raise ConfigError("c_source", f"must be one of {C_SOURCES}, got {cfg.c_source!r}")
+        read = {opt.field for opt in PROTOCOLS[cfg.protocol].options}
+        for name in ("m", "p", "c_source"):
+            value, default = getattr(cfg, name), cls._field_defaults[name]
+            if name not in read and value != default:
+                raise ConfigError(name, f"{cfg.protocol} does not read it, so it must keep its "
+                                        f"default {default!r}, got {value!r}")
         return cfg
 
     def resolved_p(self) -> float:

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 from ._records import Program, checked_record, is_int
 from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
-from .qubit import _U_ENDS, _independent_of_u, _OneUniform
+from .qubit import _U_ENDS, _Uniforms
 from .rng import RandomSource, _float_threshold
 from .stats import RunStats
 
@@ -293,17 +293,18 @@ _OUTCOME = tuple(
 def _qubit_c_threshold() -> int:
     """t such that QubitPairSource().draw(rng) is 0 exactly when its first word w has w >> 11 < t.
 
-    The first word is A's measurement of |beta_00>, which gives 0 exactly when
-    next_float() < P(0). Raises RuntimeError unless A gives 0 at u = 0 and 1
-    at the greatest u (so no clamp makes either outcome impossible), and B's
-    measurement of each state A's collapses to gives A's outcome for every u:
-    draw then never raises and consumes one more word.
+    draw's first uniform measures A of |beta_00>, giving 0 exactly when it is
+    < P(0). Raises RuntimeError unless draw takes two uniforms and gives 0 at
+    u = 0 and 1 at the greatest u (no clamp rules either out) at both ends of
+    the second; then it never raises and skips one word, for every uniform.
     """
     for c, u in enumerate(_U_ENDS):
-        c_a, collapsed = measure_qubit(BETA_00, QubitId.A, _OneUniform(u))
-        c_b, _ = _independent_of_u(measure_qubit, collapsed, QubitId.B)
-        if c_a != c or c_b != c:
-            raise RuntimeError(f"qubit pair measured ({c_a}, {c_b}) where ({c}, {c}) was due")
+        for v in _U_ENDS:
+            rng = _Uniforms(u, v)
+            drawn = QubitPairSource().draw(rng)  # PairCorrelationError is a RuntimeError
+            if drawn != c or rng:
+                raise RuntimeError(f"qubit pair drew {drawn} from ({u}, {v}) and left "
+                                   f"{len(rng)} uniform(s) where {c} and none were due")
     return _float_threshold(measure_probabilities(BETA_00, QubitId.A)[0])
 
 

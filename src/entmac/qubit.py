@@ -216,16 +216,15 @@ def measure_bell(state: TwoQubitState, rng: RandomSource) -> BellIndex:
     return _BELL_OUTCOMES[_sample(bell_probabilities(state), rng)]
 
 
-class _OneUniform:
-    """Stub rng whose next_float returns u once; a second draw raises IndexError."""
+class _Uniforms(list):
+    """Stub rng: its undrawn uniforms, next last; next_float pops one, IndexError past them."""
 
-    __slots__ = ("_us",)
+    __slots__ = ()
 
-    def __init__(self, u: float):
-        self._us = [u]
+    def __init__(self, *us: float):
+        super().__init__(reversed(us))
 
-    def next_float(self) -> float:
-        return self._us.pop()
+    next_float = list.pop
 
 
 #: the least and the greatest value RandomSource.next_float returns
@@ -240,7 +239,7 @@ def _independent_of_u(measure, *args):
     next_float()'s range is the result for every u. Raises RuntimeError when
     the two ends differ.
     """
-    lo, hi = (measure(*args, _OneUniform(u)) for u in _U_ENDS)
+    lo, hi = (measure(*args, _Uniforms(u)) for u in _U_ENDS)
     if lo != hi:
         raise RuntimeError(
             f"{measure.__name__} depends on the uniform: {lo!r} at u = 0, {hi!r} at u = 1 - 2**-53"

@@ -52,6 +52,15 @@ def parse_csv(text):
           for workers in (0, -1, 2.0, "2", True, False, None)),
         # workers is checked before every other field
         (dict(protocol="nope", seed=-1, workers=0), "workers"),
+        # a field the protocol never reads must keep its default
+        (dict(protocol="compare", c_source="coin"), "c_source"),
+        (dict(protocol="compare", m=5), "m"),
+        (dict(protocol="compare", p=0.3), "p"),
+        (dict(protocol="superdense", m=9, p=0.5, c_source="coin"), "m"),
+        (dict(protocol="superdense", p=0.5), "p"),
+        (dict(protocol="hyperdense", m=3), "m"),
+        (dict(protocol="hyperdense", p=0.5), "p"),
+        (dict(protocol="aloha", c_source="coin"), "c_source"),
     ],
 )
 def test_config_validation_reports_field(kwargs, field):

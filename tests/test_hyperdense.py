@@ -318,17 +318,30 @@ def test_qubit_c_threshold_is_the_measurement_boundary():
             assert QubitPairSource().draw(rng) == c, (t, u_b)
 
 
-@pytest.mark.parametrize("flipped,measured", [(QubitId.A, "(1, 0)"), (QubitId.B, "(0, 1)")],
-                         ids=["A", "B"])
+@pytest.mark.parametrize("flipped,error,message", [
+    ({QubitId.A}, PairCorrelationError, "half-pair measurements disagree: 1 vs 0"),
+    ({QubitId.B}, PairCorrelationError, "half-pair measurements disagree: 0 vs 1"),
+    ({QubitId.A, QubitId.B}, RuntimeError, "qubit pair drew 1 from (0.0, 0.0)"),
+], ids=["A", "B", "both"])
 def test_qubit_c_threshold_rejects_a_pair_that_does_not_give_c_twice(monkeypatch, flipped,
-                                                                    measured):
-    # A giving 1 at u = 0, or B disagreeing with A, stops the import
+                                                                    error, message):
+    # the proof runs draw: A giving 1 at u = 0, or B disagreeing with A, stops the import
     def measure_flipped(state, target, rng):
         c, collapsed = measure_qubit(state, target, rng)
-        return (1 - c if target is flipped else c), collapsed
+        return (1 - c if target in flipped else c), collapsed
 
     monkeypatch.setattr(hyperdense, "measure_qubit", measure_flipped)
-    with pytest.raises(RuntimeError, match=re.escape(f"measured {measured} where (0, 0) was due")):
+    with pytest.raises(error, match=re.escape(message)):
+        hyperdense._qubit_c_threshold()
+
+
+def test_qubit_c_threshold_rejects_a_draw_that_leaves_a_uniform(monkeypatch):
+    # a draw that measures A alone gives c but leaves the word the program skips
+    def draw_a_only(self, rng):
+        return measure_qubit(BETA_00, QubitId.A, rng)[0]
+
+    monkeypatch.setattr(QubitPairSource, "draw", draw_a_only)
+    with pytest.raises(RuntimeError, match=re.escape("and left 1 uniform(s)")):
         hyperdense._qubit_c_threshold()
 
 

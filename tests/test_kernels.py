@@ -199,6 +199,21 @@ def test_no_fork_where_the_os_has_none(monkeypatch, forks):
     assert forks == [0, 0]
 
 
+@pytest.mark.parametrize("n_chunks, workers, cpus", [(3, 1, 4), (1, 4, 4), (3, 4, 1)],
+                         ids=["one-worker", "one-chunk", "one-cpu"])
+def test_a_one_process_run_opens_no_pipe_and_forks_nothing(monkeypatch, n_chunks, workers,
+                                                           cpus):
+    def forbidden():
+        raise AssertionError("a one-process run must neither fork nor open a pipe")
+
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(os, "pipe", forbidden)
+    plan = _kernels.chunk_plan(RandomSource(5).next_u64(), (n_chunks - 1) * 8 + 1)
+    assert chunk_echo(n_chunks, workers) == [(count, seed) for seed, count in plan]
+
+
 def test_map_chunks_rejects_an_empty_run():
     rng = RandomSource(1)
     with pytest.raises(ValueError, match="n_slots must be an integer >= 1, got 0"):

@@ -61,8 +61,8 @@ RECORDS = [
      f"HyperdenseStats(total={_RS_REPR}, alice_to_bob={_RS_REPR}, bob_to_alice={_RS_REPR}, "
      "channel_counts={'idle': 1})"),
     (CampaignConfig,
-     dict(protocol="hyperdense", n_slots=10, seed=3, m=4, p=0.25, c_source="coin", workers=2),
-     "CampaignConfig(protocol='hyperdense', n_slots=10, seed=3, m=4, p=0.25, c_source='coin', "
+     dict(protocol="aloha", n_slots=10, seed=3, m=4, p=0.25, c_source="qubit", workers=2),
+     "CampaignConfig(protocol='aloha', n_slots=10, seed=3, m=4, p=0.25, c_source='qubit', "
      "workers=2)"),
     (CampaignResult,
      dict(protocol="aloha", config={"n_slots": 4}, analytic={"x": 0.5}, empirical=RunStats(**_RS),

@@ -1,10 +1,13 @@
 /* Compiled tally kernel: the word-program evaluator of entmac._kernels.pure, in C.
  *
  * The module exports one function, histogram. Its one loop runs any word
- * program (thresholds t_0 .. t_{k-1}, weights w_0 .. w_{k-1}, skip s) over n
- * slots of a SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014): a slot
- * reads k words, then draws s more it ignores, and its index is the sum of
+ * program (thresholds t_0 .. t_{k-1}, weights w_0 .. w_{k-1}, offsets
+ * o_0 < .. < o_{k-1}, period P) over n slots of a SplitMix64 stream (Steele,
+ * Lea & Flood, OOPSLA 2014): slot s is stream words s P .. s P + P - 1, its
+ * read i is the word at offset o_i among them, and its index is the sum of
  * w_i * [(word_i >> 11) >= t_i]. It returns how many slots had each index.
+ * The stream is counter-based, so the loop steps its state over the words
+ * between two reads at once and never mixes a word no offset names.
  * The programs and the tables that fold an index histogram into a tally stay
  * on the Python side, so nothing here knows the physics and both backends
  * share one source of truth. The loop releases the GIL. Every argument is
@@ -19,9 +22,8 @@
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 
-static inline uint64_t next_u64(uint64_t *state)
+static inline uint64_t mix64(uint64_t z)
 {
-    uint64_t z = *state += GOLDEN;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
@@ -54,7 +56,7 @@ static int u64_arg(PyObject *obj, void *out)  /* an int in 0..2**64-1 */
  * number in *len; the caller frees it. Returns NULL with an exception set. */
 static uint64_t *u64_array(PyObject *obj, uint64_t max, const char *name, Py_ssize_t *len)
 {
-    PyObject *seq = PySequence_Fast(obj, "thresholds and weights must be sequences");
+    PyObject *seq = PySequence_Fast(obj, "thresholds, weights and offsets must be sequences");
     if (seq == NULL)
         return NULL;
     *len = PySequence_Fast_GET_SIZE(seq);
@@ -78,25 +80,33 @@ static uint64_t *u64_array(PyObject *obj, uint64_t max, const char *name, Py_ssi
 
 static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    Py_ssize_t n, skip, k, k_weights;
-    uint64_t s, *t = NULL, *w = NULL;
+    Py_ssize_t n, period, k, k_weights, k_offsets;
+    uint64_t s, *t = NULL, *w = NULL, *o = NULL;
     Py_ssize_t *counts = NULL;
-    PyObject *threshold_obj, *weight_obj, *out = NULL;
-    if (!PyArg_ParseTuple(args, "O&O&OOO&:histogram", count_arg, &n, u64_arg, &s, &threshold_obj,
-                          &weight_obj, count_arg, &skip))
+    PyObject *threshold_obj, *weight_obj, *offset_obj, *out = NULL;
+    if (!PyArg_ParseTuple(args, "O&O&OOOO&:histogram", count_arg, &n, u64_arg, &s,
+                          &threshold_obj, &weight_obj, &offset_obj, count_arg, &period))
         return NULL;
     /* the largest index, sum(weights), stays within this bound, so neither the
        index nor the size of the count array can overflow */
     const uint64_t bound = (uint64_t)PY_SSIZE_T_MAX / sizeof(Py_ssize_t) - 1;
     uint64_t top = 0;
     if ((t = u64_array(threshold_obj, 1ULL << 53, "threshold", &k)) == NULL
-        || (w = u64_array(weight_obj, bound, "weight", &k_weights)) == NULL)
+        || (w = u64_array(weight_obj, bound, "weight", &k_weights)) == NULL
+        || (o = u64_array(offset_obj, UINT64_MAX, "offset", &k_offsets)) == NULL)
         goto done;
-    if (k != k_weights || k == 0) {
-        PyErr_Format(PyExc_ValueError, "a program needs at least one threshold and one "
-                     "weight per threshold, got %zd and %zd", k, k_weights);
+    if (k != k_weights || k != k_offsets || k == 0) {
+        PyErr_Format(PyExc_ValueError, "a program needs at least one threshold, and one "
+                     "weight and one offset per threshold, got %zd, %zd and %zd",
+                     k, k_weights, k_offsets);
         goto done;
     }
+    for (Py_ssize_t j = 0; j < k; j++)
+        if ((j > 0 && o[j] <= o[j - 1]) || o[j] >= (uint64_t)period) {
+            PyErr_Format(PyExc_ValueError, "offsets must rise strictly and stay below the "
+                         "period %zd", period);
+            goto done;
+        }
     for (Py_ssize_t j = 0; j < k && top <= bound; j++)
         top += w[j];
     if (top > bound) {
@@ -107,13 +117,20 @@ static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
+    /* o[j] becomes what read j adds to the state before it mixes: its gap from the word
+       before it (from word -1 for the first read) times GOLDEN, mod 2**64; after the last
+       read the state steps to the end of the slot */
+    const uint64_t tail = ((uint64_t)period - 1 - o[k - 1]) * GOLDEN;
+    for (Py_ssize_t j = k - 1; j >= 0; j--)
+        o[j] = (o[j] - (j > 0 ? o[j - 1] : (uint64_t)-1)) * GOLDEN;
     Py_BEGIN_ALLOW_THREADS
-    const uint64_t jump = (uint64_t)skip * GOLDEN;  /* the skipped words, drawn at once */
     for (Py_ssize_t i = 0; i < n; i++) {
         uint64_t index = 0;
-        for (Py_ssize_t j = 0; j < k; j++)
-            index += w[j] * ((next_u64(&s) >> 11) >= t[j]);
-        s += jump;
+        for (Py_ssize_t j = 0; j < k; j++) {
+            s += o[j];
+            index += w[j] * ((mix64(s) >> 11) >= t[j]);
+        }
+        s += tail;
         counts[index]++;
     }
     Py_END_ALLOW_THREADS
@@ -127,6 +144,7 @@ static PyObject *histogram(PyObject *Py_UNUSED(self), PyObject *args)
     }
 done:
     PyMem_Free(counts);
+    PyMem_Free(o);
     PyMem_Free(w);
     PyMem_Free(t);
     return out;
@@ -134,10 +152,10 @@ done:
 
 static PyMethodDef methods[] = {
     {"histogram", histogram, METH_VARARGS,
-     "histogram(n, seed, thresholds, weights, skip): [number of the n slots with index i\n"
-     "for each i <= sum(weights)], where a slot reads one word per threshold t, then\n"
-     "skip more, and its index is the sum of the weights of the words w with\n"
-     "(w >> 11) >= t."},
+     "histogram(n, seed, thresholds, weights, offsets, period): [number of the n slots\n"
+     "with index i for each i <= sum(weights)], where a slot is period words of the\n"
+     "stream and reads, per threshold t, the word w at its offset, and its index is the\n"
+     "sum of the weights of the words w with (w >> 11) >= t."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,24 +1,26 @@
 """Pure-Python kernels: the reference the compiled backend must match.
 
 Every kernel runs one word program, a ``_records.Program`` (thresholds
-t_0 .. t_{k-1}, weights w_0 .. w_{k-1}, skip s, table, size), over its
-chunk stream: a slot reads k words, then draws s more it ignores, and its
-index is the sum of w_i * [word_i >> 11 >= t_i]. A threshold is in
-``next_float``'s unit, 2**-53, as ``rng._float_threshold`` states it.
-``_histogram`` counts each index over a chunk's slots, and ``_tally`` folds
-those counts through the table into ``size`` counters. Each protocol module
-states its own program, built from its public operations, so no kernel
-calls the statevector engine and neither evaluator holds a protocol's table
-or threshold: ``aloha._program``, ``hyperdense._program`` and
-``superdense._program``. ``Program`` checks a program where it is built,
-so the fold checks nothing; ``_histogram`` still rejects raw arguments as
-``_fast.histogram`` does, by the same ``_records.check_program``.
+t_0 .. t_{k-1}, weights w_0 .. w_{k-1}, offsets o_0 < .. < o_{k-1}, period
+P, table, size), over its chunk stream: slot s is stream words s P ..
+s P + P - 1, its read i is the word at offset o_i among them, and its index
+is the sum of w_i * [word_i >> 11 >= t_i]. A word no offset names is never
+read. A threshold is in ``next_float``'s unit, 2**-53, as
+``rng._float_threshold`` states it. ``_histogram`` counts each index over
+a chunk's slots, and ``_tally`` folds those counts through the table into
+``size`` counters. Each protocol module states its own program, built from
+its public operations, so no kernel calls the statevector engine and
+neither evaluator holds a protocol's table or threshold: ``aloha._program``,
+``hyperdense._program`` and ``superdense._program``. ``Program`` checks a
+program where it is built, so the fold checks nothing; ``_histogram`` still
+rejects raw arguments as ``_fast.histogram`` does, by the same
+``_records.check_program``.
 
 No word is drawn one at a time. SplitMix64 is counter-based: word j (from
 0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block is
 one Python int of 128-bit lanes, one per word the program reads: lane
-s k + i holds the counter of stream word s (k + skip) + i, read word i of
-the block's slot s, and a skipped word is never mixed. Each step of
+s k + i holds the counter of stream word s P + o_i, read word i of the
+block's slot s, and an unread word is never mixed. Each step of
 ``mix64`` is one operation on the whole int: a lane's 64-bit value times a
 64-bit constant fits in its 128 bits, and masking every lane to its low 64
 bits after each step drops the product's high half and the bits a shift
@@ -73,7 +75,7 @@ from .._records import check_count, check_program, check_u64s
 from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 
 
-#: lanes per block, one per read word (a skipped word gets none), unless one slot reads more;
+#: lanes per block, one per read word (an unread word gets none), unless one slot reads more;
 #: a block runs whole slots
 _BLOCK_WORDS = 512
 
@@ -95,30 +97,32 @@ class _Block(NamedTuple):
     tail: bool  # whether a threshold is no multiple of 2**22, so needs mix64's last step
     low64: int  # 2**64 - 1 in each lane
     ones: int  # 1 in each lane
-    steps: int  # (s * (k + skip) + i) * GOLDEN mod 2**64 in lane s * k + i
+    steps: int  # (s * period + offset_i) * GOLDEN mod 2**64 in lane s * k + i
     advance: int  # what one block adds to each lane's counter, mod 2**64
     carry: int  # 2**64 - (t_i << 11) in lane s * k + i
     weights: int  # w_i in index lane k - 1 - i
 
 
 @functools.lru_cache(maxsize=32)
-def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], skip: int) -> _Block:
-    """Constants of the program, by its word period and thresholds; never by table.
+def _block(thresholds: tuple[int, ...], weights: tuple[int, ...], offsets: tuple[int, ...],
+           period: int) -> _Block:
+    """Constants of the program, by its read words and thresholds; never by table.
 
     The caller has checked the program with ``_records.check_program``.
     """
     top = sum(weights)
-    reads, period = len(thresholds), len(thresholds) + skip
+    reads = len(thresholds)
     slots = max(1, _BLOCK_WORDS // reads)
     lanes = slots * reads
     width = max(1, -(-top.bit_length() // 8))
     tail = any(t % (1 << 22) for t in thresholds)
     low64, ones = (int.from_bytes(lane * lanes, "little")
                    for lane in (b"\xff" * 8 + bytes(8), b"\x01" + bytes(15)))
-    # the number s * period + i of the stream word in lane s * reads + i, times GOLDEN
-    read = b"".join(i.to_bytes(16, "little") for i in range(reads)) * slots
-    slot = b"".join((s * period).to_bytes(16, "little") * reads for s in range(slots))
-    steps = (int.from_bytes(read, "little") + int.from_bytes(slot, "little")) * _GOLDEN & low64
+    # the number s * period + offset_i of the stream word in lane s * reads + i, mod 2**64 so
+    # that its product with GOLDEN stays in the lane, times GOLDEN
+    words = b"".join((s * period + o & _MASK64).to_bytes(16, "little")
+                     for s in range(slots) for o in offsets)
+    steps = int.from_bytes(words, "little") * _GOLDEN & low64
     carry = b"".join(((1 << 64) - (t << 11)).to_bytes(16, "little") for t in thresholds)
     poly = b"".join(w.to_bytes(width, "little") for w in reversed(weights))
     return _Block(reads, lanes, slots, width, tail, low64, ones, steps,
@@ -160,17 +164,17 @@ def _slot_indices(bits: bytes, n_slots: int, block: _Block):
 
 
 def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
-               weights: tuple[int, ...], skip: int) -> list[int]:
+               weights: tuple[int, ...], offsets: tuple[int, ...], period: int) -> list[int]:
     """[number of the n_slots slots of seed's stream with index i for each i <= sum(weights)].
 
-    Runs the word program (thresholds, weights, skip) in groups of blocks and
+    Runs the word program (thresholds, weights, offsets, period) in groups of blocks and
     counts the chunk's indices once; see the module docstring. Raises what
     ``_fast.histogram`` raises for the same arguments.
     """
     check_count(n_slots, "count")
     check_u64s((seed,), _MASK64, "seed")
-    thresholds, weights = check_program(thresholds, weights, skip)
-    block = _block(thresholds, weights, skip)
+    thresholds, weights, offsets = check_program(thresholds, weights, offsets, period)
+    block = _block(thresholds, weights, offsets, period)
     low64, tail, advance, ones, slots = (block.low64, block.tail, block.advance, block.ones,
                                          block.slots)
     # block b of a group: C_b, the carry plus ones in lane bits 64 .. 64 + 8b - 1, and the
@@ -200,13 +204,14 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
 def _tally(histogram, n_slots: int, seed: int, program) -> list[int]:
     """[number of the n_slots slots whose index has table entry k, for each k < program.size].
 
-    ``histogram`` runs the ``Program``'s thresholds, weights and skip over
+    ``histogram`` runs the ``Program``'s thresholds, weights, offsets and period over
     the chunk: ``_histogram`` here, or ``_fast.histogram``, which takes the
     same arguments. This fold is the same on both, and it checks nothing:
     ``Program`` checked the table where it was built.
     """
     counts = [0] * program.size
-    by_index = histogram(n_slots, seed, program.thresholds, program.weights, program.skip)
+    by_index = histogram(n_slots, seed, program.thresholds, program.weights, program.offsets,
+                         program.period)
     for entry, count in zip(program.table, by_index):
         counts[entry] += count
     return counts

@@ -53,35 +53,45 @@ def check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def check_program(thresholds, weights, skip) -> tuple[tuple, tuple]:
-    """(thresholds, weights) as tuples; raises as ``_fast.histogram`` does, with the same type.
+def check_program(thresholds, weights, offsets, period) -> tuple[tuple, tuple, tuple]:
+    """(thresholds, weights, offsets) as tuples; raises as ``_fast.histogram`` does, same type.
 
-    It rejects, in this order: a skip that is no count, thresholds or
-    weights that are not iterable, a threshold outside [0, 2**53], a weight
-    outside [0, MAX_INDEX], no threshold, a weight count unlike the
-    threshold count, and an index (sum of the weights) above MAX_INDEX.
+    It rejects, in this order: a period that is no count, thresholds,
+    weights or offsets that are not iterable, a threshold outside
+    [0, 2**53], a weight outside [0, MAX_INDEX], an offset outside
+    [0, 2**64), no threshold, a weight count or an offset count unlike the
+    threshold count, offsets that do not rise strictly or reach the period,
+    and an index (sum of the weights) above MAX_INDEX.
     """
-    check_count(skip, "skip")
+    check_count(period, "period")
     thresholds = tuple(thresholds)
     check_u64s(thresholds, 1 << 53, "threshold")
     weights = tuple(weights)
     check_u64s(weights, MAX_INDEX, "weight")
-    if not thresholds or len(thresholds) != len(weights):
-        raise ValueError(f"a program needs at least one threshold and one weight per "
-                         f"threshold, got {len(thresholds)} and {len(weights)}")
+    offsets = tuple(offsets)
+    check_u64s(offsets, (1 << 64) - 1, "offset")
+    if not thresholds or len(thresholds) != len(weights) or len(thresholds) != len(offsets):
+        raise ValueError(f"a program needs at least one threshold, and one weight and one "
+                         f"offset per threshold, got {len(thresholds)}, {len(weights)} "
+                         f"and {len(offsets)}")
+    if any(b <= a for a, b in zip(offsets, offsets[1:])) or offsets[-1] >= period:
+        raise ValueError(f"offsets must rise strictly and stay below the period {period}, "
+                         f"got {offsets}")
     if sum(weights) > MAX_INDEX:
         raise OverflowError("sum(weights) is too large")
-    return thresholds, weights
+    return thresholds, weights, offsets
 
 
-class Program(checked_record("Program", "thresholds weights skip table size")):
+class Program(checked_record("Program", "thresholds weights offsets period table size")):
     """A word program and the tally its table folds into (see ``entmac._kernels.pure``).
 
-    A slot reads one word per threshold, then skips ``skip`` words; its
-    index is the sum of the weights of the words that reach their
-    thresholds, and ``table[index]`` is the counter of the ``size`` that it
-    adds to. The constructor raises what ``_fast.histogram`` raises for the
-    thresholds, weights and skip (``check_program``), then ValueError unless
+    A slot is ``period`` words of the stream, and it reads one of them per
+    threshold: read i is the word at ``offsets[i]`` within the slot, and a
+    word no offset names is never read. The slot's index is the sum of the
+    weights of the read words that reach their thresholds, and
+    ``table[index]`` is the counter of the ``size`` that it adds to. The
+    constructor raises what ``_fast.histogram`` raises for the thresholds,
+    weights, offsets and period (``check_program``), then ValueError unless
     ``size`` is an int >= 1 and the table holds one entry per index,
     sum(weights) + 1 in all, each an int (not a bool) in range(size). The
     sequences are stored as tuples.
@@ -89,8 +99,8 @@ class Program(checked_record("Program", "thresholds weights skip table size")):
 
     __slots__ = ()
 
-    def __new__(cls, thresholds, weights, skip: int, table, size: int):
-        thresholds, weights = check_program(thresholds, weights, skip)
+    def __new__(cls, thresholds, weights, offsets, period: int, table, size: int):
+        thresholds, weights, offsets = check_program(thresholds, weights, offsets, period)
         table = tuple(table)
         if not is_int(size, 1):
             raise ValueError(f"a tally size must be an int >= 1, got {size!r}")
@@ -100,4 +110,4 @@ class Program(checked_record("Program", "thresholds weights skip table size")):
         for entry in table:
             if not is_int(entry, 0, size - 1):
                 raise ValueError(f"table entry {entry!r} is not an int in range({size})")
-        return super().__new__(cls, thresholds, weights, skip, table, size)
+        return super().__new__(cls, thresholds, weights, offsets, period, table, size)

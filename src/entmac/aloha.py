@@ -11,8 +11,10 @@ slots, packets per slot and bits per slot coincide.
 
 from __future__ import annotations
 
+import functools
+
 from ._records import Program, checked_record, is_int, is_probability
-from .rng import RandomSource, _float_threshold
+from .rng import _TWO_NEG53, RandomSource, _float_threshold, _Uniforms
 from .stats import RunStats
 
 
@@ -79,19 +81,48 @@ def run_slot(params: AlohaParams, rng: RandomSource) -> AlohaSlotResult:
     for _ in range(params.m):
         if rng.next_float() < params.p:
             transmitters += 1
+    return _slot_result(transmitters)
+
+
+def _slot_result(transmitters: int) -> AlohaSlotResult:
+    """The result of a slot in which ``transmitters`` users transmitted."""
     return AlohaSlotResult(transmitters=transmitters, success=transmitters == 1)
 
 
-def _program(m: int, p: float) -> Program:
-    """The word program of one slot (see ``entmac._kernels.pure``).
+def _transmit_threshold(p: float) -> int:
+    """t = ``_float_threshold(p)``, proved on ``run_slot``: one transmits exactly when w >> 11 < t.
 
-    Each of the m users reads one word w and transmits when w >> 11 is below
-    ``_float_threshold(p)``, as ``run_slot`` does when ``next_float() < p``.
-    Every weight is 1 and no word is skipped, so the index counts the silent
-    users, and the table counts a success (1) at index m - 1: one user
-    transmitting, of two counters.
+    next_float() is (w >> 11) * 2**-53, and a lone user's ``run_slot`` must
+    transmit at u = (t - 1) * 2**-53 and stay silent at u = t * 2**-53, at
+    each of the two that next_float can return, taking its one uniform.
+    Raises RuntimeError otherwise. ``run_slot`` compares u with p, which is
+    monotone in u, so the two ends decide every u.
     """
-    return Program((_float_threshold(p),) * m, (1,) * m, 0, (0,) * (m - 1) + (1, 0), 2)
+    t = _float_threshold(p)
+    for u, transmitters in (((t - 1) * _TWO_NEG53, 1), (t * _TWO_NEG53, 0)):
+        if 0.0 <= u < 1.0:
+            rng = _Uniforms(u)
+            slot = run_slot(AlohaParams(1, p), rng)
+            if slot.transmitters != transmitters or rng:
+                raise RuntimeError(f"a lone user at p = {p!r} had {slot.transmitters} "
+                                   f"transmitter(s) at u = {u!r} and left {len(rng)} "
+                                   f"uniform(s) where {transmitters} and none were due")
+    return t
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _program(m: int, p: float) -> Program:
+    """The word program of one slot (see ``entmac._kernels.pure``), built once per (m, p).
+
+    Each of the m users reads one word w, at offsets 0 .. m - 1 of a slot of
+    m words, and transmits when w >> 11 is below ``_transmit_threshold(p)``,
+    which is proved on ``run_slot``. Every weight is 1, so the index counts
+    the silent users, and the table holds, for each count of silent users,
+    the success of ``run_slot``'s result when the others transmit: counter 1
+    of two.
+    """
+    table = (int(_slot_result(m - silent).success) for silent in range(m + 1))
+    return Program((_transmit_threshold(p),) * m, (1,) * m, range(m), m, table, 2)
 
 
 def simulate(params: AlohaParams, n_slots: int, rng: RandomSource, workers: int = 1) -> RunStats:

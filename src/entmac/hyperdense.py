@@ -29,8 +29,7 @@ from typing import NamedTuple, Optional
 
 from ._records import Program, checked_record, is_int
 from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
-from .qubit import _U_ENDS, _Uniforms
-from .rng import RandomSource, _float_threshold
+from .rng import _U_ENDS, RandomSource, _float_threshold, _Uniforms
 from .stats import RunStats
 
 
@@ -282,12 +281,26 @@ def _tally_index(a1: int, a2: int, b1: int, b2: int, c: int) -> int:
     return 2 if channel.sender is Party.ALICE else 3
 
 
-#: tally index of the slot with inputs (A1, A2, B1, B2, c), read as the
-#: five-bit number A1 A2 B1 B2 c
-_OUTCOME = tuple(
-    _tally_index(a1, a2, b1, b2, c)
-    for a1 in (0, 1) for a2 in (0, 1) for b1 in (0, 1) for b2 in (0, 1) for c in (0, 1)
-)
+def _outcome_table() -> tuple[int, ...]:
+    """Tally index of the slot with inputs (A1, B1, c), read as the three-bit number A1 B1 c.
+
+    Runs ``run_slot`` on all 32 inputs (A1, A2, B1, B2, c), then raises
+    RuntimeError unless the payload bits A2 and B2 never change the index
+    of a slot: only then can a program leave their words unread.
+    """
+    table = []
+    for a1 in (0, 1):
+        for b1 in (0, 1):
+            for c in (0, 1):
+                indices = {_tally_index(a1, a2, b1, b2, c) for a2 in (0, 1) for b2 in (0, 1)}
+                if len(indices) != 1:
+                    raise RuntimeError(f"the payload bits change the outcome of the slot "
+                                       f"(A1, B1, c) = ({a1}, {b1}, {c}): {sorted(indices)}")
+                table.append(indices.pop())
+    return tuple(table)
+
+
+_OUTCOME = _outcome_table()
 
 
 def _qubit_c_threshold() -> int:
@@ -296,7 +309,8 @@ def _qubit_c_threshold() -> int:
     draw's first uniform measures A of |beta_00>, giving 0 exactly when it is
     < P(0). Raises RuntimeError unless draw takes two uniforms and gives 0 at
     u = 0 and 1 at the greatest u (no clamp rules either out) at both ends of
-    the second; then it never raises and skips one word, for every uniform.
+    the second; then it never raises and leaves its second word unread, for
+    every uniform.
     """
     for c, u in enumerate(_U_ENDS):
         for v in _U_ENDS:
@@ -313,19 +327,23 @@ _QUBIT_C_THRESHOLD = _qubit_c_threshold()
 #: the word program of one slot, by exact pair-source type: a coin's c is its word's top bit,
 #: and a qubit pair's B measurement draws one more word, which gives c again
 _PROGRAMS = {
-    source: Program((1 << 52,) * 4 + (c_threshold,), (16, 8, 4, 2, 1), skip, _OUTCOME, 4)
-    for source, c_threshold, skip in ((QubitPairSource, _QUBIT_C_THRESHOLD, 1),
-                                      (CoinPairSource, 1 << 52, 0))
+    source: Program((1 << 52, 1 << 52, c_threshold), (4, 2, 1), (0, 2, 4), period, _OUTCOME, 4)
+    for source, c_threshold, period in ((QubitPairSource, _QUBIT_C_THRESHOLD, 6),
+                                        (CoinPairSource, 1 << 52, 5))
 }
 
 
 def _program(source) -> Program:
     """The word program of one slot with c from ``source`` (see ``entmac._kernels.pure``).
 
-    A1, A2, B1, B2 are the top bits of four words and c is 1 exactly when the
-    next word reaches the source's threshold; the index is the five-bit
-    number A1 A2 B1 B2 c and the table is ``_OUTCOME``, into the four
-    counters (collision, idle, single_alice, single_bob). Raises TypeError
+    A slot draws A1, A2, B1, B2 as the top bits of words 0 to 3, and c is 1
+    exactly when word 4 reaches the source's threshold; a qubit pair's B
+    measurement draws word 5, which gives c again, so its slot is 6 words
+    and a coin's 5. The program reads A1, B1 and c at offsets (0, 2, 4):
+    ``_outcome_table`` proved that A2 and B2 never change a slot's outcome,
+    so their words are never read. The index is the three-bit number A1 B1 c
+    and the table is ``_OUTCOME``, into the four counters (collision, idle,
+    single_alice, single_bob). Raises TypeError
     for any source but a ``QubitPairSource`` or a ``CoinPairSource``, a
     subclass of either included: the kernels read c off a threshold and
     never call ``draw``.

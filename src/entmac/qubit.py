@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._records import checked_record, is_int
-from .rng import RandomSource
+from .rng import _U_ENDS, RandomSource, _Uniforms
 
 #: probabilities below this are treated as exactly zero when sampling
 PROB_CLAMP = 1e-12
@@ -214,21 +214,6 @@ _BELL_OUTCOMES = (BellIndex(0, 0), BellIndex(0, 1), BellIndex(1, 0), BellIndex(1
 def measure_bell(state: TwoQubitState, rng: RandomSource) -> BellIndex:
     """Projective measurement in the Bell basis."""
     return _BELL_OUTCOMES[_sample(bell_probabilities(state), rng)]
-
-
-class _Uniforms(list):
-    """Stub rng: its undrawn uniforms, next last; next_float pops one, IndexError past them."""
-
-    __slots__ = ()
-
-    def __init__(self, *us: float):
-        super().__init__(reversed(us))
-
-    next_float = list.pop
-
-
-#: the least and the greatest value RandomSource.next_float returns
-_U_ENDS = (0.0, 1.0 - 2.0**-53)
 
 
 def _independent_of_u(measure, *args):

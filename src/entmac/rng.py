@@ -79,6 +79,24 @@ class RandomSource:
         return self.next_u64() >> 63
 
 
+class _Uniforms(list):
+    """Stub rng: its undrawn uniforms, next last; next_float pops one, IndexError past them.
+
+    The import-time proofs run a public operation on it at chosen uniforms.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *us: float):
+        super().__init__(reversed(us))
+
+    next_float = list.pop
+
+
+#: the least and the greatest value RandomSource.next_float returns
+_U_ENDS = (0.0, 1.0 - 2.0**-53)
+
+
 def _float_threshold(p: float) -> int:
     """t such that next_float() < p exactly when next_float() * 2**53 < t.
 

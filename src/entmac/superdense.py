@@ -81,11 +81,12 @@ _SD_OK = tuple(int(_independent_of_u(roundtrip, d) == d)
 def _program() -> Program:
     """The word program of one trial (see ``entmac._kernels.pure``).
 
-    A1 and A2 are the top bits of two words, weighted as the two-bit number
-    A1 A2, and the Bell measurement's uniform is drawn and skipped. The table
-    is ``_SD_OK``, read at each call, and counter 1 counts a success.
+    A trial is 3 words: A1 and A2 are the top bits of words 0 and 1, weighted
+    as the two-bit number A1 A2, and word 2 is the Bell measurement's uniform,
+    which is never read. The table is ``_SD_OK``, read at each call, and
+    counter 1 counts a success.
     """
-    return Program((1 << 52, 1 << 52), (2, 1), 1, _SD_OK, 2)
+    return Program((1 << 52, 1 << 52), (2, 1), (0, 1), 3, _SD_OK, 2)
 
 
 def trial_successes(n_trials: int, seed: int) -> int:

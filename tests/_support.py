@@ -34,27 +34,55 @@ class ScriptedRng:
         return self._bits.pop(0)
 
 
+#: GOLDEN's inverse mod 2**64: GOLDEN is odd, so a counter maps back to its word number
+GOLDEN_INVERSE = pow(_GOLDEN, -1, 1 << 64)
+
+
+def lane_words(counters, low64, seed) -> list[int]:
+    """The stream word j of seed's stream in each 128-bit lane of a block, lane 0 first.
+
+    A lane holds the counter c = seed + (j + 1) * GOLDEN mod 2**64 of word j.
+    """
+    lanes = counters.to_bytes(low64.bit_length() // 8 + 8, "little")
+    return [((int.from_bytes(lanes[at:at + 8], "little") - seed) * GOLDEN_INVERSE - 1) % (1 << 64)
+            for at in range(0, len(lanes), 16)]
+
+
 def script_words(monkeypatch, words, seed) -> None:
     """Make the pure evaluator read ``words[j]`` as word j of seed's stream, 0 past the list.
 
     The words replace what ``pure._mix`` computes from a block's counters,
     so they go straight to the evaluator's bit and index stage. Each lane's
-    counter c = seed + (j + 1) * GOLDEN mod 2**64 maps back to the stream
-    word j it stands for, since GOLDEN is odd: the evaluator's own lane map
-    still picks which words a slot reads and which it skips.
+    counter maps back to the stream word it stands for (``lane_words``): the
+    evaluator's own lane map still picks which words a slot reads.
     """
-    inverse = pow(_GOLDEN, -1, 1 << 64)
-
     def mix(counters, low64, tail):
-        lanes = counters.to_bytes(low64.bit_length() // 8 + 8, "little")
         scripted = 0
-        for lane in range(0, len(lanes), 16):
-            j = ((int.from_bytes(lanes[lane:lane + 8], "little") - seed) * inverse - 1) % (1 << 64)
+        for lane, j in enumerate(lane_words(counters, low64, seed)):
             if j < len(words):
-                scripted |= words[j] << 8 * lane
+                scripted |= words[j] << 128 * lane
         return scripted
 
     monkeypatch.setattr(pure, "_mix", mix)
+
+
+def streams_overlap(streams):
+    """The first two of the (seed, words) SplitMix64 streams that share a word, else None.
+
+    Word j of the stream seeded s is mix64(s + (j + 1) * GOLDEN), so in units
+    of GOLDEN, x = s * GOLDEN_INVERSE mod 2**64, a stream of W words is the
+    arc (x, x + W] of the ring of 2**64 counters. Two streams share a word
+    exactly when their arcs meet: sorted by x, each arc must end before the
+    next one starts, and the last before the first one's start comes round.
+    """
+    arcs = sorted((seed * GOLDEN_INVERSE % (1 << 64), words, seed) for seed, words in streams
+                  if words)
+    if len(arcs) < 2:
+        return None
+    for (x, words, seed), (y, _, other) in zip(arcs, arcs[1:] + arcs[:1]):
+        if (y - x) % (1 << 64) < words:
+            return (seed, other)
+    return None
 
 
 class CountingRng:
@@ -83,6 +111,15 @@ class CountingRng:
 WEIGHTS = st.one_of(st.integers(0, 31), st.integers(0, 2**20))
 
 
+def layouts(k: int):
+    """(offsets, period) of k reads: 0 to 3 unread words before each read and after the last."""
+    def layout(gaps):
+        offsets = tuple(sum(gaps[:i + 1]) + i for i in range(k))
+        return offsets, offsets[-1] + 1 + gaps[k]
+
+    return st.lists(st.integers(0, 3), min_size=k + 1, max_size=k + 1).map(layout)
+
+
 # largest float below 1.0 that next_float can produce
 MAX_UNIFORM = (2**53 - 1) / 2**53
 
@@ -102,10 +139,13 @@ def chi_square(observed, expected) -> float:
 def law(program) -> list[Fraction]:
     """[P(a slot of ``program`` adds to counter k) for each k < program.size].
 
-    The index law is the convolution over the read words of bit i, worth
-    w_i, being 1 with probability 1 - t_i / 2**53; skipped words do not
-    matter. The table then folds it as ``pure._tally`` folds a histogram.
+    Each read is of its own word, at its own offset, so the reads' bits are
+    independent: the index law is the convolution over the reads of bit i,
+    worth w_i, being 1 with probability 1 - t_i / 2**53, and a word no
+    offset names does not matter. The table then folds it as
+    ``pure._tally`` folds a histogram.
     """
+    assert len(set(program.offsets)) == len(program.thresholds), "two reads share a word"
     index_law = [Fraction(1)]
     for threshold, weight in zip(program.thresholds, program.weights):
         one = 1 - Fraction(threshold, 2**53)

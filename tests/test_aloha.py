@@ -209,6 +209,38 @@ def test_transmit_threshold_agrees_with_next_float():
     assert _float_threshold(1.0) == _float_threshold(1) == 2**53
 
 
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2**-53, 1 / 3, 0.5, 1 - 2**-53, 1.0, 1])
+def test_transmit_threshold_is_proved_on_run_slot(p):
+    assert aloha._transmit_threshold(p) == _float_threshold(p)
+
+
+def test_transmit_threshold_rejects_a_slot_that_transmits_at_p(monkeypatch):
+    # at p = 1/2 the threshold's own uniform, 2**52 * 2**-53, is p exactly: a slot that
+    # transmits when next_float() <= p transmits there, and the kernels' threshold would not
+    def run_slot_le(params, rng):
+        transmitters = sum(rng.next_float() <= params.p for _ in range(params.m))
+        return AlohaSlotResult(transmitters, transmitters == 1)
+
+    monkeypatch.setattr(aloha, "run_slot", run_slot_le)
+    with pytest.raises(RuntimeError, match=r"had 1 transmitter\(s\) at u = 0\.5"):
+        aloha._transmit_threshold(0.5)
+
+
+def test_transmit_threshold_rejects_a_slot_that_draws_no_uniform(monkeypatch):
+    monkeypatch.setattr(aloha, "run_slot", lambda params, rng: AlohaSlotResult(0, False))
+    with pytest.raises(RuntimeError, match=r"left 1 uniform\(s\)"):
+        aloha._transmit_threshold(0.5)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 300])
+def test_program_counts_a_success_when_one_user_transmits(m):
+    # the index counts the silent users, so the table is 1 at m - 1 alone
+    program = aloha._program(m, 0.5)
+    assert program.table == (0,) * (m - 1) + (1, 0)
+    assert (program.offsets, program.period) == (tuple(range(m)), m)
+    assert aloha._program(m, 0.5) is program
+
+
 def test_run_slot_counts_transmitters():
     result = run_slot(AlohaParams(4, 1.0), RandomSource(0))
     assert result.transmitters == 4

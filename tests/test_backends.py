@@ -24,7 +24,7 @@ from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
 from entmac.rng import _GOLDEN, RandomSource
 
-from _support import WEIGHTS
+from _support import WEIGHTS, layouts
 
 CHUNK = _kernels.CHUNK_SLOTS
 
@@ -67,7 +67,7 @@ def first_draw(histogram, seed):
     low, high = 0, 2**53
     while high - low > 1:
         mid = (low + high) // 2
-        if histogram(1, seed, (mid,), (1,), 0)[1]:
+        if histogram(1, seed, (mid,), (1,), (0,), 1)[1]:
             low = mid
         else:
             high = mid
@@ -97,21 +97,22 @@ THRESHOLDS = st.one_of(st.sampled_from([0, 2**52, 2**53, None]), st.integers(0, 
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(program=st.integers(1, 10).flatmap(lambda k: st.tuples(
            st.lists(THRESHOLDS, min_size=k, max_size=k),
-           st.lists(WEIGHTS, min_size=k, max_size=k))),
-       skip=st.integers(0, 7),
+           st.lists(WEIGHTS, min_size=k, max_size=k),
+           layouts(k))),
        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
-def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, skip, seed):
-    thresholds, weights = program
+def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, seed):
+    thresholds, weights, (offsets, period) = program
     rng = RandomSource(seed)
-    first_slot = [rng.next_u64() for _ in thresholds]
-    thresholds = tuple(w >> 11 if t is None else t for t, w in zip(thresholds, first_slot))
-    weights = tuple(weights)
+    first_slot = [rng.next_u64() for _ in range(period)]
+    thresholds = tuple(first_slot[o] >> 11 if t is None else t
+                       for t, o in zip(thresholds, offsets))
+    program = thresholds, tuple(weights), offsets, period
     # the pure evaluator converts the bits of a group of blocks at once: end a run on a
     # group boundary and one slot either side
-    group = pure._GROUP_BLOCKS * pure._block(thresholds, weights, skip).slots
+    group = pure._GROUP_BLOCKS * pure._block(*program).slots
     for n_slots in (0, 1, group - 1, group, group + 1, CHUNK):
-        assert (compiled.histogram(n_slots, seed, thresholds, weights, skip)
-                == pure._histogram(n_slots, seed, thresholds, weights, skip)), n_slots
+        assert (compiled.histogram(n_slots, seed, *program)
+                == pure._histogram(n_slots, seed, *program)), n_slots
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -125,7 +126,7 @@ def test_aloha_tally_parity(seed, m, p):
 @pytest.mark.parametrize("source_cls,c_source", [(QubitPairSource, "qubit"),
                                                  (CoinPairSource, "coin")])
 def test_hyperdense_tally_parity(seed, source_cls, c_source):
-    assert hyperdense._program(source_cls()).thresholds[4] == C_THRESHOLD[c_source]
+    assert hyperdense._program(source_cls()).thresholds[-1] == C_THRESHOLD[c_source]
     assert (pure.hyperdense_tally(CHUNK, seed, source_cls())
             == _kernels.hyperdense_tally(CHUNK, seed, source_cls()))
 
@@ -176,7 +177,8 @@ def test_aloha_with_many_users_is_identical_across_backends(monkeypatch, compile
     # from the program
     params = AlohaParams(300, 1 / 300)
     program = aloha._program(300, 1 / 300)
-    assert pure._block(program.thresholds, program.weights, program.skip).width == 2
+    assert pure._block(program.thresholds, program.weights, program.offsets,
+                       program.period).width == 2
     monkeypatch.setattr(_kernels, "_fast", None)
     pure_stats = aloha_simulate(params, 10_000, RandomSource(8))
     monkeypatch.setattr(_kernels, "_fast", compiled)
@@ -185,19 +187,26 @@ def test_aloha_with_many_users_is_identical_across_backends(monkeypatch, compile
 
 BAD_CALLS = {
     # the compiled kernel's own checks
-    "negative-n": ("histogram", (-1, 1, (0,), (1,), 0), ValueError),
-    "t53-negative": ("histogram", (10, 1, (-1,), (1,), 0), OverflowError),
-    "c-threshold-above-2**53": ("histogram", (10, 1, (2**52,) * 4 + (2**53 + 1,),
-                                              (16, 8, 4, 2, 1), 1), ValueError),
-    "weight-negative": ("histogram", (10, 1, (0, 0), (1, -1), 0), OverflowError),
-    "weights-sum-too-large": ("histogram", (10, 1, (0, 0), (2**59, 2**59), 0), OverflowError),
-    "skip-negative": ("histogram", (10, 1, (0,), (1,), -1), ValueError),
-    "more-thresholds-than-weights": ("histogram", (10, 1, (0, 0), (1,), 0), ValueError),
-    "more-weights-than-thresholds": ("histogram", (10, 1, (0,), (1, 1), 0), ValueError),
-    "empty-program": ("histogram", (10, 1, (), (), 0), ValueError),
-    "thresholds-not-a-sequence": ("histogram", (10, 1, None, (1,), 0), TypeError),
-    "weights-not-a-sequence": ("histogram", (10, 1, (0,), 1, 0), TypeError),
-    "histogram-seed-above-64-bits": ("histogram", (10, 2**64, (0,), (1,), 0), OverflowError),
+    "negative-n": ("histogram", (-1, 1, (0,), (1,), (0,), 1), ValueError),
+    "t53-negative": ("histogram", (10, 1, (-1,), (1,), (0,), 1), OverflowError),
+    "c-threshold-above-2**53": ("histogram", (10, 1, (2**52, 2**52, 2**53 + 1), (4, 2, 1),
+                                              (0, 2, 4), 6), ValueError),
+    "weight-negative": ("histogram", (10, 1, (0, 0), (1, -1), (0, 1), 2), OverflowError),
+    "weights-sum-too-large": ("histogram", (10, 1, (0, 0), (2**59, 2**59), (0, 1), 2),
+                              OverflowError),
+    "period-negative": ("histogram", (10, 1, (0,), (1,), (0,), -1), ValueError),
+    "offset-negative": ("histogram", (10, 1, (0,), (1,), (-1,), 1), OverflowError),
+    "offsets-not-rising": ("histogram", (10, 1, (0, 0), (1, 1), (1, 1), 2), ValueError),
+    "offset-at-the-period": ("histogram", (10, 1, (0,), (1,), (4,), 4), ValueError),
+    "more-offsets-than-thresholds": ("histogram", (10, 1, (0,), (1,), (0, 1), 2), ValueError),
+    "more-thresholds-than-weights": ("histogram", (10, 1, (0, 0), (1,), (0, 1), 2), ValueError),
+    "more-weights-than-thresholds": ("histogram", (10, 1, (0,), (1, 1), (0,), 1), ValueError),
+    "empty-program": ("histogram", (10, 1, (), (), (), 0), ValueError),
+    "thresholds-not-a-sequence": ("histogram", (10, 1, None, (1,), (0,), 1), TypeError),
+    "weights-not-a-sequence": ("histogram", (10, 1, (0,), 1, (0,), 1), TypeError),
+    "offsets-not-a-sequence": ("histogram", (10, 1, (0,), (1,), 0, 1), TypeError),
+    "histogram-seed-above-64-bits": ("histogram", (10, 2**64, (0,), (1,), (0,), 1),
+                                     OverflowError),
     # the same checks, reached through a dispatcher's program
     "aloha-m-0": ("aloha_tally", (0, 0.5, 10, 1), ValueError),
     "aloha-m-negative": ("aloha_tally", (-1, 0.5, 10, 1), ValueError),
@@ -219,25 +228,39 @@ def test_compiled_rejects_out_of_range_input(compiled, case):
 #: histogram arguments outside what a word program allows, and the one
 #: exception type both evaluators raise for them
 BAD_PROGRAMS = {
-    "threshold-above-2**53": ((10, 1, (2**53 + 1,), (1,), 0), ValueError),
-    "threshold-negative": ((10, 1, (-5,), (1,), 0), OverflowError),
-    "threshold-above-64-bits": ((10, 1, (2**64,), (1,), 0), OverflowError),
-    "threshold-not-an-int": ((10, 1, (0.5,), (1,), 0), TypeError),
-    "thresholds-not-a-sequence": ((10, 1, None, (1,), 0), TypeError),
-    # the count, then the skip, then the thresholds come before a later argument's type
-    "count-negative-thresholds-not-a-sequence": ((-1, 1, None, (1,), 0), ValueError),
-    "skip-negative-weights-not-a-sequence": ((10, 1, (0,), None, -1), ValueError),
-    "threshold-negative-weights-not-a-sequence": ((10, 1, (-1,), None, 0), OverflowError),
-    "no-thresholds": ((10, 1, (), (), 0), ValueError),
-    "more-thresholds-than-weights": ((10, 1, (0, 0), (1,), 0), ValueError),
-    "more-weights-than-thresholds": ((10, 1, (0,), (1, 1), 0), ValueError),
-    "weight-negative": ((10, 1, (0, 0), (1, -1), 0), OverflowError),
-    "weight-above-the-index-bound": ((10, 1, (0,), (2**62,), 0), ValueError),
-    "weights-sum-too-large": ((10, 1, (0, 0), (2**59, 2**59), 0), OverflowError),
-    "skip-negative": ((10, 1, (0,), (1,), -1), ValueError),
-    "count-negative": ((-1, 1, (0,), (1,), 0), ValueError),
-    "seed-negative": ((10, -1, (0,), (1,), 0), OverflowError),
-    "seed-above-64-bits": ((10, 2**64, (0,), (1,), 0), OverflowError),
+    "threshold-above-2**53": ((10, 1, (2**53 + 1,), (1,), (0,), 1), ValueError),
+    "threshold-negative": ((10, 1, (-5,), (1,), (0,), 1), OverflowError),
+    "threshold-above-64-bits": ((10, 1, (2**64,), (1,), (0,), 1), OverflowError),
+    "threshold-not-an-int": ((10, 1, (0.5,), (1,), (0,), 1), TypeError),
+    "thresholds-not-a-sequence": ((10, 1, None, (1,), (0,), 1), TypeError),
+    # the count, then the period, then the thresholds, the weights and the offsets come
+    # before a later argument's type
+    "count-negative-thresholds-not-a-sequence": ((-1, 1, None, (1,), (0,), 1), ValueError),
+    "period-negative-weights-not-a-sequence": ((10, 1, (0,), None, (0,), -1), ValueError),
+    "threshold-negative-weights-not-a-sequence": ((10, 1, (-1,), None, (0,), 1), OverflowError),
+    "weight-negative-offsets-not-a-sequence": ((10, 1, (0,), (-1,), None, 1), OverflowError),
+    "offset-negative-no-weights": ((10, 1, (0,), (), (-1,), 1), OverflowError),
+    "no-thresholds": ((10, 1, (), (), (), 1), ValueError),
+    "more-thresholds-than-weights": ((10, 1, (0, 0), (1,), (0, 1), 2), ValueError),
+    "more-weights-than-thresholds": ((10, 1, (0,), (1, 1), (0,), 1), ValueError),
+    "more-offsets-than-thresholds": ((10, 1, (0,), (1,), (0, 1), 2), ValueError),
+    "fewer-offsets-than-thresholds": ((10, 1, (0, 0), (1, 1), (0,), 2), ValueError),
+    "weight-negative": ((10, 1, (0, 0), (1, -1), (0, 1), 2), OverflowError),
+    "weight-above-the-index-bound": ((10, 1, (0,), (2**62,), (0,), 1), ValueError),
+    "weights-sum-too-large": ((10, 1, (0, 0), (2**59, 2**59), (0, 1), 2), OverflowError),
+    # the offsets come before the weights' sum
+    "offsets-not-rising-weights-sum-too-large": ((10, 1, (0, 0), (2**59, 2**59), (1, 0), 2),
+                                                 ValueError),
+    "offsets-repeated": ((10, 1, (0, 0), (1, 1), (1, 1), 3), ValueError),
+    "offset-at-the-period": ((10, 1, (0, 0), (1, 1), (0, 3), 3), ValueError),
+    "offset-above-64-bits": ((10, 1, (0,), (1,), (2**64,), 1), OverflowError),
+    "offset-not-an-int": ((10, 1, (0,), (1,), (0.0,), 1), TypeError),
+    "period-zero": ((10, 1, (0,), (1,), (0,), 0), ValueError),
+    "period-negative": ((10, 1, (0,), (1,), (0,), -1), ValueError),
+    "period-not-an-int": ((10, 1, (0,), (1,), (0,), 1.0), TypeError),
+    "count-negative": ((-1, 1, (0,), (1,), (0,), 1), ValueError),
+    "seed-negative": ((10, -1, (0,), (1,), (0,), 1), OverflowError),
+    "seed-above-64-bits": ((10, 2**64, (0,), (1,), (0,), 1), OverflowError),
 }
 
 
@@ -253,7 +276,7 @@ def test_both_evaluators_reject_a_bad_program_alike(compiled, evaluator, case):
 
 #: values that neither evaluator takes for an int
 NOT_INTS = st.sampled_from([0.5, float(2**52), "1", None, b"\x01"])
-#: counts (n_slots and skip) that are negative, beyond a C ssize_t or no int
+#: counts (n_slots and period) that are negative, beyond a C ssize_t or no int
 BAD_COUNTS = st.one_of(st.integers(max_value=-1), st.integers(min_value=sys.maxsize + 1),
                        NOT_INTS)
 BAD_SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64), NOT_INTS)
@@ -263,6 +286,8 @@ BAD_WEIGHTS = st.one_of(st.integers(max_value=-1), st.integers(MAX_INDEX + 1, 2*
                         st.integers(min_value=2**64), NOT_INTS)
 BAD_THRESHOLDS = st.one_of(st.integers(2**53 + 1, 2**64 - 1), st.integers(max_value=-1),
                            st.integers(min_value=2**64), NOT_INTS)
+#: offsets that are negative, not 64-bit or no int
+BAD_OFFSETS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64), NOT_INTS)
 
 
 def replace_one(data, values, bad):
@@ -274,21 +299,35 @@ def too_heavy(data, args):
     if len(args["weights"]) == 1:
         args["thresholds"].append(0)
         args["weights"].append(0)
+        args["offsets"].append(args["period"])
+        args["period"] += 1
     args["weights"][:] = [MAX_INDEX] * len(args["weights"])
 
 
+def disorder(data, args):
+    """An offset at or below the one before it, or the last one at or past the period."""
+    offsets = args["offsets"]
+    at = data.draw(st.integers(0, len(offsets) - 1))
+    if at == 0:
+        offsets[-1] = args["period"] + data.draw(st.integers(0, 3))
+    else:
+        offsets[at] = offsets[at - 1] - data.draw(st.integers(0, offsets[at - 1]))
+
+
 def uneven(data, args):
-    """One threshold more than the weights, or one weight more than the thresholds."""
-    args[data.draw(st.sampled_from(["thresholds", "weights"]))].append(0)
+    """One threshold, weight or offset more than the other two have."""
+    args[data.draw(st.sampled_from(["thresholds", "weights", "offsets"]))].append(0)
 
 
 #: each turns a good program's arguments into a bad one, in this order; none undoes another
 FAULTS = {
     "weights-sum": too_heavy,
+    "offset-order": disorder,
     "threshold": lambda data, args: replace_one(data, args["thresholds"], BAD_THRESHOLDS),
     "weight": lambda data, args: replace_one(data, args["weights"], BAD_WEIGHTS),
+    "offset": lambda data, args: replace_one(data, args["offsets"], BAD_OFFSETS),
     "count": lambda data, args: args.update(count=data.draw(BAD_COUNTS)),
-    "skip": lambda data, args: args.update(skip=data.draw(BAD_COUNTS)),
+    "period": lambda data, args: args.update(period=data.draw(BAD_COUNTS)),
     "seed": lambda data, args: args.update(seed=data.draw(BAD_SEEDS)),
     "lengths": uneven,
 }
@@ -299,17 +338,20 @@ FAULTS = {
 @given(data=st.data(), k=st.integers(1, 4),
        faults=st.sets(st.sampled_from(sorted(FAULTS)), min_size=1))
 def test_both_evaluators_reject_a_drawn_bad_program_alike(compiled, data, k, faults):
-    # both check count, seed, skip, the thresholds, the weights, their lengths and the
-    # weights' sum in that order, so the first fault decides the exception of each
+    # both check count, seed, period, the thresholds, the weights, the offsets, their
+    # lengths, the offsets' order and the weights' sum in that order, so the first fault
+    # decides the exception of each
+    offsets, period = data.draw(layouts(k))
     args = {"count": data.draw(st.integers(0, 100)),
             "seed": data.draw(st.integers(0, 2**64 - 1)),
             "thresholds": data.draw(st.lists(st.integers(0, 2**53), min_size=k, max_size=k)),
             "weights": data.draw(st.lists(st.integers(0, 31), min_size=k, max_size=k)),
-            "skip": data.draw(st.integers(0, 7))}
+            "offsets": list(offsets), "period": period}
     for name, fault in FAULTS.items():
         if name in faults:
             fault(data, args)
-    program = tuple(args["thresholds"]), tuple(args["weights"]), args["skip"]
+    program = (tuple(args["thresholds"]), tuple(args["weights"]), tuple(args["offsets"]),
+               args["period"])
     call = (args["count"], args["seed"], *program)
     with pytest.raises((TypeError, ValueError, OverflowError)) as fast:
         compiled.histogram(*call)
@@ -332,8 +374,8 @@ def test_both_evaluators_reject_a_drawn_bad_program_alike(compiled, data, k, fau
         assert type(built.value) is type(fast.value)
 
 
-#: tables that do not fold the histogram of the program ((2**52, 2**52), (2, 1), 0), whose
-#: indices are 0 .. 3, into a tally of size 2
+#: tables that do not fold the histogram of the program ((2**52, 2**52), (2, 1), (0, 1), 2),
+#: whose indices are 0 .. 3, into a tally of size 2
 BAD_TABLES = {
     "entry-negative": (0, 1, 1, -1),
     "entry-equal-to-size": (0, 1, 2, 1),
@@ -347,39 +389,41 @@ BAD_TABLES = {
 @pytest.mark.parametrize("case", sorted(BAD_TABLES))
 def test_a_program_rejects_a_bad_table_where_it_is_built(compiled, case):
     with pytest.raises(ValueError, match="table"):
-        Program((2**52, 2**52), (2, 1), 0, BAD_TABLES[case], 2)
+        Program((2**52, 2**52), (2, 1), (0, 1), 2, BAD_TABLES[case], 2)
     # the same program with a good table builds, and folds on either backend
-    program = Program([2**52, 2**52], [2, 1], 0, [0, 1, 1, 0], 2)
-    assert program == ((2**52, 2**52), (2, 1), 0, (0, 1, 1, 0), 2)
+    program = Program([2**52, 2**52], [2, 1], [0, 1], 2, [0, 1, 1, 0], 2)
+    assert program == ((2**52, 2**52), (2, 1), (0, 1), 2, (0, 1, 1, 0), 2)
     for histogram in (pure._histogram, compiled.histogram):
         assert sum(pure._tally(histogram, 100, 1, program)) == 100
 
 
 @pytest.mark.parametrize("args", [
-    (100, 3, (0,), (1,), 0),
-    (100, 3, [2**53, 0], [1, 2], 0),
-    (100, 3, (2**53,) * 3, (1,) * 3, 2),
-    (0, 2**64 - 1, (2**52,), (1,), 0),
-], ids=["t-0", "lists-and-t-2**53", "skip", "empty-run"])
+    (100, 3, (0,), (1,), (0,), 1),
+    (100, 3, [2**53, 0], [1, 2], [0, 1], 2),
+    (100, 3, (2**53,) * 3, (1,) * 3, (0, 1, 2), 5),
+    (100, 3, (2**52,) * 2, (1, 2), (3, 7), 8),
+    (100, 3, (2**52,), (1,), (2**63 - 2,), 2**63 - 1),
+    (0, 2**64 - 1, (2**52,), (1,), (0,), 1),
+], ids=["t-0", "lists-and-t-2**53", "unread-tail", "unread-gaps", "largest-period", "empty-run"])
 def test_both_evaluators_accept_the_extreme_programs_alike(compiled, args):
     assert pure._histogram(*args) == compiled.histogram(*args)
 
 
 def test_both_evaluators_read_iterator_arguments_alike(compiled):
     def args():
-        return 10, 1, iter((2**52, 2**52)), iter((2, 1)), 0
+        return 10, 1, iter((2**52, 2**52)), iter((2, 1)), iter((0, 2)), 3
 
     assert (pure._histogram(*args()) == compiled.histogram(*args())
-            == pure._histogram(10, 1, (2**52, 2**52), (2, 1), 0))
+            == pure._histogram(10, 1, (2**52, 2**52), (2, 1), (0, 2), 3))
 
 
 def test_compiled_accepts_the_extreme_thresholds_and_an_empty_run(compiled):
     # t = 0 passes every word and t = 2**53 none
-    assert compiled.histogram(100, 3, (0,), (1,), 0) == [0, 100]
-    assert compiled.histogram(100, 3, (2**53,) * 3, (1,) * 3, 0) == [100, 0, 0, 0]
+    assert compiled.histogram(100, 3, (0,), (1,), (0,), 1) == [0, 100]
+    assert compiled.histogram(100, 3, (2**53,) * 3, (1,) * 3, (0, 1, 2), 3) == [100, 0, 0, 0]
     assert _kernels.aloha_tally(1, 1.0, 100, 3) == 100
     assert _kernels.aloha_tally(3, 0.0, 100, 3) == 0
-    assert compiled.histogram(0, 1, (2**53,), (1,), 2) == [0, 0]
+    assert compiled.histogram(0, 1, (2**53,), (1,), (2,), 3) == [0, 0]
 
 
 @pytest.fixture(params=["pure", "compiled"])

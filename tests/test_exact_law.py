@@ -1,8 +1,9 @@
 """The exact law of the word programs both kernel backends run.
 
-Every kernel runs a word program (thresholds, weights, skip, table): a slot
-reads one uniform 64-bit word per threshold t_i, its bit i is 1 exactly when
-its top 53 bits are at least t_i, that is with probability 1 - t_i / 2**53, and the
+Every kernel runs a word program (thresholds, weights, offsets, period,
+table): a slot reads one uniform 64-bit word per threshold t_i, the word at
+offset o_i of its period words, and its bit i is 1 exactly when its top 53
+bits are at least t_i, that is with probability 1 - t_i / 2**53, and the
 table folds the index sum(w_i * bit_i) into a counter. So the law of each
 counter is exact in fractions. These tests compute it from the kernels' own
 programs with ``fractions.Fraction`` and show the paper's figures hold
@@ -27,7 +28,7 @@ def hyperdense_law(source, c_threshold=None) -> list[Fraction]:
     """P(each tally) of one hyperdense slot, optionally with c's threshold replaced."""
     program = hyperdense._program(source)
     if c_threshold is not None:
-        program = program._replace(thresholds=program.thresholds[:4] + (c_threshold,))
+        program = program._replace(thresholds=program.thresholds[:-1] + (c_threshold,))
     return law(program)
 
 

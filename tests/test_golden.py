@@ -34,11 +34,16 @@ def test_golden_pure_qubit_chunks():
 def test_golden_outcome_table():
     # the table every hyperdense kernel reads, built at import from run_slot;
     # the engine-built superdense._SD_OK and hyperdense._QUBIT_C_THRESHOLD are
-    # pinned in test_superdense.py and test_hyperdense.py
-    assert hyperdense._OUTCOME == (
+    # pinned in test_superdense.py and test_hyperdense.py. The outcome of each of
+    # the 32 inputs, read as the five-bit number A1 A2 B1 B2 c, is the entry of its
+    # (A1, B1, c) in the table, read as the three-bit number A1 B1 c
+    full = (
         0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3,
         3, 2, 3, 2, 1, 0, 1, 0, 3, 2, 3, 2, 1, 0, 1, 0,
     )
+    assert hyperdense._OUTCOME == (0, 1, 2, 3, 3, 2, 1, 0)
+    assert full == tuple(hyperdense._OUTCOME[(i >> 2 & 4) | (i >> 1 & 2) | (i & 1)]
+                         for i in range(32))
 
 
 def test_golden_superdense_successes():

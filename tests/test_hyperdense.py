@@ -336,13 +336,32 @@ def test_qubit_c_threshold_rejects_a_pair_that_does_not_give_c_twice(monkeypatch
 
 
 def test_qubit_c_threshold_rejects_a_draw_that_leaves_a_uniform(monkeypatch):
-    # a draw that measures A alone gives c but leaves the word the program skips
+    # a draw that measures A alone gives c but leaves the word the program never reads
     def draw_a_only(self, rng):
         return measure_qubit(BETA_00, QubitId.A, rng)[0]
 
     monkeypatch.setattr(QubitPairSource, "draw", draw_a_only)
     with pytest.raises(RuntimeError, match=re.escape("and left 1 uniform(s)")):
         hyperdense._qubit_c_threshold()
+
+
+def test_outcome_table_rejects_a_slot_whose_payload_changes_the_channel(monkeypatch):
+    # A2 = 1 flips Alice's first bit, so her payload decides whether she transmits and
+    # the program could no longer leave A2's word unread
+    def run_slot_a2_flips(alice, bob, c):
+        return run_slot(PartyBits(alice.first ^ alice.second, alice.second), bob, c)
+
+    monkeypatch.setattr(hyperdense, "run_slot", run_slot_a2_flips)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "the payload bits change the outcome of the slot (A1, B1, c) = (0, 0, 0)")):
+        hyperdense._outcome_table()
+
+
+def test_a_program_reads_a1_b1_and_c_only():
+    for source, period in ((QubitPairSource(), 6), (CoinPairSource(), 5)):
+        program = hyperdense._program(source)
+        assert (program.offsets, program.period, program.weights) == ((0, 2, 4), period, (4, 2, 1))
+        assert program.table == hyperdense._OUTCOME
 
 
 def test_qubit_pair_source_raises_when_the_halves_disagree(monkeypatch):
@@ -357,7 +376,7 @@ def test_qubit_pair_source_raises_when_the_halves_disagree(monkeypatch):
 
 def test_qubit_tally_reads_c_at_the_threshold(monkeypatch):
     # A1 = B1 = 0 in both slots: c = 0 collides, c = 1 leaves the slot idle;
-    # B's word is skipped whatever it holds: a slot that read it would read
+    # B's word is never read whatever it holds: a slot that read it would read
     # the next slot's bits off by one
     threshold = hyperdense._QUBIT_C_THRESHOLD << 11
     for b_word in (0, 2**64 - 1):

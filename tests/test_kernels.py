@@ -15,9 +15,9 @@ from entmac import _kernels, aloha, hyperdense, qubit, superdense
 from entmac._kernels import pure
 from entmac._records import Program
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
-from entmac.rng import RandomSource, derive_seed
+from entmac.rng import _GOLDEN, RandomSource, derive_seed
 
-from _support import WEIGHTS
+from _support import WEIGHTS, lane_words, layouts
 
 
 def test_chunk_plan_covers_exactly():
@@ -323,14 +323,14 @@ def test_each_protocol_program_is_one_both_evaluators_run(program, size):
     assert program.size == size
 
 
-def naive_histogram(n_slots, seed, thresholds, weights, skip):
-    """The word program run one next_float at a time."""
+def naive_histogram(n_slots, seed, thresholds, weights, offsets, period):
+    """The word program run one next_float at a time, every word of every slot drawn."""
     rng = RandomSource(seed)
     counts = [0] * (sum(weights) + 1)
     for _ in range(n_slots):
-        counts[sum(w for t, w in zip(thresholds, weights) if rng.next_float() >= t * 2**-53)] += 1
-        for _ in range(skip):
-            rng.next_u64()
+        words = [rng.next_float() for _ in range(period)]
+        counts[sum(w for t, w, o in zip(thresholds, weights, offsets)
+                   if words[o] >= t * 2**-53)] += 1
     return counts
 
 
@@ -354,44 +354,45 @@ EDGES = {
 @settings(max_examples=100, deadline=None)
 @given(program=st.integers(1, 10).flatmap(lambda k: st.tuples(
            st.lists(THRESHOLDS, min_size=k, max_size=k),
-           st.lists(WEIGHTS, min_size=k, max_size=k))),
-       skip=st.integers(0, 7),
+           st.lists(WEIGHTS, min_size=k, max_size=k),
+           layouts(k))),
        seed=SEEDS,
        blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7), (7, -1), (7, 1), (8, 0),
                                (8, 1), (16, -1), (17, 3)]))
 # a threshold no multiple of 2**22 over a full group of blocks: mix64's last step runs and
 # the carries of group positions 5..7 cross lane bits 97..127
-@example(program=([2**52 + 1, 3 << 50, 12345], [1, 2, 4]), skip=1, seed=2**64 - 1, blocks=(8, 0))
-def test_word_program_histogram_matches_a_naive_loop(program, skip, seed, blocks):
+@example(program=([2**52 + 1, 3 << 50, 12345], [1, 2, 4], ((0, 1, 2), 4)), seed=2**64 - 1,
+         blocks=(8, 0))
+# the hyperdense layout: reads at 0, 2 and 4 of six words
+@example(program=([2**52, 2**52, 2**52 - 1], [4, 2, 1], ((0, 2, 4), 6)), seed=5, blocks=(8, 1))
+def test_word_program_histogram_matches_a_naive_loop(program, seed, blocks):
     # n_slots falls on and either side of a block boundary of the evaluator, and of a
     # group of _GROUP_BLOCKS blocks, whose bits one conversion turns into bytes
-    thresholds, weights = map(tuple, program)
+    thresholds, weights, (offsets, period) = tuple(program[0]), tuple(program[1]), program[2]
     whole, extra = blocks
-    n_slots = whole * pure._block(thresholds, weights, skip).slots + extra
-    assert (pure._histogram(n_slots, seed, thresholds, weights, skip)
-            == naive_histogram(n_slots, seed, thresholds, weights, skip))
+    n_slots = whole * pure._block(thresholds, weights, offsets, period).slots + extra
+    assert (pure._histogram(n_slots, seed, thresholds, weights, offsets, period)
+            == naive_histogram(n_slots, seed, thresholds, weights, offsets, period))
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), k=st.integers(1, 10), skip=st.integers(0, 7), coarse=st.booleans(),
-       seed=SEEDS)
-def test_word_program_histogram_matches_a_naive_loop_at_drawn_words(data, k, skip, coarse,
-                                                                    seed):
-    # each threshold sits at a word of the first slot, of the slot after it
-    # (after a skip when skip > 0) or of the first slot of the second block;
-    # ``coarse`` keeps every threshold a multiple of 2**21
+@given(data=st.data(), k=st.integers(1, 10), coarse=st.booleans(), seed=SEEDS)
+def test_word_program_histogram_matches_a_naive_loop_at_drawn_words(data, k, coarse, seed):
+    # each threshold sits at the word read i reads in the first slot, in the slot after
+    # it or in the first slot of the second block; ``coarse`` keeps every threshold a
+    # multiple of 2**21
     weights = tuple(data.draw(st.lists(WEIGHTS, min_size=k, max_size=k)))
-    slots = pure._block((0,) * k, weights, skip).slots
-    period = k + skip
+    offsets, period = data.draw(layouts(k))
+    slots = pure._block((0,) * k, weights, offsets, period).slots
     rng = RandomSource(seed)
     stream = [rng.next_u64() for _ in range((slots + 1) * period)]
     edges = sorted(name for name in EDGES if "multiple" in name or not coarse)
     thresholds = tuple(
         EDGES[data.draw(st.sampled_from(edges))](
-            stream[data.draw(st.sampled_from([0, 1, slots])) * period + i] >> 11)
-        for i in range(k))
-    assert (pure._histogram(slots + 1, seed, thresholds, weights, skip)
-            == naive_histogram(slots + 1, seed, thresholds, weights, skip))
+            stream[data.draw(st.sampled_from([0, 1, slots])) * period + offset] >> 11)
+        for offset in offsets)
+    assert (pure._histogram(slots + 1, seed, thresholds, weights, offsets, period)
+            == naive_histogram(slots + 1, seed, thresholds, weights, offsets, period))
 
 
 @pytest.mark.parametrize("top", [pure._COUNT_PASSES - 1, pure._COUNT_PASSES])
@@ -401,14 +402,54 @@ def test_histogram_counts_alike_on_either_side_of_the_count_pass_bound(top):
     powers = [1 << i for i in range(top.bit_length() - 1)]
     weights = (*powers, top - sum(powers))
     thresholds = (2**52,) * len(weights)
+    offsets = tuple(range(len(weights)))
     for n_slots in (1, 3000):
-        assert (pure._histogram(n_slots, 11, thresholds, weights, 0)
-                == naive_histogram(n_slots, 11, thresholds, weights, 0))
+        assert (pure._histogram(n_slots, 11, thresholds, weights, offsets, len(weights))
+                == naive_histogram(n_slots, 11, thresholds, weights, offsets, len(weights)))
 
 
 def test_a_slot_longer_than_a_block_gets_a_block_of_its_own():
-    thresholds, weights = (1 << 52,) * 600, (1,) * 600
-    assert pure._block(thresholds, weights, 2).slots == 1
+    thresholds, weights, offsets = (1 << 52,) * 600, (1,) * 600, tuple(range(600))
+    assert pure._block(thresholds, weights, offsets, 602).slots == 1
     for seed in (0, 2**64 - 1):
-        assert (pure._histogram(3, seed, thresholds, weights, 2)
-                == naive_histogram(3, seed, thresholds, weights, 2))
+        assert (pure._histogram(3, seed, thresholds, weights, offsets, 602)
+                == naive_histogram(3, seed, thresholds, weights, offsets, 602))
+
+
+@pytest.mark.parametrize("k,skip", [(1, 0), (2, 0), (2, 1), (3, 2), (8, 0), (600, 2)])
+def test_contiguous_offsets_give_the_block_constants_of_a_skip(k, skip):
+    # reads at 0 .. k - 1 of k + skip words: lane s k + i holds word s (k + skip) + i, as it
+    # did when a program read k words and then skipped ``skip``, so such a program (every
+    # Aloha program among them) runs the same lanes and steps as before offsets
+    thresholds, weights = (1 << 52,) * k, (1,) * k
+    block = pure._block(thresholds, weights, tuple(range(k)), k + skip)
+    slots = max(1, pure._BLOCK_WORDS // k)
+    steps = sum(((s * (k + skip) + i) * _GOLDEN % 2**64) << 128 * (s * k + i)
+                for s in range(slots) for i in range(k))
+    assert (block.slots, block.lanes, block.steps) == (slots, slots * k, steps)
+    assert block.advance == sum((slots * (k + skip) * _GOLDEN % 2**64) << 128 * lane
+                                for lane in range(slots * k))
+
+
+@pytest.mark.parametrize("program,reads", [
+    pytest.param(hyperdense._program(hyperdense.QubitPairSource()), 3, id="hyperdense-qubit"),
+    pytest.param(hyperdense._program(hyperdense.CoinPairSource()), 3, id="hyperdense-coin"),
+    pytest.param(aloha._program(8, 0.125), 8, id="aloha-8"),
+    pytest.param(superdense._program(), 2, id="superdense"),
+])
+def test_the_pure_evaluator_mixes_only_the_words_a_program_reads(monkeypatch, program, reads):
+    # every lane _mix gets holds a read word: word o_i of each slot the blocks run, each once
+    assert len(program.offsets) == reads
+    seed, mixed = 2**64 - 3, []
+
+    def recording_mix(counters, low64, tail):
+        mixed.extend(lane_words(counters, low64, seed))
+        return mix(counters, low64, tail)
+
+    mix = pure._mix
+    monkeypatch.setattr(pure, "_mix", recording_mix)
+    block = pure._block(program.thresholds, program.weights, program.offsets, program.period)
+    pure._histogram(3 * block.slots, seed, program.thresholds, program.weights,
+                    program.offsets, program.period)
+    assert mixed == [s * program.period + o for s in range(3 * block.slots)
+                     for o in program.offsets]

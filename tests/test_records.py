@@ -39,9 +39,10 @@ RECORDS = [
     (TwoQubitState, dict(amps=(1, 0, 0.5, -2j)),
      "TwoQubitState(amps=((1+0j), 0j, (0.5+0j), (-0-2j)))"),
     (PauliOp, dict(tag="X", matrix=((0, 1), (1, 0))), "PauliOp(tag='X', matrix=((0, 1), (1, 0)))"),
-    (Program, dict(thresholds=(0, 2**53), weights=(1, 1), skip=1, table=(0, 1, 0), size=2),
-     "Program(thresholds=(0, 9007199254740992), weights=(1, 1), skip=1, table=(0, 1, 0), "
-     "size=2)"),
+    (Program, dict(thresholds=(0, 2**53), weights=(1, 1), offsets=(0, 2), period=3,
+                   table=(0, 1, 0), size=2),
+     "Program(thresholds=(0, 9007199254740992), weights=(1, 1), offsets=(0, 2), period=3, "
+     "table=(0, 1, 0), size=2)"),
     (PartyBits, dict(first=0, second=1), "PartyBits(first=0, second=1)"),
     (SharedOutcome, dict(c=1), "SharedOutcome(c=1)"),
     (ChannelObservation, dict(state=ChannelState.SINGLE, payload=1, sender=Party.BOB),
@@ -168,12 +169,23 @@ INVALID = [
     (TwoQubitState, dict(amps=(math.inf, 0, 0, 0)), "non-finite amplitude (inf+0j)"),
     (TwoQubitState, dict(amps=(0, complex(0, math.nan), 0, 0)), "non-finite amplitude nanj"),
     (TwoQubitState, dict(amps=(1, 0, "x", 0)), "complex() arg is a malformed string"),
-    (Program, dict(thresholds=(0,), weights=(1,), skip=0, table=(0, 2), size=2),
+    (Program, dict(thresholds=(0,), weights=(1,), offsets=(0,), period=1, table=(0, 2), size=2),
      "table entry 2 is not an int in range(2)"),
-    (Program, dict(thresholds=(0,), weights=(1,), skip=0, table=(0, 0), size=0),
+    (Program, dict(thresholds=(0,), weights=(1,), offsets=(0,), period=1, table=(0, 0), size=0),
      "a tally size must be an int >= 1, got 0"),
-    (Program, dict(thresholds=(0,), weights=(1,), skip=0, table=(0, 0), size=True),
+    (Program, dict(thresholds=(0,), weights=(1,), offsets=(0,), period=1, table=(0, 0),
+                   size=True),
      "a tally size must be an int >= 1, got True"),
+    (Program, dict(thresholds=(0, 0), weights=(1, 1), offsets=(0,), period=2, table=(0, 0, 0),
+                   size=1),
+     "a program needs at least one threshold, and one weight and one offset per threshold, "
+     "got 2, 2 and 1"),
+    (Program, dict(thresholds=(0, 0), weights=(1, 1), offsets=(1, 1), period=3,
+                   table=(0, 0, 0), size=1),
+     "offsets must rise strictly and stay below the period 3, got (1, 1)"),
+    (Program, dict(thresholds=(0, 0), weights=(1, 1), offsets=(0, 3), period=3,
+                   table=(0, 0, 0), size=1),
+     "offsets must rise strictly and stay below the period 3, got (0, 3)"),
     (PartyBits, dict(first=2, second=0), "party bits must be 0 or 1, got (2, 0)"),
     (PartyBits, dict(first=0, second=2), "party bits must be 0 or 1, got (0, 2)"),
     (SharedOutcome, dict(c=2), "shared outcome must be 0 or 1, got 2"),

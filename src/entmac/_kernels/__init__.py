@@ -4,12 +4,13 @@ Every tally kernel folds the index histogram of its protocol's word program,
 a ``_records.Program`` checked where it is built (``aloha._program``,
 ``hyperdense._program``, ``superdense._program``; see ``pure``), into a
 tally with ``pure._tally``. ``pure._histogram`` gives that histogram in
-plain Python, always available. ``_fast.histogram``, one
-GIL-free C loop built from ``_fast.c`` by ``python -m entmac._kernels.build``,
-takes the same arguments and gives it bit for bit by drawing the same words
-one at a time. Neither knows a protocol. The compiled backend runs exactly
-when ``_fast`` imported. ``map_chunks`` runs a run's chunks, on either
-backend, in this process and in up to ``workers - 1`` children it forks.
+plain Python, always available. ``_fast.histogram``, one GIL-free C loop
+built from ``_fast.c`` by ``python src/entmac/_kernels/build.py`` (see
+``build``), takes the same arguments and gives it bit for bit by drawing
+the same words one at a time. Neither knows a protocol. The compiled
+backend runs exactly when ``_fast`` imported. ``map_chunks`` runs a run's
+chunks, on either backend, in this process and in up to ``workers - 1``
+children it forks.
 """
 
 from __future__ import annotations

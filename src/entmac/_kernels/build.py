@@ -1,9 +1,15 @@
 """Build the compiled kernel from the hand-written ``_fast.c``.
 
-``python -m entmac._kernels.build`` compiles it next to itself, as the
+``python src/entmac/_kernels/build.py`` compiles it next to itself, as the
 extension module ``_fast`` that ``entmac._kernels`` imports when present.
 Nothing in the package imports this module: the build is a step of its own,
 and the package runs on the pure backend until it has been taken.
+
+Run it by its path. Run so, it imports only the standard library, so it
+replaces a ``_fast`` that cannot load, such as one built for a sanitizer
+whose runtime is not preloaded. ``python -m entmac._kernels.build`` first
+imports the package ``entmac._kernels``, which loads the ``_fast`` already
+built, and a module that aborts as it loads stops the rebuild too.
 """
 
 from __future__ import annotations

@@ -111,6 +111,16 @@ class CountingRng:
 WEIGHTS = st.one_of(st.integers(0, 31), st.integers(0, 2**20))
 
 
+#: a word program at each index width an Aloha run reaches, by that width, as the evaluator
+#: tests draw one, (thresholds, weights, (offsets, period)): eight reads of one-byte indices,
+#: so the pure evaluator converts a group of 8 blocks at once, and 300 reads with a weight
+#: above 1, whose indices (up to 301) take two bytes, so a group is 4 blocks
+WIDTH_PROGRAMS = {
+    1: ((1 << 50,) * 7 + (3 << 50 | 1,), (1,) * 7 + (2,), (tuple(range(8)), 8)),
+    2: ((2**53 // 300,) * 299 + (2**52,), (1,) * 299 + (2,), (tuple(range(300)), 300)),
+}
+
+
 def layouts(k: int):
     """(offsets, period) of k reads: 0 to 3 unread words before each read and after the last."""
     def layout(gaps):

@@ -5,15 +5,22 @@ compiled evaluator and the dispatchers' compiled branches to them exactly.
 When the package was installed without its compiled kernel, ``_fast.c`` is
 built into a temporary directory by ``entmac._kernels.build``, with every
 warning an error; the module skips only when there is no C compiler with
-the Python headers.
+the Python headers. The build script itself is checked here too: run by
+its path, it replaces a kernel that cannot load.
 """
 
 import hashlib
 import importlib.util
+import os
+import shutil
+import signal
+import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entmac import _kernels, aloha, hyperdense, superdense
@@ -24,7 +31,7 @@ from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
 from entmac.rng import _GOLDEN, RandomSource
 
-from _support import WEIGHTS, layouts
+from _support import WEIGHTS, WIDTH_PROGRAMS, layouts
 
 CHUNK = _kernels.CHUNK_SLOTS
 
@@ -100,6 +107,9 @@ THRESHOLDS = st.one_of(st.sampled_from([0, 2**52, 2**53, None]), st.integers(0, 
            st.lists(WEIGHTS, min_size=k, max_size=k),
            layouts(k))),
        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+# groups of 8 blocks of one-byte indices and of 4 blocks of two-byte ones
+@example(program=WIDTH_PROGRAMS[1], seed=0)
+@example(program=WIDTH_PROGRAMS[2], seed=2**64 - 1)
 def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, seed):
     thresholds, weights, (offsets, period) = program
     rng = RandomSource(seed)
@@ -107,9 +117,9 @@ def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, seed):
     thresholds = tuple(first_slot[o] >> 11 if t is None else t
                        for t, o in zip(thresholds, offsets))
     program = thresholds, tuple(weights), offsets, period
-    # the pure evaluator converts the bits of a group of blocks at once: end a run on a
-    # group boundary and one slot either side
-    group = pure._GROUP_BLOCKS * pure._block(*program).slots
+    # the pure evaluator converts the indices of a group of 8 // width blocks at once: end a
+    # run on a group boundary and one slot either side
+    group = 8 // pure._block(thresholds, sum(weights), period).width * pure._SLOTS
     for n_slots in (0, 1, group - 1, group, group + 1, CHUNK):
         assert (compiled.histogram(n_slots, seed, *program)
                 == pure._histogram(n_slots, seed, *program)), n_slots
@@ -177,8 +187,7 @@ def test_aloha_with_many_users_is_identical_across_backends(monkeypatch, compile
     # from the program
     params = AlohaParams(300, 1 / 300)
     program = aloha._program(300, 1 / 300)
-    assert pure._block(program.thresholds, program.weights, program.offsets,
-                       program.period).width == 2
+    assert pure._block(program.thresholds, sum(program.weights), program.period).width == 2
     monkeypatch.setattr(_kernels, "_fast", None)
     pure_stats = aloha_simulate(params, 10_000, RandomSource(8))
     monkeypatch.setattr(_kernels, "_fast", compiled)
@@ -454,3 +463,38 @@ def test_aloha_runs_on_two_processes(either_backend, forks, monkeypatch):
     assert (aloha_simulate(params, 100, RandomSource(3), workers=2)
             == aloha_simulate(params, 100, RandomSource(3)))
     assert forks == [1, 0]
+
+
+#: forced into a build by ``-include``: a ``_fast`` that aborts the process as it loads
+ABORT_ON_LOAD = """#include <stdlib.h>
+__attribute__((constructor)) static void abort_on_load(void) { abort(); }
+"""
+
+
+def test_the_build_script_replaces_a_kernel_that_cannot_load(tmp_path):
+    # in a copy of the package whose _fast aborts as it loads, importing entmac._kernels
+    # dies, and so would a build run as ``-m entmac._kernels.build``; build.py run by its
+    # path imports only the standard library, so it replaces that _fast with one that loads
+    package = tmp_path / "entmac"
+    shutil.copytree(Path(build.__file__).parents[1], package,
+                    ignore=shutil.ignore_patterns("_fast*.so", "__pycache__"))
+    header = tmp_path / "abort_on_load.h"
+    header.write_text(ABORT_ON_LOAD)
+    target = package / "_kernels" / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
+    try:
+        build.build(target, flags=("-include", str(header)))
+    except FileNotFoundError as err:
+        pytest.skip(str(err))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    no_core = "import resource; resource.setrlimit(resource.RLIMIT_CORE, (0, 0)); "
+    assert run("-c", no_core + "import entmac._kernels").returncode == -signal.SIGABRT
+    rebuilt = run(str(package / "_kernels" / "build.py"))
+    assert rebuilt.returncode == 0, rebuilt.stderr
+    assert rebuilt.stdout.strip() == str(target)
+    loaded = run("-c", "from entmac._kernels import backend_name; print(backend_name())")
+    assert loaded.stdout == "compiled\n", loaded.stderr

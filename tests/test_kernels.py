@@ -17,7 +17,7 @@ from entmac._records import Program
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
 from entmac.rng import _GOLDEN, RandomSource, derive_seed
 
-from _support import WEIGHTS, lane_words, layouts
+from _support import WEIGHTS, WIDTH_PROGRAMS, lane_words, layouts
 
 
 def test_chunk_plan_covers_exactly():
@@ -357,20 +357,27 @@ EDGES = {
            st.lists(WEIGHTS, min_size=k, max_size=k),
            layouts(k))),
        seed=SEEDS,
-       blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7), (7, -1), (7, 1), (8, 0),
-                               (8, 1), (16, -1), (17, 3)]))
-# a threshold no multiple of 2**22 over a full group of blocks: mix64's last step runs and
-# the carries of group positions 5..7 cross lane bits 97..127
+       blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 1), (3, 7), (4, -1),
+                               (4, 1), (8, -1), (8, 0), (8, 1), (9, 3)]))
+# a threshold no multiple of 2**22 over a full group of blocks: mix64's last step runs, and
+# group positions 4..7 put their indices in lane bits 96..127, where that step shifts in
+# the next lane's bits
 @example(program=([2**52 + 1, 3 << 50, 12345], [1, 2, 4], ((0, 1, 2), 4)), seed=2**64 - 1,
          blocks=(8, 0))
 # the hyperdense layout: reads at 0, 2 and 4 of six words
 @example(program=([2**52, 2**52, 2**52 - 1], [4, 2, 1], ((0, 2, 4), 6)), seed=5, blocks=(8, 1))
+# a slot either side of a group of 8 blocks of one-byte indices, and of 4 of two-byte ones
+@example(program=WIDTH_PROGRAMS[1], seed=3, blocks=(8, -1))
+@example(program=WIDTH_PROGRAMS[1], seed=3, blocks=(8, 1))
+@example(program=WIDTH_PROGRAMS[2], seed=3, blocks=(4, -1))
+@example(program=WIDTH_PROGRAMS[2], seed=3, blocks=(4, 1))
 def test_word_program_histogram_matches_a_naive_loop(program, seed, blocks):
     # n_slots falls on and either side of a block boundary of the evaluator, and of a
-    # group of _GROUP_BLOCKS blocks, whose bits one conversion turns into bytes
+    # group of 8 // width blocks (8, 4 or 2 at the widths drawn weights reach), whose
+    # indices one conversion turns into bytes
     thresholds, weights, (offsets, period) = tuple(program[0]), tuple(program[1]), program[2]
     whole, extra = blocks
-    n_slots = whole * pure._block(thresholds, weights, offsets, period).slots + extra
+    n_slots = whole * pure._SLOTS + extra
     assert (pure._histogram(n_slots, seed, thresholds, weights, offsets, period)
             == naive_histogram(n_slots, seed, thresholds, weights, offsets, period))
 
@@ -383,7 +390,7 @@ def test_word_program_histogram_matches_a_naive_loop_at_drawn_words(data, k, coa
     # multiple of 2**21
     weights = tuple(data.draw(st.lists(WEIGHTS, min_size=k, max_size=k)))
     offsets, period = data.draw(layouts(k))
-    slots = pure._block((0,) * k, weights, offsets, period).slots
+    slots = pure._SLOTS
     rng = RandomSource(seed)
     stream = [rng.next_u64() for _ in range((slots + 1) * period)]
     edges = sorted(name for name in EDGES if "multiple" in name or not coarse)
@@ -408,27 +415,38 @@ def test_histogram_counts_alike_on_either_side_of_the_count_pass_bound(top):
                 == naive_histogram(n_slots, 11, thresholds, weights, offsets, len(weights)))
 
 
-def test_a_slot_longer_than_a_block_gets_a_block_of_its_own():
+def test_a_program_of_600_reads_matches_a_naive_loop():
     thresholds, weights, offsets = (1 << 52,) * 600, (1,) * 600, tuple(range(600))
-    assert pure._block(thresholds, weights, offsets, 602).slots == 1
+    assert pure._block(thresholds, 600, 602).width == 2
     for seed in (0, 2**64 - 1):
         assert (pure._histogram(3, seed, thresholds, weights, offsets, 602)
                 == naive_histogram(3, seed, thresholds, weights, offsets, 602))
 
 
-@pytest.mark.parametrize("k,skip", [(1, 0), (2, 0), (2, 1), (3, 2), (8, 0), (600, 2)])
-def test_contiguous_offsets_give_the_block_constants_of_a_skip(k, skip):
-    # reads at 0 .. k - 1 of k + skip words: lane s k + i holds word s (k + skip) + i, as it
-    # did when a program read k words and then skipped ``skip``, so such a program (every
-    # Aloha program among them) runs the same lanes and steps as before offsets
-    thresholds, weights = (1 << 52,) * k, (1,) * k
-    block = pure._block(thresholds, weights, tuple(range(k)), k + skip)
-    slots = max(1, pure._BLOCK_WORDS // k)
-    steps = sum(((s * (k + skip) + i) * _GOLDEN % 2**64) << 128 * (s * k + i)
-                for s in range(slots) for i in range(k))
-    assert (block.slots, block.lanes, block.steps) == (slots, slots * k, steps)
-    assert block.advance == sum((slots * (k + skip) * _GOLDEN % 2**64) << 128 * lane
-                                for lane in range(slots * k))
+@pytest.mark.parametrize("offsets,period", [
+    ((0,), 1), ((0, 1), 2), ((0, 1), 3), ((0, 1, 2), 5), (tuple(range(8)), 8),
+    ((0, 2, 4), 6), ((0, 2, 4), 5), (tuple(range(600)), 602), ((0, 2**62, 2**63 - 2), 2**63 - 1),
+])
+def test_read_i_of_a_block_holds_the_counter_of_word_s_period_plus_o_i_in_lane_s(
+        monkeypatch, offsets, period):
+    # a block runs _SLOTS slots, and _mix gets one int per read, read 0 first: lane s of
+    # read i's int is the counter of stream word s * period + o_i, seed + (s * period + o_i
+    # + 1) * GOLDEN, and the next block's is _SLOTS * period words on
+    seed, k, calls = 2**64 - 5, len(offsets), []
+
+    def recording_mix(counters, low64, tail):
+        calls.append(counters)
+        return mix(counters, low64, tail)
+
+    mix = pure._mix
+    monkeypatch.setattr(pure, "_mix", recording_mix)
+    pure._histogram(pure._SLOTS + 1, seed, (1 << 52,) * k, (1,) * k, offsets, period)
+    assert len(calls) == 2 * k
+    for block in range(2):
+        for i, o in enumerate(offsets):
+            assert calls[block * k + i] == sum(
+                (seed + ((block * pure._SLOTS + s) * period + o + 1) * _GOLDEN) % 2**64
+                << 128 * s for s in range(pure._SLOTS))
 
 
 @pytest.mark.parametrize("program,reads", [
@@ -438,7 +456,8 @@ def test_contiguous_offsets_give_the_block_constants_of_a_skip(k, skip):
     pytest.param(superdense._program(), 2, id="superdense"),
 ])
 def test_the_pure_evaluator_mixes_only_the_words_a_program_reads(monkeypatch, program, reads):
-    # every lane _mix gets holds a read word: word o_i of each slot the blocks run, each once
+    # every lane _mix gets holds a read word, and a block mixes its reads in turn: word o_i
+    # of each slot the blocks run, each once
     assert len(program.offsets) == reads
     seed, mixed = 2**64 - 3, []
 
@@ -448,8 +467,7 @@ def test_the_pure_evaluator_mixes_only_the_words_a_program_reads(monkeypatch, pr
 
     mix = pure._mix
     monkeypatch.setattr(pure, "_mix", recording_mix)
-    block = pure._block(program.thresholds, program.weights, program.offsets, program.period)
-    pure._histogram(3 * block.slots, seed, program.thresholds, program.weights,
+    pure._histogram(3 * pure._SLOTS, seed, program.thresholds, program.weights,
                     program.offsets, program.period)
-    assert mixed == [s * program.period + o for s in range(3 * block.slots)
-                     for o in program.offsets]
+    assert mixed == [(block * pure._SLOTS + s) * program.period + o for block in range(3)
+                     for o in program.offsets for s in range(pure._SLOTS)]

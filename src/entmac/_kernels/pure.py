@@ -75,6 +75,11 @@ from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 #: slots per block, one per 128-bit lane of each read's int
 _SLOTS = 512
 
+#: ints of _SLOTS 128-bit lanes: 1 in each lane, 2**64 - 1 in each, and s in lane s
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _SLOTS, "little")
+_LOW64 = _MASK64 * _ONES
+_RAMP = int.from_bytes(b"".join(s.to_bytes(16, "little") for s in range(_SLOTS)), "little")
+
 #: sum(weights) below which a chunk's indices are counted one ``bytes.count`` pass per index
 #: but the top one; one ``Counter`` pass over the chunk is faster from about 64 indices on
 #: when they are uniform, and from about 80 when they are as skewed as Aloha's binomial
@@ -86,8 +91,6 @@ class _Block(NamedTuple):
 
     width: int  # bytes per index; a group holds 8 // width blocks
     tail: bool  # whether a threshold is no multiple of 2**22, so needs mix64's last step
-    low64: int  # 2**64 - 1 in each lane
-    bit64: int  # 2**64 in each lane, where a read's pass bit lands
     steps: int  # s * period * GOLDEN mod 2**64 in lane s
     advance: int  # what one block adds to each lane's counter, mod 2**64
     carries: tuple[int, ...]  # 2**64 - (t_i << 11) in each lane, one per read
@@ -100,14 +103,11 @@ def _block(thresholds: tuple[int, ...], top: int, period: int) -> _Block:
     The caller has checked the program with ``_records.check_program``.
     Reads of one threshold share one carry.
     """
-    low64, ones = (int.from_bytes(lane * _SLOTS, "little")
-                   for lane in (b"\xff" * 8 + bytes(8), b"\x01" + bytes(15)))
-    # s * period mod 2**64 in lane s, so that its product with GOLDEN stays in the lane
-    steps = int.from_bytes(b"".join((s * period & _MASK64).to_bytes(16, "little")
-                                    for s in range(_SLOTS)), "little") * _GOLDEN & low64
-    carry = {t: ((1 << 64) - (t << 11)) * ones for t in set(thresholds)}
+    # lane s holds s times a value below 2**64, below 2**73: it stays in its 128 bits
+    steps = _RAMP * (period * _GOLDEN & _MASK64) & _LOW64
+    carry = {t: ((1 << 64) - (t << 11)) * _ONES for t in set(thresholds)}
     return _Block(max(1, -(-top.bit_length() // 8)), any(t % (1 << 22) for t in thresholds),
-                  low64, ones << 64, steps, (_SLOTS * period * _GOLDEN & _MASK64) * ones,
+                  steps, (_SLOTS * period * _GOLDEN & _MASK64) * _ONES,
                   tuple(carry[t] for t in thresholds))
 
 
@@ -137,10 +137,10 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     check_u64s((seed,), _MASK64, "seed")
     thresholds, weights, offsets = check_program(thresholds, weights, offsets, period)
     top = sum(weights)
-    width, tail, low64, bit64, steps, advance, carries = _block(thresholds, top, period)
+    width, tail, steps, advance, carries = _block(thresholds, top, period)
+    low64, bit64 = _LOW64, _ONES << 64
     # read i's counters: seed + (s * period + o_i + 1) * GOLDEN mod 2**64 in lane s
-    ones = bit64 >> 64
-    counters = [((seed + (o + 1) * _GOLDEN & _MASK64) * ones + steps) & low64 for o in offsets]
+    counters = [((seed + (o + 1) * _GOLDEN & _MASK64) * _ONES + steps) & low64 for o in offsets]
     reads = tuple(zip(range(len(offsets)), carries, weights))
     group_slots = 8 // width * _SLOTS
     chunk = bytearray() if width == 1 else []

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output identity with the API."""
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from entmac import cli
 from entmac.campaign import PROTOCOLS, CampaignConfig, enumerate_table, run_campaign
 from entmac.cli import _config_from_args, build_parser, main
 
@@ -110,11 +112,46 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
-def test_module_entry_point_subprocess():
+@pytest.mark.parametrize("flags, argv", [
+    ([], ["table", "--format", "csv"]),
+    # -X dev -W error: a warning at exit, a leak finalization reports say, is an error
+    (["-X", "dev", "-W", "error"], ["compare", "--slots", "1000", "--format", "text"]),
+    # two chunks and two workers: one forked child
+    (["-X", "dev", "-W", "error"],
+     ["hyperdense", "--c-source", "coin", "--workers", "2", "--slots", "70000",
+      "--format", "json"]),
+], ids=["table", "compare-dev", "hyperdense-workers-2-dev"])
+def test_module_entry_point_subprocess(capsys, flags, argv):
     proc = subprocess.run(
-        [sys.executable, "-m", "entmac", "table", "--format", "csv"],
+        [sys.executable, *flags, "-m", "entmac", *argv],
         capture_output=True,
         text=True,
     )
+    _, out, _ = run_cli(capsys, argv)
     assert proc.returncode == 0
-    assert proc.stdout == enumerate_table("csv")
+    assert proc.stdout == out
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("status", [0, 2])
+def test_run_freezes_the_collector_once_main_has_returned(monkeypatch, status):
+    calls = []
+
+    def fake_main():
+        calls.append("main")
+        return status
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as err:
+        cli.run()
+    assert calls == ["main", "freeze"]
+    assert err.value.code == status
+
+
+def test_main_never_freezes_the_collector(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert run_cli(capsys, ["compare", "--slots", "1000"])[0] == 0
+    assert run_cli(capsys, ["aloha", "--users", "0"])[0] == 2
+    assert calls == []

@@ -14,7 +14,7 @@
  * range-checked and every array sized from the program before it starts, so
  * no index can leave the count array.
  *
- * Build with `python -m entmac._kernels.build`.
+ * Build with `python src/entmac/_kernels/build.py`.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -31,7 +31,7 @@ A block does no work its program does not read. mix64's last step,
 w = z ^ z >> 31, changes only bits 0..32 of z. When t is a multiple of
 2**22, w >> 11 >= t and w >> 33 >= t >> 22 both say w >= t << 11, and the
 second reads only bits 33..63 of w, which equal those of z. So when every
-threshold of a program is a multiple of 2**22 (``_Block.tail`` is false),
+threshold of a program is a multiple of 2**22 (``tail`` is false),
 a block compares z itself and leaves out that step and its mask.
 
 A slot's index is summed inside its lane. Read i adds C_i = 2**64 -
@@ -48,8 +48,8 @@ turns the group into bytes: block b's index of slot s is bytes
 16 s + 8 + width b onward, ``width`` of them, and at width 1 the slice
 [8 + b::16] gives the block's indices, one byte per slot. The indices of
 a whole chunk are gathered first and counted once: by one ``bytes.count``
-pass per index but the top one, whose count is the rest, when there are
-few, else by one ``Counter``.
+pass per index but the top one, whose count is the rest, when each index
+is one byte, else by one ``Counter``.
 
 The compiled kernel's one loop, ``_fast.histogram``, takes the same
 arguments as ``_histogram`` and runs the same programs a word at a time:
@@ -63,9 +63,7 @@ kernels the oracle in backend-parity tests.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
-from typing import NamedTuple
 
 from .. import aloha, hyperdense
 from .._records import check_count, check_program, check_u64s
@@ -79,36 +77,6 @@ _SLOTS = 512
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _SLOTS, "little")
 _LOW64 = _MASK64 * _ONES
 _RAMP = int.from_bytes(b"".join(s.to_bytes(16, "little") for s in range(_SLOTS)), "little")
-
-#: sum(weights) below which a chunk's indices are counted one ``bytes.count`` pass per index
-#: but the top one; one ``Counter`` pass over the chunk is faster from about 64 indices on
-#: when they are uniform, and from about 80 when they are as skewed as Aloha's binomial
-_COUNT_PASSES = 64
-
-
-class _Block(NamedTuple):
-    """Constants of one word program's blocks, whose ints hold one 128-bit lane per slot."""
-
-    width: int  # bytes per index; a group holds 8 // width blocks
-    tail: bool  # whether a threshold is no multiple of 2**22, so needs mix64's last step
-    steps: int  # s * period * GOLDEN mod 2**64 in lane s
-    advance: int  # what one block adds to each lane's counter, mod 2**64
-    carries: tuple[int, ...]  # 2**64 - (t_i << 11) in each lane, one per read
-
-
-@functools.lru_cache(maxsize=32)
-def _block(thresholds: tuple[int, ...], top: int, period: int) -> _Block:
-    """Constants of a program by its thresholds, its largest index ``top`` and its period.
-
-    The caller has checked the program with ``_records.check_program``.
-    Reads of one threshold share one carry.
-    """
-    # lane s holds s times a value below 2**64, below 2**73: it stays in its 128 bits
-    steps = _RAMP * (period * _GOLDEN & _MASK64) & _LOW64
-    carry = {t: ((1 << 64) - (t << 11)) * _ONES for t in set(thresholds)}
-    return _Block(max(1, -(-top.bit_length() // 8)), any(t % (1 << 22) for t in thresholds),
-                  steps, (_SLOTS * period * _GOLDEN & _MASK64) * _ONES,
-                  tuple(carry[t] for t in thresholds))
 
 
 def _mix(z: int, low64: int, tail: bool) -> int:
@@ -137,11 +105,17 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     check_u64s((seed,), _MASK64, "seed")
     thresholds, weights, offsets = check_program(thresholds, weights, offsets, period)
     top = sum(weights)
-    width, tail, steps, advance, carries = _block(thresholds, top, period)
+    width = max(1, -(-top.bit_length() // 8))
+    tail = any(t % (1 << 22) for t in thresholds)
     low64, bit64 = _LOW64, _ONES << 64
+    # lane s holds s times a value below 2**64, below 2**73: it stays in its 128 bits
+    steps = _RAMP * (period * _GOLDEN & _MASK64) & low64
+    advance = (_SLOTS * period * _GOLDEN & _MASK64) * _ONES
     # read i's counters: seed + (s * period + o_i + 1) * GOLDEN mod 2**64 in lane s
     counters = [((seed + (o + 1) * _GOLDEN & _MASK64) * _ONES + steps) & low64 for o in offsets]
-    reads = tuple(zip(range(len(offsets)), carries, weights))
+    # reads of one threshold share one carry: a wide Aloha program holds one, not m
+    carries = {t: ((1 << 64) - (t << 11)) * _ONES for t in set(thresholds)}
+    reads = tuple(zip(range(len(offsets)), (carries[t] for t in thresholds), weights))
     group_slots = 8 // width * _SLOTS
     chunk = bytearray() if width == 1 else []
     for group in range(0, n_slots, group_slots):
@@ -162,7 +136,7 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
                 chunk += raw[at:end:16]
             else:
                 chunk += [int.from_bytes(raw[j:j + width], "little") for j in range(at, end, 16)]
-    if top < _COUNT_PASSES:
+    if width == 1:
         # the top index, all reads passing, is the most common in Aloha: it is the rest
         counts = [chunk.count(index) for index in range(top)]
         return counts + [n_slots - sum(counts)]

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 from ._records import Program, checked_record, is_int
 from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
-from .rng import _U_ENDS, RandomSource, _float_threshold, _Uniforms
+from .rng import _TWO_NEG53, _U_ENDS, RandomSource, _float_threshold, _Uniforms
 from .stats import RunStats
 
 
@@ -306,20 +306,22 @@ _OUTCOME = _outcome_table()
 def _qubit_c_threshold() -> int:
     """t such that QubitPairSource().draw(rng) is 0 exactly when its first word w has w >> 11 < t.
 
-    draw's first uniform measures A of |beta_00>, giving 0 exactly when it is
-    < P(0). Raises RuntimeError unless draw takes two uniforms and gives 0 at
-    u = 0 and 1 at the greatest u (no clamp rules either out) at both ends of
-    the second; then it never raises and leaves its second word unread, for
-    every uniform.
+    draw's first uniform u measures A of |beta_00>, giving 0 exactly when
+    u < P(0), which is monotone in u, so t = ``_float_threshold(P(0))``.
+    Raises RuntimeError unless draw takes two uniforms and gives 0 at
+    u = (t - 1) * 2**-53 and 1 at u = t * 2**-53, the two values of
+    next_float either side of t, at both ends of the second; then it never
+    raises and leaves its second word unread, for every uniform.
     """
-    for c, u in enumerate(_U_ENDS):
+    t = _float_threshold(measure_probabilities(BETA_00, QubitId.A)[0])
+    for c, u in enumerate(((t - 1) * _TWO_NEG53, t * _TWO_NEG53)):
         for v in _U_ENDS:
             rng = _Uniforms(u, v)
             drawn = QubitPairSource().draw(rng)  # PairCorrelationError is a RuntimeError
             if drawn != c or rng:
                 raise RuntimeError(f"qubit pair drew {drawn} from ({u}, {v}) and left "
                                    f"{len(rng)} uniform(s) where {c} and none were due")
-    return _float_threshold(measure_probabilities(BETA_00, QubitId.A)[0])
+    return t
 
 
 _QUBIT_C_THRESHOLD = _qubit_c_threshold()

@@ -222,9 +222,12 @@ def _independent_of_u(measure, *args):
     A measurement draws one uniform u and picks its outcome with ``_sample``,
     which is monotone in u, so a result that is equal at both ends of
     next_float()'s range is the result for every u. Raises RuntimeError when
-    the two ends differ.
+    the two ends differ, or when measure leaves its uniform undrawn.
     """
-    lo, hi = (measure(*args, _Uniforms(u)) for u in _U_ENDS)
+    rngs = [_Uniforms(u) for u in _U_ENDS]
+    lo, hi = (measure(*args, rng) for rng in rngs)
+    if any(rngs):
+        raise RuntimeError(f"{measure.__name__} left its uniform undrawn")
     if lo != hi:
         raise RuntimeError(
             f"{measure.__name__} depends on the uniform: {lo!r} at u = 0, {hi!r} at u = 1 - 2**-53"

@@ -321,7 +321,7 @@ def test_qubit_c_threshold_is_the_measurement_boundary():
 @pytest.mark.parametrize("flipped,error,message", [
     ({QubitId.A}, PairCorrelationError, "half-pair measurements disagree: 1 vs 0"),
     ({QubitId.B}, PairCorrelationError, "half-pair measurements disagree: 0 vs 1"),
-    ({QubitId.A, QubitId.B}, RuntimeError, "qubit pair drew 1 from (0.0, 0.0)"),
+    ({QubitId.A, QubitId.B}, RuntimeError, "qubit pair drew 1 from (0.4999999999999998, 0.0)"),
 ], ids=["A", "B", "both"])
 def test_qubit_c_threshold_rejects_a_pair_that_does_not_give_c_twice(monkeypatch, flipped,
                                                                     error, message):
@@ -332,6 +332,23 @@ def test_qubit_c_threshold_rejects_a_pair_that_does_not_give_c_twice(monkeypatch
 
     monkeypatch.setattr(hyperdense, "measure_qubit", measure_flipped)
     with pytest.raises(error, match=re.escape(message)):
+        hyperdense._qubit_c_threshold()
+
+
+def test_qubit_c_threshold_rejects_a_measurement_that_moves_the_boundary(monkeypatch):
+    # a pick that takes u <= cum where the rule takes u < cum gives c = 0 at u = P(0), the
+    # one word value on which the two differ; both ends of next_float's range agree
+    def sample_ties_low(probs, rng):
+        u, cum = rng.next_float(), 0.0
+        for i, p in enumerate(probs):
+            cum += p
+            if p >= entmac.qubit.PROB_CLAMP and u <= cum:
+                return i
+        raise AssertionError(f"no outcome picked from {probs} at {u}")
+
+    monkeypatch.setattr(entmac.qubit, "_sample", sample_ties_low)
+    with pytest.raises(RuntimeError,
+                       match=re.escape("qubit pair drew 0 from (0.4999999999999999, 0.0)")):
         hyperdense._qubit_c_threshold()
 
 

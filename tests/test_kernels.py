@@ -305,6 +305,12 @@ def test_independent_of_u_rejects_a_measurement_that_depends_on_u():
         qubit._independent_of_u(measure_bell, TwoQubitState((1, 0, 0, 0)))
 
 
+def test_independent_of_u_rejects_a_measurement_that_draws_no_uniform():
+    # superdense's program counts the Bell uniform as a word of each trial
+    with pytest.raises(RuntimeError, match="<lambda> left its uniform undrawn"):
+        qubit._independent_of_u(lambda d, rng: d, BellIndex(0, 1))
+
+
 #: every program a protocol module states, with the tally size its dispatcher folds it into
 PROGRAMS = [
     *(pytest.param(aloha._program(m, p), 2, id=f"aloha-{m}-{p:.3g}")
@@ -402,9 +408,9 @@ def test_word_program_histogram_matches_a_naive_loop_at_drawn_words(data, k, coa
             == naive_histogram(slots + 1, seed, thresholds, weights, offsets, period))
 
 
-@pytest.mark.parametrize("top", [pure._COUNT_PASSES - 1, pure._COUNT_PASSES])
-def test_histogram_counts_alike_on_either_side_of_the_count_pass_bound(top):
-    # below the bound a chunk is counted one bytes.count pass per index, from it on by one
+@pytest.mark.parametrize("top", [255, 256])
+def test_histogram_counts_alike_on_either_side_of_the_one_byte_bound(top):
+    # one-byte indices are counted one bytes.count pass per index, wider ones by one
     # Counter; words of weights 1, 2, 4, .. and the rest reach every index 0..top
     powers = [1 << i for i in range(top.bit_length() - 1)]
     weights = (*powers, top - sum(powers))
@@ -416,8 +422,8 @@ def test_histogram_counts_alike_on_either_side_of_the_count_pass_bound(top):
 
 
 def test_a_program_of_600_reads_matches_a_naive_loop():
+    # 601 indices: two bytes each
     thresholds, weights, offsets = (1 << 52,) * 600, (1,) * 600, tuple(range(600))
-    assert pure._block(thresholds, 600, 602).width == 2
     for seed in (0, 2**64 - 1):
         assert (pure._histogram(3, seed, thresholds, weights, offsets, 602)
                 == naive_histogram(3, seed, thresholds, weights, offsets, 602))

@@ -1,5 +1,5 @@
-"""The base of the records that check their fields, the rules they check by,
-and ``Program``, the word program both kernel backends run."""
+"""The base of every record in the package, the rules records check their
+fields by, and ``Program``, the word program both kernel backends run."""
 
 import sys
 from collections import namedtuple
@@ -12,9 +12,10 @@ MAX_INDEX = sys.maxsize // ((sys.maxsize.bit_length() + 1) // 8) - 1
 def checked_record(typename: str, field_names: str, defaults=None):
     """``namedtuple(typename, field_names, defaults=defaults)`` whose ``_make`` calls the subclass.
 
-    A record subclasses it and checks its fields in ``__new__``. A plain
-    namedtuple's ``_make``, and ``_replace``, which builds through
-    ``_make``, would skip that check; this one runs it.
+    Every record subclasses it, declares ``__slots__ = ()`` and states its
+    fields in its docstring. A record that checks its fields does so in
+    ``__new__``: a plain namedtuple's ``_make``, and ``_replace``, which
+    builds through ``_make``, would skip that check; this one runs it.
     """
     base = namedtuple(typename, field_names, defaults=defaults)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))

@@ -15,7 +15,6 @@ loads neither.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
 
 from . import aloha as aloha_mod
 from . import hyperdense as hd
@@ -75,16 +74,17 @@ class CampaignConfig(checked_record("CampaignConfig", "protocol n_slots seed m p
         return cfg
 
     def resolved_p(self) -> float:
-        return self.p if self.p is not None else 1.0 / self.m
+        """p as a float, so that equal configs echo equal bytes; 1/M when p is None."""
+        return float(self.p) if self.p is not None else 1.0 / self.m
 
 
-class CampaignResult(NamedTuple):
-    protocol: str
-    config: dict
-    analytic: dict
-    empirical: RunStats
-    directions: Optional[dict] = None  # hyperdense: direction RunStats
-    channel_counts: Optional[dict] = None
+class CampaignResult(checked_record("CampaignResult", "protocol config analytic empirical "
+                                                      "directions channel_counts",
+                                    defaults=(None, None))):
+    """One campaign's output; only a hyperdense one has ``directions``, a RunStats per
+    direction, and ``channel_counts``."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -158,15 +158,11 @@ def _run_hyperdense(cfg: CampaignConfig) -> CampaignResult:
     )
 
 
-class ComparisonReport(NamedTuple):
+class ComparisonReport(checked_record("ComparisonReport", "n_slots seed analytic hyperdense "
+                                                          "superdense_bits aloha_m2")):
     """Three-way report: hyperdense vs superdense vs slotted-Aloha (M=2)."""
 
-    n_slots: int
-    seed: int
-    analytic: dict
-    hyperdense: hd.HyperdenseStats
-    superdense_bits: RunStats
-    aloha_m2: RunStats
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,20 +212,16 @@ def compare(n_slots: int, seed: int, workers: int = 1) -> ComparisonReport:
     )
 
 
-class Option(NamedTuple):
+class Option(checked_record("Option", "flag field kwargs")):
     """A protocol's own CLI flag: the config field it sets and its argparse keywords."""
 
-    flag: str
-    field: str
-    kwargs: dict
+    __slots__ = ()
 
 
-class Protocol(NamedTuple):
-    """A simulation subcommand: its help, its own options and its runner."""
+class Protocol(checked_record("Protocol", "help run options", defaults=((),))):
+    """A simulation subcommand: its help, its runner and its own options."""
 
-    help: str
-    run: Callable[[CampaignConfig], object]
-    options: tuple[Option, ...] = ()
+    __slots__ = ()
 
 
 #: the one table of simulation subcommands, read by the CLI and ``run_campaign``

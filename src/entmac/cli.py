@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .campaign import (
     FORMATS,
@@ -61,7 +61,7 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     return CampaignConfig(protocol=args.command, **fields)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

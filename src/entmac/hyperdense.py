@@ -25,11 +25,10 @@ transmitter detecting that its own transmission collided.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
 
 from ._records import Program, checked_record, is_int
 from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
-from .rng import _TWO_NEG53, _U_ENDS, RandomSource, _float_threshold, _Uniforms
+from .rng import _BIT_THRESHOLD, _TWO_NEG53, _U_ENDS, RandomSource, _float_threshold, _Uniforms
 from .stats import RunStats
 
 
@@ -86,8 +85,8 @@ class ChannelObservation(checked_record("ChannelObservation", "state payload sen
 
     __slots__ = ()
 
-    def __new__(cls, state: ChannelState, payload: Optional[int] = None,
-                sender: Optional[Party] = None):
+    def __new__(cls, state: ChannelState, payload: int | None = None,
+                sender: Party | None = None):
         if not isinstance(state, ChannelState):
             raise ValueError(f"a channel state must be a ChannelState, got {state!r}")
         if state is ChannelState.SINGLE:
@@ -115,34 +114,32 @@ class ChannelObservation(checked_record("ChannelObservation", "state payload sen
         return cls(ChannelState.SINGLE, payload=payload, sender=sender)
 
 
-class DecodedView(NamedTuple):
-    """What one party learns about the peer's bits at slot end."""
+class DecodedView(checked_record("DecodedView", "peer_first peer_second", defaults=(None,))):
+    """What one party learns about the peer's bits at slot end.
 
-    peer_first: int
-    peer_second: Optional[int] = None
+    ``peer_second`` is None unless the peer's second bit arrived.
+    """
 
-
-class SlotOutcome(NamedTuple):
-    """Full record of one protocol slot."""
-
-    scenario_index: int  # 1..8, position in the canonical (A1, B1, c) order
-    alice: PartyBits
-    bob: PartyBits
-    c: int
-    a_sent: Optional[int]
-    b_sent: Optional[int]
-    channel: ChannelObservation
-    delivered_to_alice: dict
-    delivered_to_bob: dict
-    k: int
+    __slots__ = ()
 
 
-def decide_send(own: PartyBits, c: SharedOutcome) -> Optional[int]:
+class SlotOutcome(checked_record("SlotOutcome", "scenario_index alice bob c a_sent b_sent channel "
+                                                "delivered_to_alice delivered_to_bob k")):
+    """Full record of one protocol slot.
+
+    ``scenario_index`` is 1..8, the slot's position in the canonical
+    (A1, B1, c) order; ``a_sent`` and ``b_sent`` are None for a silent party.
+    """
+
+    __slots__ = ()
+
+
+def decide_send(own: PartyBits, c: SharedOutcome) -> int | None:
     """Transmit the second bit iff the first bit equals the measured c."""
     return own.second if own.first == c.c else None
 
 
-def resolve_channel(a_tx: Optional[int], b_tx: Optional[int]) -> ChannelObservation:
+def resolve_channel(a_tx: int | None, b_tx: int | None) -> ChannelObservation:
     """Slot-end channel state from the two (optional) transmissions."""
     if a_tx is not None and b_tx is not None:
         return ChannelObservation.collision()
@@ -154,7 +151,7 @@ def resolve_channel(a_tx: Optional[int], b_tx: Optional[int]) -> ChannelObservat
 
 
 def decode(
-    own_sent: Optional[int], c: SharedOutcome, obs: ChannelObservation, self_id: Party
+    own_sent: int | None, c: SharedOutcome, obs: ChannelObservation, self_id: Party
 ) -> DecodedView:
     """Recover the peer's first bit (always) and second bit (when it arrived).
 
@@ -329,9 +326,10 @@ _QUBIT_C_THRESHOLD = _qubit_c_threshold()
 #: the word program of one slot, by exact pair-source type: a coin's c is its word's top bit,
 #: and a qubit pair's B measurement draws one more word, which gives c again
 _PROGRAMS = {
-    source: Program((1 << 52, 1 << 52, c_threshold), (4, 2, 1), (0, 2, 4), period, _OUTCOME, 4)
+    source: Program((_BIT_THRESHOLD, _BIT_THRESHOLD, c_threshold), (4, 2, 1), (0, 2, 4), period,
+                    _OUTCOME, 4)
     for source, c_threshold, period in ((QubitPairSource, _QUBIT_C_THRESHOLD, 6),
-                                        (CoinPairSource, 1 << 52, 5))
+                                        (CoinPairSource, _BIT_THRESHOLD, 5))
 }
 
 
@@ -357,19 +355,20 @@ def _program(source) -> Program:
                         f"got {type(source).__name__}") from None
 
 
-class HyperdenseStats(NamedTuple):
-    """Monte Carlo result: total delivered bits per slot and the two directions."""
+class HyperdenseStats(checked_record("HyperdenseStats",
+                                     "total alice_to_bob bob_to_alice channel_counts")):
+    """Monte Carlo result: total delivered bits per slot and the two directions.
 
-    total: RunStats
-    alice_to_bob: RunStats
-    bob_to_alice: RunStats
-    channel_counts: dict  # collision / idle / single_alice / single_bob
+    ``channel_counts`` maps collision, idle, single_alice and single_bob to slot counts.
+    """
+
+    __slots__ = ()
 
 
 def simulate(
     n_slots: int,
     rng: RandomSource,
-    source: Optional[QubitPairSource | CoinPairSource] = None,
+    source: QubitPairSource | CoinPairSource | None = None,
     workers: int = 1,
 ) -> HyperdenseStats:
     """Seeded Monte Carlo over protocol slots with uniform source bits.

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from ._records import checked_record, is_int
 from .rng import _U_ENDS, RandomSource, _Uniforms
@@ -79,11 +78,13 @@ class TwoQubitState(checked_record("TwoQubitState", "amps")):
         return super().__new__(cls, amps)
 
 
-class PauliOp(NamedTuple):
-    """Single-qubit unitary used by the superdense encoder alphabet."""
+class PauliOp(checked_record("PauliOp", "tag matrix")):
+    """Single-qubit unitary used by the superdense encoder alphabet.
 
-    tag: str
-    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
+    ``matrix`` is its 2x2 matrix, as two rows of two entries.
+    """
+
+    __slots__ = ()
 
 
 PAULI_I = PauliOp("I", ((1, 0), (0, 1)))

@@ -79,6 +79,11 @@ class RandomSource:
         return self.next_u64() >> 63
 
 
+#: next_bit() is 1 exactly when its word w has w >> 11 >= _BIT_THRESHOLD: the top bit, as a
+#: threshold in next_float()'s unit, 2**-53 (see ``_float_threshold``)
+_BIT_THRESHOLD = 1 << 52
+
+
 class _Uniforms(list):
     """Stub rng: its undrawn uniforms, next last; next_float pops one, IndexError past them.
 

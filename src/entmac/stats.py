@@ -4,25 +4,22 @@ and the 95% confidence interval."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
 
-from ._records import is_int
+from ._records import checked_record, is_int
 
 Z95 = 1.96
 
 
-class RunStats(NamedTuple):
+class RunStats(checked_record("RunStats", "n mean variance std_error ci95")):
     """Aggregate of n real-valued samples.
 
     variance is the unbiased sample variance (0 when n == 1),
-    std_error = sqrt(variance / n), and ci95 = mean +/- 1.96 * std_error.
+    std_error = sqrt(variance / n), and ci95 = mean +/- 1.96 * std_error,
+    a (low, high) pair of floats.
     """
 
-    n: int
-    mean: float
-    variance: float
-    std_error: float
-    ci95: tuple[float, float]
+    __slots__ = ()
 
     @classmethod
     def from_moments(cls, n: int, mean: float, sum_sq_dev: float) -> "RunStats":

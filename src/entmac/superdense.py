@@ -25,7 +25,7 @@ from .qubit import (
     apply_single_qubit,
     measure_bell,
 )
-from .rng import RandomSource
+from .rng import _BIT_THRESHOLD, RandomSource
 from .stats import RunStats
 
 #: classical bits delivered per protocol use
@@ -86,7 +86,7 @@ def _program() -> Program:
     which is never read. The table is ``_SD_OK``, read at each call, and
     counter 1 counts a success.
     """
-    return Program((1 << 52, 1 << 52), (2, 1), (0, 1), 3, _SD_OK, 2)
+    return Program((_BIT_THRESHOLD,) * 2, (2, 1), (0, 1), 3, _SD_OK, 2)
 
 
 def trial_successes(n_trials: int, seed: int) -> int:

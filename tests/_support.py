@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from entmac._kernels import pure
 from entmac.hyperdense import PartyBits, SharedOutcome, run_slot
-from entmac.rng import _GOLDEN, RandomSource
+from entmac.rng import _GOLDEN, _MIX1, _MIX2, RandomSource
 
 
 class ScriptedRng:
@@ -36,6 +36,26 @@ class ScriptedRng:
 
 #: GOLDEN's inverse mod 2**64: GOLDEN is odd, so a counter maps back to its word number
 GOLDEN_INVERSE = pow(_GOLDEN, -1, 1 << 64)
+
+
+def _unshift(y: int, k: int) -> int:
+    """The z with z ^ z >> k == y, for k >= 1: each pass fixes k more of its top bits."""
+    z = y
+    for _ in range(64 // k):
+        z = y ^ z >> k
+    return z
+
+
+def seed_for_word(w: int) -> int:
+    """The seed whose stream's word 0 is w.
+
+    Word 0 of the stream seeded s is mix64(s + GOLDEN), and mix64 inverts step by
+    step: each xor-shift by undoing it from the top, and each odd multiply by its
+    inverse mod 2**64.
+    """
+    z = _unshift(w, 31) * pow(_MIX2, -1, 1 << 64) % (1 << 64)
+    z = _unshift(z, 27) * pow(_MIX1, -1, 1 << 64) % (1 << 64)
+    return (_unshift(z, 30) - _GOLDEN) % (1 << 64)
 
 
 def lane_words(counters, low64, seed) -> list[int]:

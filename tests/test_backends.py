@@ -11,6 +11,7 @@ its path, it replaces a kernel that cannot load.
 
 import hashlib
 import importlib.util
+import math
 import os
 import shutil
 import signal
@@ -29,14 +30,14 @@ from entmac._records import MAX_INDEX, Program
 from entmac.aloha import AlohaParams, simulate as aloha_simulate
 from entmac.campaign import compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
-from entmac.rng import _GOLDEN, RandomSource
+from entmac.rng import _BIT_THRESHOLD, _GOLDEN, RandomSource
 
-from _support import WEIGHTS, WIDTH_PROGRAMS, layouts
+from _support import WEIGHTS, WIDTH_PROGRAMS, layouts, seed_for_word
 
 CHUNK = _kernels.CHUNK_SLOTS
 
 #: c's threshold in the hyperdense program of each built-in source
-C_THRESHOLD = {"qubit": hyperdense._QUBIT_C_THRESHOLD, "coin": 1 << 52}
+C_THRESHOLD = {"qubit": hyperdense._QUBIT_C_THRESHOLD, "coin": _BIT_THRESHOLD}
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +124,46 @@ def test_compiled_histogram_matches_the_pure_evaluator(compiled, program, seed):
     for n_slots in (0, 1, group - 1, group, group + 1, CHUNK):
         assert (compiled.histogram(n_slots, seed, *program)
                 == pure._histogram(n_slots, seed, *program)), n_slots
+
+
+#: every distinct threshold of the protocols' programs at the paper's and some awkward (m, p)
+PROGRAM_THRESHOLDS = sorted({t for program in (
+    *(aloha._program(m, p) for m, p in ((2, 1 / 2), (8, 1 / 8), (3, 0.3), (3, 1 / 3))),
+    hyperdense._program(QubitPairSource()), hyperdense._program(CoinPairSource()),
+    superdense._program()) for t in program.thresholds})
+
+
+def boundary_words(t):
+    """(word, one-threshold histogram at t of the slot that reads it) at the edges of t.
+
+    A slot counts exactly when its word w has w >> 11 >= t, so (t << 11) - 1 gives
+    [1, 0] and t << 11 gives [0, 1]. For t a multiple of 2**22 the pure evaluator
+    compares the word before mix64's last step, z, and the two words whose z sits
+    either side of that edge, w = z ^ z >> 31, count as w >> 11 >= t says.
+    """
+    words = [((t << 11) - 1, [1, 0]), (t << 11, [0, 1])]
+    if t % (1 << 22) == 0:
+        words += [(w, [1, 0] if w >> 11 < t else [0, 1])
+                  for w in (z ^ z >> 31 for z in ((t << 11) - 1, t << 11))]
+    return words
+
+
+def test_program_thresholds_cover_the_boundary_cases():
+    assert {2**50, 2**52 - 1, _BIT_THRESHOLD, math.ceil(0.3 * 2**53),
+            math.ceil(2**53 / 3)} == set(PROGRAM_THRESHOLDS)
+    # next_bit flips where a read at _BIT_THRESHOLD does, at the word 2**63
+    for w, bit in (((_BIT_THRESHOLD << 11) - 1, 0), (_BIT_THRESHOLD << 11, 1)):
+        assert RandomSource(seed_for_word(w)).next_bit() == bit
+
+
+@pytest.mark.parametrize("evaluator", ["pure", "compiled"])
+@pytest.mark.parametrize("t", PROGRAM_THRESHOLDS)
+def test_words_at_a_threshold_count_on_each_side(compiled, evaluator, t):
+    histogram = pure._histogram if evaluator == "pure" else compiled.histogram
+    for w, counts in boundary_words(t):
+        seed = seed_for_word(w)
+        assert RandomSource(seed).next_u64() == w
+        assert histogram(1, seed, (t,), (1,), (0,), 1) == counts, hex(w)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])

@@ -145,6 +145,15 @@ def test_campaign_output_is_byte_identical(protocol, fmt):
     assert first == second
 
 
+@pytest.mark.parametrize("p", [1, 0])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_equal_configs_render_equal_bytes(p, fmt):
+    # an int p equals its float, so the two configs are equal and must print the same bytes
+    ints, floats = (CampaignConfig("aloha", 1000, 42, m=2, p=q) for q in (p, float(p)))
+    assert ints == floats
+    assert run_campaign(ints).render(fmt) == run_campaign(floats).render(fmt)
+
+
 def test_worker_count_does_not_change_output():
     cfg = CampaignConfig(protocol="hyperdense", n_slots=150_000, seed=9)
     lone = run_campaign(cfg).render("json")

@@ -1,23 +1,31 @@
-"""What importing entmac and a CLI run load: only the modules they use.
+"""What importing entmac and a CLI run load: only the modules they use, and
+never ``typing``, so every annotation in the package must resolve without it.
 
-Each check runs in a fresh interpreter without ``site``, since the test
+Each import check runs in a fresh interpreter without ``site``, since the test
 process has long since imported the modules under test.
 """
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
+
+import entmac
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: prints, as a dict literal, which of WATCHED are loaded after each step
 CHILD = """
 import contextlib, io, sys
-WATCHED = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "json", "csv")
+WATCHED = ("dataclasses", "inspect", "typing", "concurrent.futures", "multiprocessing", "json",
+           "csv")
 def loaded():
     return [name for name in WATCHED if name in sys.modules]
 import entmac.cli
@@ -48,6 +56,36 @@ def imports_of(argv):
 def test_importing_a_module_loads_only_its_own_imports(module, loaded):
     listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'entmac'))"
     assert run_fresh(f"import sys, {module}\n{listing}") == loaded
+
+
+def annotated_objects(module):
+    """The functions and classes ``module`` defines, and the functions its classes define.
+
+    A function counts wrapped too, as ``functools.lru_cache`` wraps one.
+    """
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(inspect.unwrap(obj)) or inspect.isclass(obj):
+            yield obj
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    yield member
+
+
+#: every entmac module but the build script and ``python -m entmac``, which runs the CLI
+MODULES = ["entmac"] + [info.name for info in pkgutil.walk_packages(entmac.__path__, "entmac.")
+                        if info.name not in ("entmac._kernels.build", "entmac.__main__")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_annotation_resolves(name):
+    # the package imports no typing, so an annotation is a string nothing evaluates until here
+    module = importlib.import_module(name)
+    for obj in annotated_objects(module):
+        typing.get_type_hints(obj)
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_thread_pool():

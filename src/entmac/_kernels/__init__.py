@@ -10,7 +10,7 @@ built from ``_fast.c`` by ``python src/entmac/_kernels/build.py`` (see
 the same words one at a time. Neither knows a protocol. The compiled
 backend runs exactly when ``_fast`` imported. ``map_chunks`` runs a run's
 chunks, on either backend, in this process and in up to ``workers - 1``
-children it forks.
+children it forks; ``workers="auto"`` works that count out from the backend.
 """
 
 from __future__ import annotations
@@ -52,19 +52,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_chunks(fn, n_slots: int, rng, workers: int) -> list:
+def map_chunks(fn, n_slots: int, rng, workers: int | str) -> list:
     """[fn(slot_count, seed) for each chunk of an n_slots run], in plan order.
 
     The chunk seeds derive from one draw off ``rng``. ``_run_shares`` runs
     every run's chunks, on either backend, in up to ``workers`` processes:
     this one and children it forks, no more than there are chunks or usable
     CPUs, and this one alone where ``os.fork`` is missing or another thread
-    is running, since forking a process with threads is unsafe. Each result
-    must be a value ``marshal`` writes (ints and tuples of ints are), and an
-    exception ``fn`` raises in a child's share is raised here as ``fn``
-    raises it. ``n_slots`` and ``workers`` must each be an int >= 1 (not a
-    bool); both checks come before the draw.
+    is running, since forking a process with threads is unsafe. ``"auto"``
+    asks for one process per usable CPU on the pure backend and one on the
+    compiled backend, whose 65536-slot chunk takes less time than a fork.
+    Each result must be a value ``marshal`` writes (ints and tuples of ints
+    are), and an exception ``fn`` raises in a child's share is raised here
+    as ``fn`` raises it. ``n_slots`` must be an int >= 1 (not a bool), and
+    ``workers`` one too or ``"auto"``; both checks come before the draw.
     """
+    if workers == "auto":
+        workers = _usable_cpus() if _fast is None else 1
     for name, value in (("n_slots", n_slots), ("workers", workers)):
         if not is_int(value, 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -79,10 +83,11 @@ def _run_shares(fn, counts, seeds, size: int) -> list:
     """Chunks k, k + size, .. in forked child k for 0 < k < size, and share 0 here.
 
     Size 1 forks nothing, opens no pipe and runs every chunk here in plan
-    order. A child that fails has its share re-run here, so its exception
-    reaches the caller as ``fn`` raises it. No child outlives this call, and
-    no pipe end: a child still running when this process's own share or a
-    later ``os.fork`` raises is killed and reaped.
+    order. Where ``os.fork`` raises, as at a process or memory limit, that
+    share and every later one run here too. A child that fails has its
+    share re-run here, so its exception reaches the caller as ``fn`` raises
+    it. No child outlives this call, and no pipe end: a child still running
+    when this process's own shares raise is killed and reaped.
     """
     children = []  # [pid, read end of its pipe] per child; pid is None unforked or reaped
     try:
@@ -93,11 +98,15 @@ def _run_shares(fn, counts, seeds, size: int) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _run_child(fn, counts[k::size], seeds[k::size], write_end)
+            except OSError:
+                os.close(children.pop()[1])
+                break
             finally:
                 os.close(write_end)  # in this process only: a child leaves by os._exit
             children[-1][0] = pid
         results = [None] * len(counts)
-        results[::size] = map(fn, counts[::size], seeds[::size])
+        for k in (0, *range(len(children) + 1, size)):  # the shares no child runs
+            results[k::size] = map(fn, counts[k::size], seeds[k::size])
         for k, child in enumerate(children, 1):
             with open(child[1], "rb", closefd=False) as pipe:  # read until the child closes it
                 data = pipe.read()

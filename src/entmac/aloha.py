@@ -125,7 +125,8 @@ def _program(m: int, p: float) -> Program:
     return Program((_transmit_threshold(p),) * m, (1,) * m, range(m), m, table, 2)
 
 
-def simulate(params: AlohaParams, n_slots: int, rng: RandomSource, workers: int = 1) -> RunStats:
+def simulate(params: AlohaParams, n_slots: int, rng: RandomSource,
+             workers: int | str = 1) -> RunStats:
     """Seeded Monte Carlo estimate of the per-slot success indicator.
 
     The run is split into fixed-size chunks with seeds derived from one draw

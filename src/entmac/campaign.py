@@ -38,20 +38,22 @@ class ConfigError(ValueError):
 
 
 class CampaignConfig(checked_record("CampaignConfig", "protocol n_slots seed m p c_source workers",
-                                    defaults=(1_000_000, 42, 2, None, "qubit", 1))):
+                                    defaults=(1_000_000, 42, 2, None, "qubit", "auto"))):
     """One campaign; ``m`` and ``p`` (None: 1/M) are Aloha's, ``c_source`` hyperdense's.
 
     Building one, by ``_make`` and ``_replace`` too, raises a ConfigError naming the
     first bad field, ``workers`` first; a protocol's config must leave the fields its
-    protocol never reads at their defaults. ``workers`` never changes the output.
+    protocol never reads at their defaults. ``workers`` is an int >= 1 or ``"auto"``
+    (see ``_kernels.map_chunks``), and never changes the output.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
-        if not is_int(cfg.workers, 1):
-            raise ConfigError("workers", f"must be an integer >= 1, got {cfg.workers!r}")
+        if cfg.workers != "auto" and not is_int(cfg.workers, 1):
+            raise ConfigError("workers",
+                              f"must be an integer >= 1 or 'auto', got {cfg.workers!r}")
         if not isinstance(cfg.protocol, str) or cfg.protocol not in PROTOCOLS:
             raise ConfigError("protocol",
                               f"must be one of {tuple(PROTOCOLS)}, got {cfg.protocol!r}")
@@ -182,7 +184,7 @@ class ComparisonReport(checked_record("ComparisonReport", "n_slots seed analytic
         return _render(self.to_json_dict(), output_format, _compare_text)
 
 
-def compare(n_slots: int, seed: int, workers: int = 1) -> ComparisonReport:
+def compare(n_slots: int, seed: int, workers: int | str = 1) -> ComparisonReport:
     """Hyperdense (qubit pairs) vs superdense vs slotted-Aloha (M=2, p=1/2).
 
     The hyperdense and Aloha rows are the standalone campaigns with the same

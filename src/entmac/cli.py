@@ -24,6 +24,11 @@ from .campaign import (
 _DEFAULTS = CampaignConfig._field_defaults
 
 
+def auto_or_int(text: str) -> int | str:
+    """A --workers value: "auto" as given, else an int, which CampaignConfig checks."""
+    return text if text == "auto" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entmac",
@@ -45,8 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], metavar="S",
                        help="master seed (default %(default)s)")
         add_format(p)
-        p.add_argument("--workers", type=int, default=_DEFAULTS["workers"], metavar="W",
-                       help="worker processes; never changes the reported numbers")
+        p.add_argument("--workers", type=auto_or_int, default=_DEFAULTS["workers"],
+                       metavar="W",
+                       help="processes, at most one per 65536-slot chunk and usable CPU; "
+                            "never changes the reported numbers (default auto: one per "
+                            "usable CPU on the pure backend, one on the compiled backend, "
+                            "where a chunk takes less time than a fork)")
         for opt in protocol.options:
             p.add_argument(opt.flag, dest=opt.field, default=_DEFAULTS[opt.field], **opt.kwargs)
 

@@ -369,7 +369,7 @@ def simulate(
     n_slots: int,
     rng: RandomSource,
     source: QubitPairSource | CoinPairSource | None = None,
-    workers: int = 1,
+    workers: int | str = 1,
 ) -> HyperdenseStats:
     """Seeded Monte Carlo over protocol slots with uniform source bits.
 

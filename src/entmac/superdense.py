@@ -102,7 +102,7 @@ def trial_successes(n_trials: int, seed: int) -> int:
     return _tally(_histogram, n_trials, seed, _program())[1]
 
 
-def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:
+def count_successes(n_trials: int, rng: RandomSource, workers: int | str = 1) -> int:
     """Total roundtrip successes over n_trials uniformly random dibits.
 
     The chunks run in up to ``workers`` processes on either backend (see
@@ -113,7 +113,7 @@ def count_successes(n_trials: int, rng: RandomSource, workers: int = 1) -> int:
     return sum(_kernels.map_chunks(_kernels.superdense_tally, n_trials, rng, workers))
 
 
-def simulate(n_trials: int, rng: RandomSource, workers: int = 1) -> RunStats:
+def simulate(n_trials: int, rng: RandomSource, workers: int | str = 1) -> RunStats:
     """Roundtrip a uniformly random dibit per trial; per-trial success stats.
 
     Every trial draws its dibit and its Bell uniform from the seeded stream

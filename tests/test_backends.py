@@ -24,11 +24,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from entmac import _kernels, aloha, hyperdense, superdense
+from entmac import _kernels, aloha, cli, hyperdense, superdense
 from entmac._kernels import build, pure
 from entmac._records import MAX_INDEX, Program
 from entmac.aloha import AlohaParams, simulate as aloha_simulate
-from entmac.campaign import compare
+from entmac.campaign import PROTOCOLS, compare
 from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_simulate
 from entmac.rng import _BIT_THRESHOLD, _GOLDEN, RandomSource
 
@@ -504,6 +504,19 @@ def test_aloha_runs_on_two_processes(either_backend, forks, monkeypatch):
     assert (aloha_simulate(params, 100, RandomSource(3), workers=2)
             == aloha_simulate(params, 100, RandomSource(3)))
     assert forks == [1, 0]
+
+
+@pytest.mark.parametrize("name", list(PROTOCOLS))
+def test_a_flagless_cli_run_prints_what_one_process_prints(either_backend, forks, capsys, name):
+    # two chunks on two usable CPUs: --workers auto forks one child per chunk run on the pure
+    # backend, and none on the compiled one
+    argv = [name, "--slots", str(CHUNK + 1), "--seed", "8", "--format", "json"]
+    assert cli.main(argv + ["--workers", "1"]) == 0
+    lone = capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == lone
+    runs = len(forks) // 2
+    assert forks == [0] * runs + [int(_kernels._fast is None)] * runs
 
 
 #: forced into a build by ``-include``: a ``_fast`` that aborts the process as it loads

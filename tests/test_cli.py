@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output identity with the API."""
 
+import errno
 import gc
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from entmac import cli
+from entmac import _kernels, cli
 from entmac.campaign import PROTOCOLS, CampaignConfig, enumerate_table, run_campaign
 from entmac.cli import _config_from_args, build_parser, main
 
@@ -94,10 +96,33 @@ def test_bad_slots_exits_2(capsys):
     assert "n_slots" in err
 
 
-def test_bad_workers_exits_2(capsys):
-    code, _, err = run_cli(capsys, ["aloha", "--workers", "0"])
+@pytest.mark.parametrize("workers", ["0", "AUTO", "2.0"])
+def test_bad_workers_exits_2(capsys, workers):
+    # 0 parses and fails the config's check; argparse itself rejects the other two
+    try:
+        code = main(["aloha", "--workers", workers])
+    except SystemExit as stop:
+        code = stop.code
     assert code == 2
-    assert "workers" in err
+    assert "workers" in capsys.readouterr().err
+
+
+def test_workers_defaults_to_auto_and_parses_it():
+    assert build_parser().parse_args(["aloha"]).workers == "auto"
+    assert build_parser().parse_args(["aloha", "--workers", "auto"]).workers == "auto"
+    assert build_parser().parse_args(["aloha", "--workers", "3"]).workers == 3
+
+
+def test_a_run_whose_fork_fails_prints_what_one_process_prints(monkeypatch, capsys):
+    # as at a process limit: the share a child would have run runs in this process
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+    argv = ["aloha", "--users", "8", "--slots", "131072", "--format", "csv"]
+    _, lone, _ = run_cli(capsys, argv + ["--workers", "1"])
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    assert run_cli(capsys, argv + ["--workers", "2"]) == (0, lone, "")
 
 
 def test_unknown_choice_exits_2():

@@ -152,15 +152,16 @@ def test_no_child_outlives_map_chunks(monkeypatch, forks, ending):
     assert_no_child_is_left()
 
 
-def test_a_fork_that_fails_leaves_no_pipe_or_child(monkeypatch, forks):
-    # the second of two forks fails, as under a process limit
+@pytest.mark.parametrize("forked", [0, 1], ids=["first", "second"])
+def test_a_fork_that_fails_leaves_no_pipe_or_child(monkeypatch, forks, forked):
+    # the fork after `forked` children fails, as under a process limit, so this process
+    # runs that share and every later one
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
     fork, pipe, fds = os.fork, os.pipe, []
-    error = BlockingIOError(errno.EAGAIN, "fork refused")
 
-    def fork_once():
-        if forks[-1]:
-            raise error
+    def fork_until_refused():
+        if forks[-1] == forked:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
         return fork()
 
     def recording_pipe():
@@ -168,12 +169,11 @@ def test_a_fork_that_fails_leaves_no_pipe_or_child(monkeypatch, forks):
         fds.extend(ends)
         return ends
 
-    monkeypatch.setattr(os, "fork", fork_once)
+    lone = chunk_echo(3, 1)
+    monkeypatch.setattr(os, "fork", fork_until_refused)
     monkeypatch.setattr(os, "pipe", recording_pipe)
-    with pytest.raises(BlockingIOError) as raised:
-        chunk_echo(3, 3)
-    assert raised.value is error
-    assert forks == [1] and len(fds) == 4
+    assert chunk_echo(3, 3) == lone
+    assert forks == [0, forked] and len(fds) == 2 * (forked + 1)
     for fd in fds:
         with pytest.raises(OSError):
             os.fstat(fd)
@@ -214,6 +214,19 @@ def test_a_one_process_run_opens_no_pipe_and_forks_nothing(monkeypatch, n_chunks
     assert chunk_echo(n_chunks, workers) == [(count, seed) for seed, count in plan]
 
 
+@pytest.mark.parametrize("backend, cpus, n_chunks, forked", [
+    ("pure", 4, 3, 2), ("pure", 4, 10, 3), ("pure", 1, 3, 0), ("compiled", 4, 3, 0),
+], ids=["pure-chunk-bound", "pure-cpu-bound", "pure-one-cpu", "compiled"])
+def test_auto_forks_per_usable_cpu_on_the_pure_backend_alone(monkeypatch, forks, backend,
+                                                             cpus, n_chunks, forked):
+    # a compiled chunk takes less time than a fork, so the compiled backend forks nothing
+    monkeypatch.setattr(_kernels, "_fast", None if backend == "pure" else object())
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_kernels, "CHUNK_SLOTS", 8)
+    assert chunk_echo(n_chunks, "auto") == chunk_echo(n_chunks, 1)
+    assert forks == [forked, 0]
+
+
 def test_map_chunks_rejects_an_empty_run():
     rng = RandomSource(1)
     with pytest.raises(ValueError, match="n_slots must be an integer >= 1, got 0"):
@@ -232,7 +245,7 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("workers", [0, -3, "2", 2.5, True])
+@pytest.mark.parametrize("workers", [0, -3, "2", "AUTO", 2.5, True])
 def test_map_chunks_rejects_a_bad_worker_count(monkeypatch, backend, entry, workers):
     # a stand-in for the compiled module: the check must fire before any kernel runs
     monkeypatch.setattr(_kernels, "_fast", None if backend == "pure" else object())

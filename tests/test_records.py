@@ -121,7 +121,7 @@ def test_equality_and_hashing_go_by_value(cls, kwargs, text):
     (DecodedView(peer_first=1), dict(peer_second=None)),
     (CampaignConfig("aloha"),
      dict(protocol="aloha", n_slots=1_000_000, seed=42, m=2, p=None, c_source="qubit",
-          workers=1)),
+          workers="auto")),
     (CampaignResult("aloha", {}, {}, RunStats(**_RS)), dict(directions=None, channel_counts=None)),
 ], ids=["observation", "idle", "collision", "single", "view", "config", "result"])
 def test_defaults(record, defaults):

@@ -83,16 +83,20 @@ def _run_shares(fn, counts, seeds, size: int) -> list:
     """Chunks k, k + size, .. in forked child k for 0 < k < size, and share 0 here.
 
     Size 1 forks nothing, opens no pipe and runs every chunk here in plan
-    order. Where ``os.fork`` raises, as at a process or memory limit, that
-    share and every later one run here too. A child that fails has its
-    share re-run here, so its exception reaches the caller as ``fn`` raises
-    it. No child outlives this call, and no pipe end: a child still running
-    when this process's own shares raise is killed and reaped.
+    order. Where ``os.pipe`` or ``os.fork`` raises, as at a file-descriptor,
+    process or memory limit, that share and every later one run here too. A
+    child that fails has its share re-run here, so its exception reaches the
+    caller as ``fn`` raises it. No child outlives this call, and no pipe end:
+    a child still running when this process's own shares raise is killed and
+    reaped.
     """
     children = []  # [pid, read end of its pipe] per child; pid is None unforked or reaped
     try:
         for k in range(1, size):
-            read_end, write_end = os.pipe()
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:  # no end of it was opened
+                break
             children.append([None, read_end])
             try:
                 pid = os.fork()

@@ -12,9 +12,9 @@ a chunk's slots, and ``_tally`` folds those counts through the table into
 its public operations, so no kernel calls the statevector engine and
 neither evaluator holds a protocol's table or threshold: ``aloha._program``,
 ``hyperdense._program`` and ``superdense._program``. ``Program`` checks a
-program where it is built, so the fold checks nothing; ``_histogram`` still
-rejects raw arguments as ``_fast.histogram`` does, by the same
-``_records.check_program``.
+program where it is built, so the fold checks only the count and seed of a
+chunk it counts without a histogram; ``_histogram`` still rejects raw
+arguments as ``_fast.histogram`` does, by the same ``_records.check_program``.
 
 No word is drawn one at a time. SplitMix64 is counter-based: word j (from
 0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block
@@ -30,9 +30,11 @@ brought in from the next lane.
 A block does no work its program does not read. mix64's last step,
 w = z ^ z >> 31, changes only bits 0..32 of z. When t is a multiple of
 2**22, w >> 11 >= t and w >> 33 >= t >> 22 both say w >= t << 11, and the
-second reads only bits 33..63 of w, which equal those of z. So when every
-threshold of a program is a multiple of 2**22 (``tail`` is false),
-a block compares z itself and leaves out that step and its mask.
+second reads only bits 33..63 of w, which equal those of z. So a read whose
+threshold is a multiple of 2**22 (its ``tail`` is false) compares z itself
+and leaves out that step and its mask, whatever the program's other reads
+need. And a program whose table names one counter for every index reads no
+word at all: ``_tally`` counts every slot there without a histogram.
 
 A slot's index is summed inside its lane. Read i adds C_i = 2**64 -
 (t_i << 11) to each lane of its int, whose word w is in bits 0..63 with the
@@ -106,7 +108,6 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     thresholds, weights, offsets = check_program(thresholds, weights, offsets, period)
     top = sum(weights)
     width = max(1, -(-top.bit_length() // 8))
-    tail = any(t % (1 << 22) for t in thresholds)
     low64, bit64 = _LOW64, _ONES << 64
     # lane s holds s times a value below 2**64, below 2**73: it stays in its 128 bits
     steps = _RAMP * (period * _GOLDEN & _MASK64) & low64
@@ -115,7 +116,9 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     counters = [((seed + (o + 1) * _GOLDEN & _MASK64) * _ONES + steps) & low64 for o in offsets]
     # reads of one threshold share one carry: a wide Aloha program holds one, not m
     carries = {t: ((1 << 64) - (t << 11)) * _ONES for t in set(thresholds)}
-    reads = tuple(zip(range(len(offsets)), (carries[t] for t in thresholds), weights))
+    # a read runs mix64's last step only when its own threshold is no multiple of 2**22
+    reads = tuple(zip(range(len(offsets)), (carries[t] for t in thresholds), weights,
+                      (t % (1 << 22) != 0 for t in thresholds)))
     group_slots = 8 // width * _SLOTS
     chunk = bytearray() if width == 1 else []
     for group in range(0, n_slots, group_slots):
@@ -123,7 +126,7 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
         indices = 0
         for b in range(len(firsts)):
             index = 0
-            for i, carry, weight in reads:
+            for i, carry, weight, tail in reads:
                 passed = (_mix(counters[i], low64, tail) + carry) & bit64
                 index += passed if weight == 1 else weight * passed
                 counters[i] = counters[i] + advance & low64
@@ -151,10 +154,19 @@ def _tally(histogram, n_slots: int, seed: int, program) -> list[int]:
 
     ``histogram`` runs the ``Program``'s thresholds, weights, offsets and period over
     the chunk: ``_histogram`` here, or ``_fast.histogram``, which takes the
-    same arguments. This fold is the same on both, and it checks nothing:
-    ``Program`` checked the table where it was built.
+    same arguments. This fold is the same on both. When every table entry names
+    one counter, every slot adds to it whatever its words, so the fold counts
+    n_slots there and calls no ``histogram``; it still rejects the count and
+    the seed as ``histogram`` would, with the same exception types.
+    ``Program`` checked the rest of the program, table included, where it was
+    built.
     """
     counts = [0] * program.size
+    if program.table.count(program.table[0]) == len(program.table):
+        check_count(n_slots, "count")
+        check_u64s((seed,), _MASK64, "seed")
+        counts[program.table[0]] = n_slots
+        return counts
     by_index = histogram(n_slots, seed, program.thresholds, program.weights, program.offsets,
                          program.period)
     for entry, count in zip(program.table, by_index):

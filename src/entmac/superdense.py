@@ -95,7 +95,9 @@ def trial_successes(n_trials: int, seed: int) -> int:
     Each trial draws what ``roundtrip`` on a dibit of two top bits draws: the
     two bits, then the Bell measurement's uniform. Its outcome does not
     depend on that uniform, so the trial adds the ``_SD_OK`` entry of its
-    dibit rather than measuring.
+    dibit rather than measuring. While every entry is the same, as it is for a
+    sound engine, the fold reads no word (``pure._tally``): each trial adds
+    that entry.
     """
     from ._kernels.pure import _histogram, _tally
 
@@ -117,10 +119,11 @@ def simulate(n_trials: int, rng: RandomSource, workers: int | str = 1) -> RunSta
     """Roundtrip a uniformly random dibit per trial; per-trial success stats.
 
     Every trial draws its dibit and its Bell uniform from the seeded stream
-    and counts the ``_SD_OK`` entry of its dibit, which the statevector engine
-    builds at import and proves independent of the uniform. The mean is
-    exactly 1.0 unless the engine is broken, which is the point of simulating
-    it.
+    and counts the ``_SD_OK`` entry of its dibit. The engine check is
+    ``_SD_OK``'s proof at import: the statevector engine builds each entry and
+    proves it independent of the uniform, and a broken engine leaves a 0 in
+    it. The stream's dibit words are read only when the table is not
+    constant; with every entry 1 the mean is exactly 1.0 and no word is read.
     """
     successes = count_successes(n_trials, rng, workers=workers)
     return RunStats.from_two_valued(n_trials, successes, lo=0.0, hi=1.0)

@@ -166,6 +166,26 @@ def test_words_at_a_threshold_count_on_each_side(compiled, evaluator, t):
         assert histogram(1, seed, (t,), (1,), (0,), 1) == counts, hex(w)
 
 
+def test_each_read_of_the_qubit_program_counts_the_words_at_its_own_threshold(compiled):
+    # reads 0 and 1 (A1, B1) have thresholds that are multiples of 2**22 and the c read's is
+    # not, so the pure evaluator runs mix64's last step on the c read alone
+    program = hyperdense._program(QubitPairSource())
+    assert [t % (1 << 22) != 0 for t in program.thresholds] == [False, False, True]
+    for t, o in zip(program.thresholds, program.offsets):
+        for w in ((t << 11) - 1, t << 11):
+            # word o of the stream seeded s is word 0 of the one seeded s + o * GOLDEN
+            seed = (seed_for_word(w) - o * _GOLDEN) % 2**64
+            rng = RandomSource(seed)
+            words = [rng.next_u64() for _ in range(program.period)]
+            assert words[o] == w
+            index = sum(weight for t_i, weight, o_i in
+                        zip(program.thresholds, program.weights, program.offsets)
+                        if words[o_i] >> 11 >= t_i)
+            counts = [int(i == index) for i in range(sum(program.weights) + 1)]
+            for histogram in (pure._histogram, compiled.histogram):
+                assert histogram(1, seed, *program[:4]) == counts, (o, hex(w))
+
+
 @pytest.mark.parametrize("seed", [7, 8, 9])
 @pytest.mark.parametrize("m,p", [(1, 1.0), (2, 0.5), (3, 1 / 3), (5, 0.0), (4, 0.999),
                                  (8, 0.125)])
@@ -265,6 +285,8 @@ BAD_CALLS = {
     "aloha-threshold-negative": ("aloha_tally", (2, -0.5, 10, 1), OverflowError),
     "hyperdense-negative-n": ("hyperdense_tally", (-1, 1, CoinPairSource()), ValueError),
     "superdense-negative-n": ("superdense_tally", (-1, 1), ValueError),
+    # superdense's table is constant, so its fold checks the seed without a histogram
+    "superdense-seed-above-64-bits": ("superdense_tally", (10, 2**64), OverflowError),
 }
 
 
@@ -322,6 +344,38 @@ def test_both_evaluators_reject_a_bad_program_alike(compiled, evaluator, case):
     with pytest.raises(error) as err:
         histogram(*args)
     assert type(err.value) is error
+
+
+#: a program whose table names counter 2 for every index, as superdense's names counter 1
+CONSTANT = Program((_BIT_THRESHOLD,) * 2, (2, 1), (0, 1), 3, (2,) * 4, 3)
+
+
+def no_histogram(*args):
+    raise AssertionError("a constant table is folded without a histogram")
+
+
+@pytest.mark.parametrize("n_slots", [0, 1, CHUNK])
+def test_a_constant_table_is_folded_without_a_histogram(n_slots):
+    assert pure._tally(no_histogram, n_slots, 5, CONSTANT) == [0, 0, n_slots]
+
+
+#: a chunk's count and seed that the compiled kernel rejects, and the exception type
+BAD_CHUNKS = {
+    "count-negative": ((-1, 1), ValueError),
+    "count-above-ssize_t": ((sys.maxsize + 1, 1), OverflowError),
+    "count-not-an-int": ((10.0, 1), TypeError),
+    "seed-above-64-bits": ((10, 2**64), OverflowError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHUNKS))
+def test_the_fold_of_a_constant_table_rejects_a_bad_chunk_as_the_kernel_does(compiled, case):
+    args, error = BAD_CHUNKS[case]
+    for reject in (lambda: compiled.histogram(*args, *CONSTANT[:4]),
+                   lambda: pure._tally(no_histogram, *args, CONSTANT)):
+        with pytest.raises(error) as err:
+            reject()
+        assert type(err.value) is error
 
 
 #: values that neither evaluator takes for an int

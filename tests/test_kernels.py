@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entmac import _kernels, aloha, hyperdense, qubit, superdense
+from entmac import _kernels, aloha, cli, hyperdense, qubit, superdense
 from entmac._kernels import pure
 from entmac._records import Program
 from entmac.qubit import BETA_00, BellIndex, QubitId, TwoQubitState, measure_bell, measure_qubit
@@ -178,6 +178,46 @@ def test_a_fork_that_fails_leaves_no_pipe_or_child(monkeypatch, forks, forked):
         with pytest.raises(OSError):
             os.fstat(fd)
     assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("opened", [0, 1], ids=["first", "second"])
+def test_a_pipe_that_fails_leaves_no_pipe_or_child(monkeypatch, forks, opened):
+    # the pipe after `opened` pipes fails, as at a file-descriptor limit, so this process
+    # runs that share and every later one
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
+    pipe, fds = os.pipe, []
+
+    def pipe_until_refused():
+        if len(fds) == 2 * opened:
+            raise OSError(errno.EMFILE, "too many open files")
+        ends = pipe()
+        fds.extend(ends)
+        return ends
+
+    lone = chunk_echo(3, 1)
+    monkeypatch.setattr(os, "pipe", pipe_until_refused)
+    assert chunk_echo(3, 3) == lone
+    assert forks == [0, opened] and len(fds) == 2 * opened
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert_no_child_is_left()
+
+
+def test_a_cli_run_whose_pipe_fails_prints_what_one_process_prints(monkeypatch, forks,
+                                                                  capsys):
+    argv = ["aloha", "--slots", "70000", "--workers"]
+    assert cli.main(argv + ["1"]) == 0
+    lone = capsys.readouterr()
+
+    def refused():
+        raise OSError(errno.EMFILE, "too many open files")
+
+    monkeypatch.setattr(os, "pipe", refused)
+    assert cli.main(argv + ["2"]) == 0
+    assert capsys.readouterr() == lone
+    assert lone.err == ""
+    assert forks == [0, 0]
 
 
 def test_no_fork_while_another_thread_runs(forks):

@@ -40,9 +40,11 @@ RUNS = [
 def run_streams(monkeypatch, capsys, argv):
     """(seed, words) of each stream the CLI run ``argv`` draws from, parents first.
 
-    The chunks run in this process on the pure evaluator, whose histogram is
+    The chunks run in this process on the pure backend, whose fold is
     replaced by one that records the chunk's stream and counts every slot at
-    index 0: a stream depends on the seeds and slot counts alone.
+    index 0: a stream depends on the seeds and slot counts alone. The
+    recorder sits at the fold, not at the histogram, because a program whose
+    table names one counter is folded without a histogram.
     """
     parents, chunks = [], []
     init = RandomSource.__init__
@@ -51,12 +53,14 @@ def run_streams(monkeypatch, capsys, argv):
         init(self, seed)
         parents.append((self, seed & _MASK64))
 
-    def recording_histogram(n_slots, seed, thresholds, weights, offsets, period):
-        chunks.append((seed, n_slots * period))
-        return [n_slots] + [0] * sum(weights)
+    def recording_tally(histogram, n_slots, seed, program):
+        chunks.append((seed, n_slots * program.period))
+        counts = [0] * program.size
+        counts[program.table[0]] = n_slots
+        return counts
 
     monkeypatch.setattr(RandomSource, "__init__", recording_init)
-    monkeypatch.setattr(pure, "_histogram", recording_histogram)
+    monkeypatch.setattr(pure, "_tally", recording_tally)
     monkeypatch.setattr(_kernels, "_fast", None)
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
     assert cli.main(argv.split()) == 0

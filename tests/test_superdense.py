@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from entmac import superdense
+from entmac import _kernels, cli, superdense
+from entmac._kernels import pure
 from entmac.qubit import BellIndex, bell_state
 from entmac.rng import RandomSource
 from entmac.superdense import (
@@ -116,6 +117,27 @@ def test_trial_successes_reads_each_trials_dibit(monkeypatch, k):
         hits += 2 * d.a1 + d.a2 == k
     assert superdense.trial_successes(400, 77) == hits
     assert 0 < hits < 400
+
+
+@pytest.mark.parametrize("table, histograms", [((1, 1, 1, 1), 0), ((0, 1, 0, 0), 16)],
+                         ids=["sound", "one-hot"])
+def test_a_run_reads_the_dibit_words_only_when_the_table_is_not_constant(
+        monkeypatch, capsys, table, histograms):
+    # a sound engine's table counts every trial a success whatever its words; a broken one
+    # makes each of the 16 chunks of the run read its dibit words
+    calls, histogram = [], pure._histogram
+
+    def counting_histogram(*args):
+        calls.append(args)
+        return histogram(*args)
+
+    monkeypatch.setattr(_kernels, "_fast", None)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(pure, "_histogram", counting_histogram)
+    monkeypatch.setattr(superdense, "_SD_OK", table)
+    assert cli.main(["superdense", "--slots", "1000000"]) == 0
+    capsys.readouterr()
+    assert len(calls) == histograms
 
 
 def test_every_encoded_dibit_decodes_in_the_table():

@@ -11,6 +11,9 @@ the same words one at a time. Neither knows a protocol. The compiled
 backend runs exactly when ``_fast`` imported. ``map_chunks`` runs a run's
 chunks, on either backend, in this process and in up to ``workers - 1``
 children it forks; ``workers="auto"`` works that count out from the backend.
+Each tally dispatcher imports its own protocol module as it is called, so a
+run loads only the protocols it runs; ROADMAP item 7 deletes the three
+dispatchers, and those imports with them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import marshal
 import os
 import sys
 
-from .. import aloha, hyperdense, superdense
 from .._records import is_int
 from ..rng import derive_seed
 from . import pure
@@ -150,6 +152,8 @@ def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Count of successful slots over one contiguous chunk."""
     if _fast is None:
         return pure.aloha_tally(m, p, n_slots, seed)
+    from .. import aloha
+
     return pure._tally(_fast.histogram, n_slots, seed, aloha._program(m, p))[1]
 
 
@@ -161,12 +165,16 @@ def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, in
     """
     if _fast is None:
         return pure.hyperdense_tally(n_slots, seed, source)
+    from .. import hyperdense
+
     program = hyperdense._program(source)  # raises for any other source, before the kernel runs
     return tuple(pure._tally(_fast.histogram, n_slots, seed, program))
 
 
 def superdense_tally(n_trials: int, seed: int) -> int:
     """Roundtrip successes over one chunk of superdense trials."""
+    from .. import superdense
+
     if _fast is None:
         return superdense.trial_successes(n_trials, seed)
     return pure._tally(_fast.histogram, n_trials, seed, superdense._program())[1]

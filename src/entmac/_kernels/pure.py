@@ -11,10 +11,12 @@ a chunk's slots, and ``_tally`` folds those counts through the table into
 ``size`` counters. Each protocol module states its own program, built from
 its public operations, so no kernel calls the statevector engine and
 neither evaluator holds a protocol's table or threshold: ``aloha._program``,
-``hyperdense._program`` and ``superdense._program``. ``Program`` checks a
-program where it is built, so the fold checks only the count and seed of a
-chunk it counts without a histogram; ``_histogram`` still rejects raw
-arguments as ``_fast.histogram`` does, by the same ``_records.check_program``.
+``hyperdense._program`` and ``superdense._program``; this module imports
+none of them, and each tally wrapper imports its own as it is called.
+``Program`` checks a program where it is built, so the fold checks only the
+count and seed of a chunk it counts without a histogram; ``_histogram``
+still rejects raw arguments as ``_fast.histogram`` does, by the same
+``_records.check_program``.
 
 No word is drawn one at a time. SplitMix64 is counter-based: word j (from
 0) of the stream seeded s is ``mix64(s + (j + 1) * GOLDEN)``. So a block
@@ -41,9 +43,13 @@ A slot's index is summed inside its lane. Read i adds C_i = 2**64 -
 rest of the lane clear; t_i << 11 is at most 2**64. The sum is below
 2**65, and its bit 64 is set exactly when w >= t_i << 11, so masking
 every lane to bit 64 leaves read i's bit there. The block adds that
-w_i times (a weight of 1 needs no multiply), which leaves each slot's
-index in bits 64 and up of its lane, below 2**(64 + 8 width): ``width`` is
-the bytes the largest index, sum(weights), needs. A group of
+w_i times, which leaves each slot's index in bits 64 and up of its lane,
+below 2**(64 + 8 width): ``width`` is the bytes the largest index,
+sum(weights), needs. A read of weight 1 folds into the index with one
+add: the index so far holds only bits 64 and up of each lane and the
+word only bits 0..63, so index | w is their sum; adding C_i to it carries
+into bit 64 exactly when the read passes, and masking every lane to its
+bits 64..127 clears the word for the next read. A group of
 8 // width blocks shifts block b's indices up 8 width b bits and ORs
 them into one int, so they stay in their lanes, and one ``to_bytes``
 turns the group into bytes: block b's index of slot s is bytes
@@ -67,7 +73,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .. import aloha, hyperdense
 from .._records import check_count, check_program, check_u64s
 from ..rng import _GOLDEN, _MASK64, _MIX1, _MIX2
 
@@ -108,7 +113,7 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
     thresholds, weights, offsets = check_program(thresholds, weights, offsets, period)
     top = sum(weights)
     width = max(1, -(-top.bit_length() // 8))
-    low64, bit64 = _LOW64, _ONES << 64
+    low64, high, bit64 = _LOW64, _LOW64 << 64, _ONES << 64
     # lane s holds s times a value below 2**64, below 2**73: it stays in its 128 bits
     steps = _RAMP * (period * _GOLDEN & _MASK64) & low64
     advance = (_SLOTS * period * _GOLDEN & _MASK64) * _ONES
@@ -127,8 +132,11 @@ def _histogram(n_slots: int, seed: int, thresholds: tuple[int, ...],
         for b in range(len(firsts)):
             index = 0
             for i, carry, weight, tail in reads:
-                passed = (_mix(counters[i], low64, tail) + carry) & bit64
-                index += passed if weight == 1 else weight * passed
+                word = _mix(counters[i], low64, tail)
+                if weight == 1:
+                    index = ((index | word) + carry) & high
+                else:
+                    index += weight * ((word + carry) & bit64)
                 counters[i] = counters[i] + advance & low64
             indices |= index << 8 * width * b
         raw = indices.to_bytes(16 * _SLOTS, "little")
@@ -176,9 +184,13 @@ def _tally(histogram, n_slots: int, seed: int, program) -> list[int]:
 
 def aloha_tally(m: int, p: float, n_slots: int, seed: int) -> int:
     """Successful-slot count for one contiguous chunk of an Aloha run."""
+    from .. import aloha
+
     return _tally(_histogram, n_slots, seed, aloha._program(m, p))[1]
 
 
 def hyperdense_tally(n_slots: int, seed: int, source) -> tuple[int, int, int, int]:
     """(collision, idle, single_alice, single_bob) counts for one chunk."""
+    from .. import hyperdense
+
     return tuple(_tally(_histogram, n_slots, seed, hyperdense._program(source)))

@@ -9,16 +9,17 @@ changing one protocol's sample count cannot shift another protocol's stream.
 
 The configs, results and reports are immutable named tuples. ``_render``
 imports ``json`` or ``csv`` only when asked for that format, so a text run
-loads neither.
+loads neither. Each runner, ``compare`` and ``scenario_rows`` import the
+protocol modules they use as they run, so importing this module, and the
+CLI's parser built from ``PROTOCOLS``, load no protocol: ``entmac aloha``
+loads neither ``hyperdense`` nor the qubit engine, and ``table`` loads
+``hyperdense`` alone.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import aloha as aloha_mod
-from . import hyperdense as hd
-from . import superdense as sd
 from ._records import checked_record, is_int, is_probability
 from .rng import RandomSource, derive_seed
 from .stats import RunStats
@@ -113,22 +114,26 @@ def run_campaign(cfg: CampaignConfig):
 
 
 def _run_aloha(cfg: CampaignConfig) -> CampaignResult:
-    params = aloha_mod.AlohaParams(cfg.m, cfg.resolved_p())
+    from . import aloha
+
+    params = aloha.AlohaParams(cfg.m, cfg.resolved_p())
     stream = RandomSource(derive_seed(cfg.seed, "aloha"))
     return CampaignResult(
         protocol="aloha",
         config={"n_slots": cfg.n_slots, "seed": cfg.seed, "m": cfg.m, "p": params.p},
-        empirical=aloha_mod.simulate(params, cfg.n_slots, stream, workers=cfg.workers),
+        empirical=aloha.simulate(params, cfg.n_slots, stream, workers=cfg.workers),
         analytic={
-            "success_probability": aloha_mod.success_probability(params),
-            "total_throughput": aloha_mod.total_throughput(params),
-            "optimal_p": aloha_mod.optimal_p(cfg.m),
-            "max_throughput": aloha_mod.max_throughput(cfg.m),
+            "success_probability": aloha.success_probability(params),
+            "total_throughput": aloha.total_throughput(params),
+            "optimal_p": aloha.optimal_p(cfg.m),
+            "max_throughput": aloha.max_throughput(cfg.m),
         },
     )
 
 
 def _run_superdense(cfg: CampaignConfig) -> CampaignResult:
+    from . import superdense as sd
+
     stream = RandomSource(derive_seed(cfg.seed, "superdense"))
     return CampaignResult(
         protocol="superdense",
@@ -139,6 +144,8 @@ def _run_superdense(cfg: CampaignConfig) -> CampaignResult:
 
 
 def _run_hyperdense(cfg: CampaignConfig) -> CampaignResult:
+    from . import hyperdense as hd
+
     source = hd.QubitPairSource() if cfg.c_source == "qubit" else hd.CoinPairSource()
     stream = RandomSource(derive_seed(cfg.seed, "hyperdense"))
     result = hd.simulate(cfg.n_slots, stream, source=source, workers=cfg.workers)
@@ -192,6 +199,9 @@ def compare(n_slots: int, seed: int, workers: int | str = 1) -> ComparisonReport
     individual runs by construction. Superdense is reported in delivered
     bits, 0 or 2 per slot, from its own labeled stream.
     """
+    from . import hyperdense as hd
+    from . import superdense as sd
+
     hyper = run_campaign(CampaignConfig("hyperdense", n_slots, seed, c_source="qubit",
                                         workers=workers))
     sd_stream = RandomSource(derive_seed(seed, "superdense"))
@@ -247,6 +257,8 @@ PROTOCOLS = {
 
 def scenario_rows() -> list[dict]:
     """The eight-scenario table as serializable row dicts."""
+    from . import hyperdense as hd
+
     rows = []
     for s in hd.enumerate_scenarios():
         delivered = sorted(list(s.delivered_to_bob) + list(s.delivered_to_alice))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from enum import Enum
 
 from ._records import Program, checked_record, is_int
-from .qubit import BETA_00, QubitId, measure_probabilities, measure_qubit
 from .rng import _BIT_THRESHOLD, _TWO_NEG53, _U_ENDS, RandomSource, _float_threshold, _Uniforms
 from .stats import RunStats
 
@@ -246,12 +245,15 @@ class QubitPairSource:
 
     The halves are measured by two separate single-qubit measurements, in
     keeping with the protocol's distributed operation; their agreement is
-    checked every draw.
+    checked every draw. The qubit engine is imported by the first draw, so a
+    coin run never loads it.
     """
 
     def draw(self, rng: RandomSource) -> int:
-        c_a, collapsed = measure_qubit(BETA_00, QubitId.A, rng)
-        c_b, _ = measure_qubit(collapsed, QubitId.B, rng)
+        from . import qubit
+
+        c_a, collapsed = qubit.measure_qubit(qubit.BETA_00, qubit.QubitId.A, rng)
+        c_b, _ = qubit.measure_qubit(collapsed, qubit.QubitId.B, rng)
         if c_a != c_b:
             raise PairCorrelationError(f"half-pair measurements disagree: {c_a} vs {c_b}")
         return c_a
@@ -310,6 +312,8 @@ def _qubit_c_threshold() -> int:
     next_float either side of t, at both ends of the second; then it never
     raises and leaves its second word unread, for every uniform.
     """
+    from .qubit import BETA_00, QubitId, measure_probabilities
+
     t = _float_threshold(measure_probabilities(BETA_00, QubitId.A)[0])
     for c, u in enumerate(((t - 1) * _TWO_NEG53, t * _TWO_NEG53)):
         for v in _U_ENDS:
@@ -321,16 +325,16 @@ def _qubit_c_threshold() -> int:
     return t
 
 
-_QUBIT_C_THRESHOLD = _qubit_c_threshold()
+def _slot_program(c_threshold: int, period: int) -> Program:
+    """The program of a slot of ``period`` words whose c passes at ``c_threshold``."""
+    return Program((_BIT_THRESHOLD, _BIT_THRESHOLD, c_threshold), (4, 2, 1), (0, 2, 4), period,
+                   _OUTCOME, 4)
+
 
 #: the word program of one slot, by exact pair-source type: a coin's c is its word's top bit,
-#: and a qubit pair's B measurement draws one more word, which gives c again
-_PROGRAMS = {
-    source: Program((_BIT_THRESHOLD, _BIT_THRESHOLD, c_threshold), (4, 2, 1), (0, 2, 4), period,
-                    _OUTCOME, 4)
-    for source, c_threshold, period in ((QubitPairSource, _QUBIT_C_THRESHOLD, 6),
-                                        (CoinPairSource, _BIT_THRESHOLD, 5))
-}
+#: and a qubit pair's B measurement draws one more word, which gives c again. ``_program``
+#: adds the qubit program on first use, once ``_qubit_c_threshold`` has proved its threshold
+_PROGRAMS = {CoinPairSource: _slot_program(_BIT_THRESHOLD, 5)}
 
 
 def _program(source) -> Program:
@@ -343,16 +347,21 @@ def _program(source) -> Program:
     ``_outcome_table`` proved that A2 and B2 never change a slot's outcome,
     so their words are never read. The index is the three-bit number A1 B1 c
     and the table is ``_OUTCOME``, into the four counters (collision, idle,
-    single_alice, single_bob). Raises TypeError
-    for any source but a ``QubitPairSource`` or a ``CoinPairSource``, a
-    subclass of either included: the kernels read c off a threshold and
-    never call ``draw``.
+    single_alice, single_bob). The first call with a ``QubitPairSource``
+    proves the qubit c threshold with the statevector engine and keeps the
+    program; a proof that raises keeps nothing, so the next call proves it
+    again. Raises TypeError for any source but a ``QubitPairSource`` or a
+    ``CoinPairSource``, a subclass of either included: the kernels read c
+    off a threshold and never call ``draw``.
     """
-    try:
-        return _PROGRAMS[type(source)]
-    except KeyError:
-        raise TypeError(f"source must be a QubitPairSource or a CoinPairSource, "
-                        f"got {type(source).__name__}") from None
+    kind = type(source)
+    program = _PROGRAMS.get(kind)
+    if program is None:
+        if kind is not QubitPairSource:
+            raise TypeError(f"source must be a QubitPairSource or a CoinPairSource, "
+                            f"got {kind.__name__}")
+        program = _PROGRAMS[kind] = _slot_program(_qubit_c_threshold(), 6)
+    return program
 
 
 class HyperdenseStats(checked_record("HyperdenseStats",
@@ -380,13 +389,16 @@ def simulate(
     and either backend.
 
     ``source`` must be exactly a ``QubitPairSource`` or a ``CoinPairSource``;
-    any other, a subclass included, raises TypeError before the one draw.
+    any other, a subclass included, raises TypeError before the one draw, as
+    a qubit c threshold whose proof fails raises RuntimeError (see ``_program``).
     """
     from . import _kernels
 
     if source is None:
         source = QubitPairSource()
-    _program(source)  # raises for any other source, before the draw
+    # raises for any other source, and proves a qubit pair's c threshold, before the draw
+    # and before any fork
+    _program(source)
     tallies = _kernels.map_chunks(
         lambda count, seed: _kernels.hyperdense_tally(count, seed, source), n_slots, rng, workers
     )

@@ -37,7 +37,8 @@ from _support import WEIGHTS, WIDTH_PROGRAMS, layouts, seed_for_word
 CHUNK = _kernels.CHUNK_SLOTS
 
 #: c's threshold in the hyperdense program of each built-in source
-C_THRESHOLD = {"qubit": hyperdense._QUBIT_C_THRESHOLD, "coin": _BIT_THRESHOLD}
+C_THRESHOLD = {"qubit": hyperdense._program(QubitPairSource()).thresholds[2],
+               "coin": _BIT_THRESHOLD}
 
 
 @pytest.fixture(scope="session")
@@ -184,6 +185,34 @@ def test_each_read_of_the_qubit_program_counts_the_words_at_its_own_threshold(co
             counts = [int(i == index) for i in range(sum(program.weights) + 1)]
             for histogram in (pure._histogram, compiled.histogram):
                 assert histogram(1, seed, *program[:4]) == counts, (o, hex(w))
+
+
+#: weight-1 reads between a weighted and a zero-weight one, (thresholds, weights, offsets,
+#: period): the pure evaluator folds a weight-1 read into its slot's index with one add and
+#: multiplies any other; reads 1, 3 and 4 compare z, before mix64's last step
+MIXED_WEIGHTS = ((2**52 + 1, 3 << 50, 2**52 - 12345, 2**52, 5 << 49), (1, 4, 1, 0, 1),
+                 (0, 1, 3, 4, 6), 7)
+
+
+def test_weight_one_reads_next_to_other_weights_count_the_words_at_each_threshold(compiled):
+    thresholds, weights, offsets, period = MIXED_WEIGHTS
+    for t, o in zip(thresholds, offsets):
+        for w in ((t << 11) - 1, t << 11):
+            # word o of the stream seeded s is word 0 of the one seeded s + o * GOLDEN
+            seed = (seed_for_word(w) - o * _GOLDEN) % 2**64
+            rng = RandomSource(seed)
+            words = [rng.next_u64() for _ in range(period)]
+            assert words[o] == w
+            index = sum(weight for t_i, weight, o_i in zip(thresholds, weights, offsets)
+                        if words[o_i] >> 11 >= t_i)
+            counts = [int(i == index) for i in range(sum(weights) + 1)]
+            for histogram in (pure._histogram, compiled.histogram):
+                assert histogram(1, seed, *MIXED_WEIGHTS) == counts, (o, hex(w))
+            # and over a group of 8 blocks and one slot more, whose slots reach every index
+            n_slots = 8 * pure._SLOTS + 1
+            counts = pure._histogram(n_slots, seed, *MIXED_WEIGHTS)
+            assert counts == compiled.histogram(n_slots, seed, *MIXED_WEIGHTS)
+            assert all(counts), counts
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])

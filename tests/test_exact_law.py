@@ -40,7 +40,7 @@ def test_single_transmission_has_probability_one_half_for_either_c():
 
 
 def test_hyperdense_delivers_exactly_five_halves_bits_from_either_source():
-    qubit_p_c0 = Fraction(hyperdense._QUBIT_C_THRESHOLD, 2**53)
+    qubit_p_c0 = Fraction(hyperdense._program(QubitPairSource()).thresholds[2], 2**53)
     # the qubit source's c is biased by 2**-53, which the law does not feel
     assert qubit_p_c0 == HALF - Fraction(1, 2**53)
     for source in (CoinPairSource(), QubitPairSource()):

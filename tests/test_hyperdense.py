@@ -1,6 +1,7 @@
 """Hyperdense coding: send rule, channel resolution, decoding, scenarios,
 and the Monte Carlo slot simulation."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -8,7 +9,7 @@ import re
 import pytest
 
 import entmac.qubit
-from entmac import _kernels, hyperdense
+from entmac import _kernels, cli, hyperdense
 from entmac.hyperdense import (
     ChannelObservation,
     ChannelState,
@@ -308,7 +309,7 @@ def test_qubit_pair_source_uses_two_single_qubit_measurements(monkeypatch):
 
 
 def test_qubit_c_threshold_is_the_measurement_boundary():
-    threshold = hyperdense._QUBIT_C_THRESHOLD
+    threshold = hyperdense._program(QubitPairSource()).thresholds[2]
     p0 = measure_probabilities(BETA_00, QubitId.A)[0]
     assert threshold == 2**52 - 1 == _float_threshold(p0)
     # A's uniform just below and at the threshold, B's at either end
@@ -325,31 +326,65 @@ def test_qubit_c_threshold_is_the_measurement_boundary():
 ], ids=["A", "B", "both"])
 def test_qubit_c_threshold_rejects_a_pair_that_does_not_give_c_twice(monkeypatch, flipped,
                                                                     error, message):
-    # the proof runs draw: A giving 1 at u = 0, or B disagreeing with A, stops the import
+    # the proof runs draw: A giving 1 at u = 0, or B disagreeing with A, stops the first
+    # qubit run
     def measure_flipped(state, target, rng):
         c, collapsed = measure_qubit(state, target, rng)
         return (1 - c if target in flipped else c), collapsed
 
-    monkeypatch.setattr(hyperdense, "measure_qubit", measure_flipped)
+    monkeypatch.setattr(entmac.qubit, "measure_qubit", measure_flipped)
     with pytest.raises(error, match=re.escape(message)):
         hyperdense._qubit_c_threshold()
+
+
+def sample_ties_low(probs, rng):
+    """``qubit._sample`` with u <= cum where the rule takes u < cum."""
+    u, cum = rng.next_float(), 0.0
+    for i, p in enumerate(probs):
+        cum += p
+        if p >= entmac.qubit.PROB_CLAMP and u <= cum:
+            return i
+    raise AssertionError(f"no outcome picked from {probs} at {u}")
+
+
+#: what the qubit c threshold's proof raises under ``sample_ties_low``
+TIES_LOW_MESSAGE = re.escape("qubit pair drew 0 from (0.4999999999999999, 0.0)")
 
 
 def test_qubit_c_threshold_rejects_a_measurement_that_moves_the_boundary(monkeypatch):
     # a pick that takes u <= cum where the rule takes u < cum gives c = 0 at u = P(0), the
     # one word value on which the two differ; both ends of next_float's range agree
-    def sample_ties_low(probs, rng):
-        u, cum = rng.next_float(), 0.0
-        for i, p in enumerate(probs):
-            cum += p
-            if p >= entmac.qubit.PROB_CLAMP and u <= cum:
-                return i
-        raise AssertionError(f"no outcome picked from {probs} at {u}")
-
     monkeypatch.setattr(entmac.qubit, "_sample", sample_ties_low)
-    with pytest.raises(RuntimeError,
-                       match=re.escape("qubit pair drew 0 from (0.4999999999999999, 0.0)")):
+    with pytest.raises(RuntimeError, match=TIES_LOW_MESSAGE):
         hyperdense._qubit_c_threshold()
+
+
+def test_a_qubit_run_proves_the_c_threshold_first_and_keeps_no_failed_proof(monkeypatch):
+    # the qubit program is built, and its threshold proved, on its first use: a broken
+    # engine stops the first qubit run before it draws, and a proof that raised keeps no
+    # program, so the first build after the engine is mended proves it again
+    monkeypatch.delitem(hyperdense._PROGRAMS, QubitPairSource, raising=False)
+    with monkeypatch.context() as broken:
+        broken.setattr(entmac.qubit, "_sample", sample_ties_low)
+        with pytest.raises(RuntimeError, match=TIES_LOW_MESSAGE):
+            hyperdense._program(QubitPairSource())
+        with pytest.raises(RuntimeError, match=TIES_LOW_MESSAGE):
+            cli.main(["hyperdense", "--slots", "1000", "--workers", "1"])
+    assert QubitPairSource not in hyperdense._PROGRAMS
+    assert hyperdense._program(QubitPairSource()).thresholds[2] == 2**52 - 1
+    assert hyperdense._PROGRAMS[QubitPairSource] is hyperdense._program(QubitPairSource())
+
+
+def test_a_coin_run_never_proves_the_qubit_c_threshold(monkeypatch, capsys):
+    # with the engine broken as above, a coin run prints what it prints with a sound one
+    monkeypatch.delitem(hyperdense._PROGRAMS, QubitPairSource, raising=False)
+    monkeypatch.setattr(entmac.qubit, "_sample", sample_ties_low)
+    argv = ["hyperdense", "--c-source", "coin", "--slots", "16384", "--seed", "42",
+            "--workers", "1"]
+    assert cli.main(argv) == 0
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            == "739644269fe8b1b67d9a93ef63c980fcde800b77d9f1cb3f2a4b42296a90b079")
+    assert QubitPairSource not in hyperdense._PROGRAMS
 
 
 def test_qubit_c_threshold_rejects_a_draw_that_leaves_a_uniform(monkeypatch):
@@ -386,7 +421,7 @@ def test_qubit_pair_source_raises_when_the_halves_disagree(monkeypatch):
         c, collapsed = measure_qubit(state, target, rng)
         return (1 - c if target is QubitId.B else c), collapsed
 
-    monkeypatch.setattr(hyperdense, "measure_qubit", measure_b_flipped)
+    monkeypatch.setattr(entmac.qubit, "measure_qubit", measure_b_flipped)
     with pytest.raises(PairCorrelationError, match="half-pair measurements disagree"):
         QubitPairSource().draw(RandomSource(1))
 
@@ -395,7 +430,7 @@ def test_qubit_tally_reads_c_at_the_threshold(monkeypatch):
     # A1 = B1 = 0 in both slots: c = 0 collides, c = 1 leaves the slot idle;
     # B's word is never read whatever it holds: a slot that read it would read
     # the next slot's bits off by one
-    threshold = hyperdense._QUBIT_C_THRESHOLD << 11
+    threshold = hyperdense._program(QubitPairSource()).thresholds[2] << 11
     for b_word in (0, 2**64 - 1):
         script_words(monkeypatch, [0, 0, 0, 0, threshold - 1, b_word,
                                    0, 0, 0, 0, threshold, b_word], 0)

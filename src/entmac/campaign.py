@@ -11,7 +11,7 @@ The configs, results and reports are immutable named tuples. ``_render``
 imports ``json`` or ``csv`` only when asked for that format, so a text run
 loads neither. Each runner, ``compare`` and ``scenario_rows`` import the
 protocol modules they use as they run, so importing this module, and the
-CLI's parser built from ``PROTOCOLS``, load no protocol: ``entmac aloha``
+CLI's flag table read from ``PROTOCOLS``, load no protocol: ``entmac aloha``
 loads neither ``hyperdense`` nor the qubit engine, and ``table`` loads
 ``hyperdense`` alone.
 """
@@ -19,6 +19,7 @@ loads neither ``hyperdense`` nor the qubit engine, and ``table`` loads
 from __future__ import annotations
 
 import math
+import sys
 
 from ._records import checked_record, is_int, is_probability
 from .rng import RandomSource, derive_seed
@@ -58,8 +59,10 @@ class CampaignConfig(checked_record("CampaignConfig", "protocol n_slots seed m p
         if not isinstance(cfg.protocol, str) or cfg.protocol not in PROTOCOLS:
             raise ConfigError("protocol",
                               f"must be one of {tuple(PROTOCOLS)}, got {cfg.protocol!r}")
-        if not is_int(cfg.n_slots, 1):
-            raise ConfigError("n_slots", f"must be an integer >= 1, got {cfg.n_slots!r}")
+        # sys.maxsize is the largest count the compiled kernel takes
+        if not is_int(cfg.n_slots, 1, sys.maxsize):
+            raise ConfigError("n_slots", f"must be an integer in [1, {sys.maxsize}], "
+                                         f"got {cfg.n_slots!r}")
         if not is_int(cfg.seed, 0, _MAX_SEED):
             raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {cfg.seed!r}")
         if not is_int(cfg.m, 1):
@@ -224,8 +227,13 @@ def compare(n_slots: int, seed: int, workers: int | str = 1) -> ComparisonReport
     )
 
 
-class Option(checked_record("Option", "flag field kwargs")):
-    """A protocol's own CLI flag: the config field it sets and its argparse keywords."""
+class Option(checked_record("Option", "flag field parse metavar help")):
+    """A CLI flag: the field it sets, how its text becomes a value, its metavar and its help.
+
+    ``parse`` is a function of the text, such as ``int``, whose ValueError rejects it, or
+    a tuple of the texts it takes; a tuple's metavar is None, and help shows the choices.
+    ``help`` may name the field's default as ``%(default)s``.
+    """
 
     __slots__ = ()
 
@@ -239,16 +247,13 @@ class Protocol(checked_record("Protocol", "help run options", defaults=((),))):
 #: the one table of simulation subcommands, read by the CLI and ``run_campaign``
 PROTOCOLS = {
     "aloha": Protocol("slotted-Aloha Monte Carlo and analytics", _run_aloha, (
-        Option("--users", "m", dict(type=int, metavar="M",
-                                    help="number of users (default %(default)s)")),
-        Option("--p", "p", dict(type=float, metavar="X",
-                                help="per-user transmit probability (default 1/M)")),
+        Option("--users", "m", int, "M", "number of users (default %(default)s)"),
+        Option("--p", "p", float, "X", "per-user transmit probability (default 1/M)"),
     )),
     "superdense": Protocol("superdense-coding roundtrip campaign", _run_superdense),
     "hyperdense": Protocol("hyperdense-coding Monte Carlo", _run_hyperdense, (
-        Option("--c-source", "c_source", dict(
-            choices=C_SOURCES,
-            help="where the shared slot bit comes from (default %(default)s)")),
+        Option("--c-source", "c_source", C_SOURCES, None,
+               "where the shared slot bit comes from (default %(default)s)"),
     )),
     "compare": Protocol("three-way throughput comparison report",
                         lambda cfg: compare(cfg.n_slots, cfg.seed, cfg.workers)),

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -33,6 +34,8 @@ def parse_csv(text):
         (dict(protocol="nope"), "protocol"),
         (dict(protocol="aloha", n_slots=0), "n_slots"),
         (dict(protocol="aloha", n_slots=2.5), "n_slots"),
+        # above the largest count the compiled kernel takes
+        (dict(protocol="aloha", n_slots=sys.maxsize + 1), "n_slots"),
         (dict(protocol="aloha", seed=-1), "seed"),
         (dict(protocol="aloha", seed=2**64), "seed"),
         (dict(protocol="aloha", m=0), "m"),
@@ -68,6 +71,11 @@ def test_config_validation_reports_field(kwargs, field):
         CampaignConfig(**kwargs)
     assert err.value.field == field
     assert field in str(err.value)
+
+
+def test_the_largest_slot_count_builds():
+    # built, never run: the chunk plan alone would not fit in memory
+    assert CampaignConfig("aloha", sys.maxsize).n_slots == sys.maxsize
 
 
 @pytest.mark.parametrize(

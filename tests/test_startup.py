@@ -27,7 +27,7 @@ SRC = ROOT / "src"
 CHILD = """
 import contextlib, io, sys
 WATCHED = ("dataclasses", "inspect", "typing", "concurrent.futures", "multiprocessing", "json",
-           "csv")
+           "csv", "argparse", "gettext", "locale")
 PROTOCOLS = ("entmac.aloha", "entmac.hyperdense", "entmac.qubit", "entmac.superdense", "cmath")
 def loaded(names=WATCHED):
     return [name for name in names if name in sys.modules]
@@ -105,6 +105,7 @@ def test_every_annotation_resolves(name):
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_thread_pool():
+    # nor argparse, gettext or locale: the CLI reads its flags itself
     got = imports_of(["compare", "--slots", "1000", "--format", "text"])
     assert got["after_import"] == []
     assert got["status"] == 0
@@ -170,11 +171,13 @@ LOADS = {
                  id="gated-aloha-m8"),
 ])
 def test_each_subcommand_loads_only_the_protocols_it_runs(argv, protocols):
-    # the CLI's parser is built from campaign.PROTOCOLS without loading a protocol
+    # the CLI's flags are read from campaign.PROTOCOLS without loading a protocol
     got = imports_of(argv)
     assert got["status"] == 0
     assert got["protocols_after_import"] == []
     assert got["protocols_after_run"] == protocols
+    # the CLI reads its flags itself
+    assert not {"argparse", "gettext", "locale"} & set(got["after_run"])
 
 
 @pytest.mark.parametrize("fmt, module", [("json", "json"), ("csv", "csv")])

@@ -80,8 +80,11 @@ class CampaignConfig(checked_record("CampaignConfig", "protocol n_slots seed m p
         return cfg
 
     def resolved_p(self) -> float:
-        """p as a float, so that equal configs echo equal bytes; 1/M when p is None."""
-        return float(self.p) if self.p is not None else 1.0 / self.m
+        """p as a float, so that equal configs echo equal bytes; 1/M when p is None.
+
+        -0.0 equals 0.0 as a config, so it resolves to 0.0: adding 0.0 clears its sign.
+        """
+        return float(self.p) + 0.0 if self.p is not None else 1.0 / self.m
 
 
 class CampaignResult(checked_record("CampaignResult", "protocol config analytic empirical "

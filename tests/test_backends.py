@@ -6,7 +6,10 @@ When the package was installed without its compiled kernel, ``_fast.c`` is
 built into a temporary directory by ``entmac._kernels.build``, with every
 warning an error; the module skips only when there is no C compiler with
 the Python headers. The build script itself is checked here too: run by
-its path, it replaces a kernel that cannot load.
+its path, it replaces a kernel that cannot load. Every CLI run of
+tests/cli_runs.py, the list of pinned outputs CI also runs, runs here in
+process: on the compiled backend, and on the pure one where it has at most
+100 000 slots.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ from entmac.hyperdense import CoinPairSource, QubitPairSource, simulate as hd_si
 from entmac.rng import _BIT_THRESHOLD, _GOLDEN, RandomSource
 
 from _support import WEIGHTS, WIDTH_PROGRAMS, layouts, seed_for_word
+from cli_runs import PINS
 
 CHUNK = _kernels.CHUNK_SLOTS
 
@@ -600,6 +604,29 @@ def test_a_flagless_cli_run_prints_what_one_process_prints(either_backend, forks
     assert capsys.readouterr() == lone
     runs = len(forks) // 2
     assert forks == [0] * runs + [int(_kernels._fast is None)] * runs
+
+
+def pinned_runs():
+    """(backend, pin, run) for each entry of ``cli_runs.PINS``: every one on the compiled
+    backend, and those of at most 100 000 slots on the pure one, where 10^6 slots take
+    0.15 to 0.4 s."""
+    for digest, runs in PINS.items():
+        for run in runs:
+            slots = cli.parse_args(run.argv.split())[2].get("n_slots", 0)
+            for backend in ("pure", "compiled") if slots <= 100_000 else ("compiled",):
+                cpu = "one CPU: " if run.one_cpu else ""
+                yield pytest.param(backend, digest, run, id=f"{backend}: {cpu}{run.argv}")
+
+
+@pytest.mark.parametrize("either_backend,digest,run", pinned_runs(), indirect=["either_backend"])
+def test_a_pinned_cli_run_prints_its_pin(either_backend, monkeypatch, capsys, digest, run):
+    # two usable CPUs, as the forks fixture has them, or one, where the chunks run in one
+    # process that forks nothing
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1 if run.one_cpu else 2)
+    assert cli.main(run.argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, run.why
 
 
 #: forced into a build by ``-include``: a ``_fast`` that aborts the process as it loads

@@ -16,25 +16,10 @@ from entmac._kernels import pure
 from entmac.rng import _GOLDEN, _MASK64, RandomSource
 
 from _support import GOLDEN_INVERSE, streams_overlap
+from cli_runs import PINS
 
-#: the golden configs of test_golden.py and the runs CI compares across backends
-RUNS = [
-    "compare --slots 16384 --seed 42",
-    "aloha --slots 16384 --seed 42",
-    "superdense --slots 16384 --seed 42",
-    "hyperdense --slots 16384 --seed 42",
-    "compare --slots 1000000 --seed 42",
-    "aloha --users 8 --slots 1000000",
-    "superdense --slots 1000000",
-    "hyperdense --slots 1000000",
-    "hyperdense --c-source coin --slots 1000000",
-    "aloha --users 3 --p 0.3 --slots 1000000",
-    "aloha --users 300 --slots 20000",
-    "hyperdense --slots 66353",
-    "hyperdense --slots 66897",
-    "hyperdense --c-source coin --slots 66897",
-    "aloha --users 8 --slots 66049",
-]
+#: every CLI run whose output is pinned, each spelling once
+RUNS = sorted({run.argv for runs in PINS.values() for run in runs})
 
 
 def run_streams(monkeypatch, capsys, argv):
